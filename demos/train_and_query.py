@@ -83,7 +83,7 @@ def main() -> None:
         ids = encode_gloss(tokenize(text), ckpt.vocab, None, "word")
         y = ckpt.model.encode_ids(np.asarray(ids, dtype=np.int64), np.array([len(ids)]))
         record = rank_of_correct(y, table, intended)
-        listing = "  ".join(f"{word} ({score:+.3f})" for word, score in rank_by_cosine(y, table)[:3])
+        listing = "  ".join(f"{word} ({score:+.3f})" for word, score in rank_by_cosine(y, table, topk=3))
         print(f"  {text!r}: {intended} at rank {record.rank:g}")
         print(f"      top: {listing}")
 

@@ -34,6 +34,7 @@ from .tokenizer import (
     encode_gloss,
     learn_bpe,
     segment_tokens,
+    segment_word,
 )
 from .trainer import load_checkpoint, read_config, save_checkpoint, train
 
@@ -79,9 +80,14 @@ def _drop_missing_heads(
 
 
 def _gloss_frequencies(pairs: list[DefinitionPair], merges: MergeTable | None) -> Counter:
+    """Token counts of the glosses, after segmentation when a merge table is given."""
+    words = Counter(token for pair in pairs for token in pair.gloss)
+    if merges is None:
+        return words
     freqs: Counter = Counter()
-    for pair in pairs:
-        freqs.update(segment_tokens(pair.gloss, merges) if merges else pair.gloss)
+    for word, count in words.items():
+        for subword in segment_word(word, merges):
+            freqs[subword] += count
     return freqs
 
 
@@ -237,11 +243,10 @@ def _cmd_query(args) -> int:
             continue
         ids = encode_gloss(tokens, checkpoint.vocab, checkpoint.merges, checkpoint.config.segmentation)
         vector = checkpoint.model.encode_ids(np.asarray(ids, dtype=np.int64), np.array([len(ids)]))
-        candidate_filter = None if wanted is None else (lambda word, n=wanted: len(word) == n)
-        ranked = rank_by_cosine(vector, checkpoint.pretrained, candidate_filter=candidate_filter)
+        ranked = rank_by_cosine(vector, checkpoint.pretrained, answer_length=wanted, topk=args.topk)
         if not ranked:
             _note("no candidates of that length")
-        for word, score in ranked[: args.topk]:
+        for word, score in ranked:
             print(f"{word}\t{score!r}")
         print()
     return EXIT_OK

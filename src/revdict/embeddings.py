@@ -8,13 +8,13 @@ duplicate words keep their first occurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NonFiniteLossError
 
 PRETRAINED_DIM = 500
 LEARNED_DIM = 500
@@ -23,12 +23,17 @@ INIT_SCALE = 0.05
 
 @dataclass
 class PretrainedTable:
-    """Immutable word -> D-vector table with cached row norms."""
+    """Immutable word -> D-vector table with cached row norms and word lengths."""
 
     words: list[str]
     matrix: np.ndarray  # (n, D) float64
     word_to_row: dict[str, int]
-    norms: np.ndarray  # (n,) float64, all > 0
+    norms: np.ndarray = field(init=False)  # (n,) float64, all > 0
+    word_lengths: np.ndarray = field(init=False)  # (n,) int64 character counts
+
+    def __post_init__(self) -> None:
+        self.norms = np.linalg.norm(self.matrix, axis=1)
+        self.word_lengths = np.fromiter(map(len, self.words), dtype=np.int64, count=len(self.words))
 
     @classmethod
     def from_arrays(cls, words: Sequence[str], matrix: np.ndarray) -> "PretrainedTable":
@@ -37,15 +42,10 @@ class PretrainedTable:
             raise ValueError("matrix must be (len(words), D)")
         if len(set(words)) != len(words):
             raise ValueError("duplicate words in table")
-        norms = np.linalg.norm(matrix, axis=1)
-        if np.any(norms == 0.0):
+        table = cls(words=list(words), matrix=matrix, word_to_row={w: i for i, w in enumerate(words)})
+        if np.any(table.norms == 0.0):
             raise ValueError("zero-norm vector in table")
-        return cls(
-            words=list(words),
-            matrix=matrix,
-            word_to_row={w: i for i, w in enumerate(words)},
-            norms=norms,
-        )
+        return table
 
     def __len__(self) -> int:
         return len(self.words)
@@ -56,6 +56,12 @@ class PretrainedTable:
     @property
     def dimension(self) -> int:
         return int(self.matrix.shape[1])
+
+    def candidate_rows(self, answer_length: int | None) -> np.ndarray:
+        """Ascending rows of the words with ``answer_length`` characters; all rows for None."""
+        if answer_length is None:
+            return np.arange(len(self.words))
+        return np.flatnonzero(self.word_lengths == answer_length)
 
     def lookup(self, word: str) -> np.ndarray | None:
         row = self.word_to_row.get(word)
@@ -120,16 +126,7 @@ def load_pretrained(
     if not rows:
         raise DataError(f"{path}: no usable embedding rows")
     stats.kept = len(rows)
-    matrix = np.stack(rows)
-    return (
-        PretrainedTable(
-            words=words,
-            matrix=matrix,
-            word_to_row=word_to_row,
-            norms=np.linalg.norm(matrix, axis=1),
-        ),
-        stats,
-    )
+    return PretrainedTable(words=words, matrix=np.stack(rows), word_to_row=word_to_row), stats
 
 
 @dataclass
@@ -166,6 +163,8 @@ def cosine_to_all(query: np.ndarray, table: PretrainedTable) -> np.ndarray:
     """Cosine similarity of ``query`` against every table row."""
     query = np.asarray(query, dtype=np.float64)
     qnorm = np.linalg.norm(query)
+    if not np.isfinite(qnorm):
+        raise NonFiniteLossError("non-finite query vector")
     if not qnorm > 0.0:
         raise ValueError("zero-norm query")
     return (table.matrix @ query) / (table.norms * qnorm)
@@ -174,13 +173,22 @@ def cosine_to_all(query: np.ndarray, table: PretrainedTable) -> np.ndarray:
 def rank_by_cosine(
     query: np.ndarray,
     table: PretrainedTable,
-    candidate_filter: Callable[[str], bool] | None = None,
+    answer_length: int | None = None,
+    topk: int | None = None,
 ) -> list[tuple[str, float]]:
-    """All candidates passing the filter, best cosine first, ties by word."""
+    """Candidates by cosine, best first, exact ties by word.
+
+    ``answer_length`` keeps only words with that many characters and ``topk``
+    the first k (None: no limit).  Only rows scoring at least the k-th best
+    are sorted, so a tie across the cut is still broken by word.
+    """
+    if topk is not None and topk < 1:
+        raise ValueError("topk must be at least 1")
     scores = cosine_to_all(query, table)
-    if candidate_filter is None:
-        pool = range(len(table.words))
-    else:
-        pool = [i for i, w in enumerate(table.words) if candidate_filter(w)]
-    ranked = sorted(((table.words[i], float(scores[i])) for i in pool), key=lambda ws: (-ws[1], ws[0]))
-    return ranked
+    rows = table.candidate_rows(answer_length)
+    if topk is not None and topk < rows.size:
+        pool = scores[rows]
+        kth = -np.partition(-pool, topk - 1)[topk - 1]  # a NaN score sorts last here, out of the top k
+        rows = rows[pool >= kth]
+    ranked = sorted(((table.words[i], float(scores[i])) for i in rows), key=lambda ws: (-ws[1], ws[0]))
+    return ranked[:topk]

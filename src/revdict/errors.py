@@ -10,4 +10,4 @@ class DataError(ValueError):
 
 
 class NonFiniteLossError(ArithmeticError):
-    """Training or backprop produced a NaN/Inf loss."""
+    """A NaN/Inf loss in training or backprop, or a NaN/Inf model output."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,53 +44,44 @@ def length_filter(table: PretrainedTable, answer_length: int) -> list[str]:
     """Exactly the table words with ``answer_length`` characters."""
     if answer_length < 1:
         raise ValueError("answer length must be at least 1")
-    return [w for w in table.words if len(w) == answer_length]
+    return [table.words[i] for i in table.candidate_rows(answer_length)]
 
 
 def rank_of_correct(
     y: np.ndarray,
     table: PretrainedTable,
     correct: str,
-    candidate_filter: Callable[[str], bool] | None = None,
+    answer_length: int | None = None,
     item_id: str = "",
 ) -> RankRecord:
-    """1-based rank of ``correct`` among (filtered) candidates by cosine.
+    """1-based rank of ``correct`` among the candidates by cosine.
 
-    A correct word that the filter removes is scored one past the worst
+    With ``answer_length`` only words of that many characters compete.  A
+    correct word that the length rules out is scored one past the worst
     candidate and flagged, keeping set-level metrics defined.
     """
     if correct not in table:
         raise DataError(f"correct word {correct!r} not in the candidate table")
     scores = cosine_to_all(y, table)
-    if candidate_filter is None:
-        pool = np.arange(len(table.words))
-    else:
-        pool = np.array(
-            [i for i, w in enumerate(table.words) if candidate_filter(w)], dtype=np.int64
-        )
-    correct_row = table.word_to_row[correct]
-    filtered = candidate_filter is not None
-    if correct_row not in pool:
+    rows = table.candidate_rows(answer_length)
+    filtered = answer_length is not None
+    if filtered and len(correct) != answer_length:
         return RankRecord(
             item_id=item_id,
-            rank=len(pool) + 1,
-            candidate_count=len(pool),
+            rank=rows.size + 1,
+            candidate_count=rows.size,
             filtered=filtered,
             excluded=True,
         )
-    pool_scores = scores[pool]
-    correct_score = scores[correct_row]
-    greater = int((pool_scores > correct_score).sum())
-    tied = [
-        int(i)
-        for i, s in zip(pool, pool_scores)
-        if s == correct_score and i != correct_row
-    ]
+    pool_scores = scores[rows]
+    correct_score = scores[table.word_to_row[correct]]
+    greater = int(np.count_nonzero(pool_scores > correct_score))
+    tied = rows[pool_scores == correct_score]
     tied_before = sum(1 for i in tied if table.words[i] < correct)
     return RankRecord(
         item_id=item_id,
         rank=1 + greater + tied_before,
-        candidate_count=len(pool),
+        candidate_count=rows.size,
         filtered=filtered,
     )
 
@@ -165,19 +156,14 @@ def evaluate(
         if mode == "crossword":
             if not isinstance(item, CrosswordClue):
                 raise DataError("crossword mode needs crossword clue items")
-            tokens, correct = item.clue, item.answer
-            wanted = item.answer_length
-            candidate_filter = lambda w, n=wanted: len(w) == n
+            tokens, correct, wanted = item.clue, item.answer, item.answer_length
         else:
-            tokens, correct = item.gloss, item.head
-            candidate_filter = None
+            tokens, correct, wanted = item.gloss, item.head, None
         if correct not in table:
             raise DataError(f"test head {correct!r} missing from the pretrained table")
         ids = encode_gloss(tokens, checkpoint.vocab, checkpoint.merges, segmentation)
         y = model.encode_ids(np.asarray(ids, dtype=np.int64), np.array([len(ids)]))
         records.append(
-            rank_of_correct(
-                y, table, correct, candidate_filter, item_id=f"{index}:{correct}"
-            )
+            rank_of_correct(y, table, correct, wanted, item_id=f"{index}:{correct}")
         )
     return summarize(records), records

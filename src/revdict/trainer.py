@@ -55,8 +55,8 @@ class TrainConfig:
     hidden_size: int = 512
 
     def validate(self) -> "TrainConfig":
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
         if self.optimizer != "adam":
             raise ConfigError(f"unsupported optimizer {self.optimizer!r}")
         if self.epochs < 0:

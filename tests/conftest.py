@@ -1,0 +1,46 @@
+"""Fixtures shared by the ranking tests."""
+
+import numpy as np
+import pytest
+
+from revdict.embeddings import PretrainedTable
+
+LETTERS = np.array(list("abcdefghij"))
+
+
+def tied_table(seed: int, base_rows: int = 40, copies: int = 24, dim: int = 5) -> PretrainedTable:
+    """Random words of 1-6 letters; some rows are 1x, 2x or 4x copies of earlier rows.
+
+    A power-of-two multiple of a row has exactly the same cosine to any query,
+    so the copies force exact ties, broken by word, between different words
+    and across different word lengths.
+    """
+    rng = np.random.default_rng(seed)
+    words: list[str] = []
+    while len(words) < base_rows + copies:
+        word = "".join(rng.choice(LETTERS, size=int(rng.integers(1, 7))))
+        if word not in words:
+            words.append(word)
+    matrix = rng.normal(size=(base_rows + copies, dim))
+    sources = rng.integers(0, base_rows, size=copies)
+    matrix[base_rows:] = matrix[sources] * rng.choice([1.0, 2.0, 4.0], size=copies)[:, None]
+    order = rng.permutation(len(words))  # scatter the copies among the originals
+    return PretrainedTable.from_arrays([words[i] for i in order], matrix[order])
+
+
+@pytest.fixture
+def tied_tables():
+    """Three seeded tables with forced ties, each with queries that hit them.
+
+    The queries are one random direction and two table rows that have copies,
+    so the best scores are themselves tied.
+    """
+    cases = []
+    for seed in (0, 1, 2):
+        table = tied_table(seed)
+        rng = np.random.default_rng(100 + seed)
+        directions = table.matrix / table.norms[:, None]
+        _, first, counts = np.unique(directions, axis=0, return_index=True, return_counts=True)
+        queries = [rng.normal(size=table.dimension)] + [table.matrix[row] for row in first[counts > 1][:2]]
+        cases.append((table, queries))
+    return cases

@@ -4,13 +4,22 @@ import io
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from revdict.cli import run
+from revdict.cli import _gloss_frequencies, run
 from revdict.corpus import load_definitions
-from revdict.tokenizer import WordVocab, unsegment_text
+from revdict.tokenizer import (
+    MergeTable,
+    WordVocab,
+    build_word_vocab,
+    segment_tokens,
+    segment_word,
+    unsegment_text,
+)
+from revdict.trainer import load_checkpoint, save_checkpoint
 
 SUMMARY = re.compile(r"^median_rank=\S+ acc@10=\S+ acc@100=\S+ rank_variance=\S+$")
 
@@ -121,6 +130,35 @@ class TestSegmentationCommands:
         assert run(["build-vocab", "--input", str(workspace / "defs.tsv"), "--output", str(vocab_path), "--segmentation", "bpe", "--merges", str(merges)]) == 0
         assert WordVocab.load(vocab_path).token_to_id
 
+    def test_each_word_type_is_segmented_once(self, workspace, monkeypatch):
+        # the counts come from one segmentation per word type, weighted by its
+        # count; they and the vocabulary file must equal segmenting every
+        # occurrence, also for a table of no merges (every word split into letters)
+        defs = workspace / "defs.tsv"
+        defs.write_text(DEFS + "cat\tsmall small feline feline feline\nox\tlarge large animal\n")
+        pairs, _ = load_definitions(defs)
+        merges, no_merges = workspace / "merges.txt", workspace / "no_merges.txt"
+        assert run(["learn-bpe", "--input", str(defs), "--merges", "15", "--output", str(merges)]) == 0
+        no_merges.write_text("")
+        calls = []
+
+        def counting(word, table):
+            calls.append(word)
+            return segment_word(word, table)
+
+        monkeypatch.setattr("revdict.cli.segment_word", counting)
+        vocab_path, expected_path = workspace / "vocab.txt", workspace / "expected.txt"
+        for path in (merges, no_merges):
+            table = MergeTable.load(path)
+            per_occurrence = Counter(t for pair in pairs for t in segment_tokens(pair.gloss, table))
+            calls.clear()
+            assert _gloss_frequencies(pairs, table) == per_occurrence
+            assert sorted(calls) == sorted({w for pair in pairs for w in pair.gloss})
+            build_word_vocab(per_occurrence).save(expected_path)
+            argv = ["build-vocab", "--input", str(defs), "--output", str(vocab_path), "--segmentation", "bpe"]
+            assert run(argv + ["--merges", str(path)]) == 0
+            assert vocab_path.read_bytes() == expected_path.read_bytes()
+
 
 class TestStats:
     def test_definitions_histogram(self, workspace):
@@ -164,6 +202,13 @@ class TestTrainEvalQuery:
         config = write_config(workspace, segmentation="bpe")  # no merges path given
         assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 1
 
+    def test_non_finite_learning_rate_is_a_config_error(self, workspace, capsys):
+        for value in ("nan", "inf"):
+            config = write_config(workspace, learning_rate=value)
+            assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 1
+            assert f"config error: learning_rate must be positive and finite, got {value}" in capsys.readouterr().err
+        assert not (workspace / "m.ckpt").exists()
+
     def test_train_missing_data_file(self, workspace):
         config = write_config(workspace, train=workspace / "absent.tsv")
         assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 2
@@ -199,6 +244,22 @@ class TestTrainEvalQuery:
         bogus = workspace / "bogus.ckpt"
         bogus.write_text("not a checkpoint")
         assert run(["eval", "--checkpoint", str(bogus), "--test", str(workspace / "dev.tsv")]) == 2
+
+    def test_non_finite_model_output_exits_three(self, workspace, trained, capsys, monkeypatch):
+        # a nan projection bias makes every encoded vector nan; query and eval
+        # report a numeric error instead of a traceback
+        checkpoint = load_checkpoint(trained)
+        checkpoint.model.projection.bias[0] = np.nan
+        broken = workspace / "nan.ckpt"
+        save_checkpoint(broken, checkpoint)
+        capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO("small feline\n"))
+        assert run(["query", "--checkpoint", str(broken)]) == 3
+        assert capsys.readouterr().err == "numeric error: non-finite query vector\n"
+        for mode, test in (("definitions", "dev.tsv"), ("crossword", "cw.csv")):
+            argv = ["eval", "--checkpoint", str(broken), "--test", str(workspace / test), "--mode", mode]
+            assert run(argv) == 3
+            assert capsys.readouterr().err == "numeric error: non-finite query vector\n"
 
     def query_blocks(self, capsys):
         out = capsys.readouterr().out

@@ -12,7 +12,7 @@ from revdict.embeddings import (
     load_pretrained,
     rank_by_cosine,
 )
-from revdict.errors import DataError
+from revdict.errors import DataError, NonFiniteLossError
 
 
 def write_vectors(path, rows):
@@ -104,6 +104,11 @@ class TestRanking:
         with pytest.raises(ValueError):
             rank_by_cosine(np.zeros(3), toy_table())
 
+    def test_non_finite_query_is_a_numeric_error(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteLossError):
+                rank_by_cosine(np.array([1.0, bad, 0.0]), toy_table())
+
     def test_ordering_invariant_under_query_scaling(self):
         table = toy_table()
         q = np.array([0.3, -0.2, 0.9])
@@ -114,7 +119,7 @@ class TestRanking:
     def test_filter_restricts_candidates(self):
         table = toy_table()
         q = np.array([1.0, 1.0, 1.0])
-        only3 = rank_by_cosine(q, table, candidate_filter=lambda w: len(w) == 3)
+        only3 = rank_by_cosine(q, table, answer_length=3)
         assert [w for w, _ in only3] == ["cat"]
         top_all = rank_by_cosine(q, table)[0][1]
         assert top_all >= only3[0][1]
@@ -143,6 +148,22 @@ class TestRanking:
             [s for _, s in ranked], [s for _, s in expect], atol=1e-12
         )
 
+    def test_topk_and_length_on_the_toy_table(self):
+        table = toy_table()
+        q = np.array([0.0, 0.0, 1.0])  # mouse, then alpha, beta, cat tied at 0
+        assert [w for w, _ in rank_by_cosine(q, table, topk=2)] == ["mouse", "alpha"]
+        assert [w for w, _ in rank_by_cosine(q, table, answer_length=4, topk=1)] == ["beta"]
+        assert rank_by_cosine(q, table, answer_length=7, topk=3) == []
+        with pytest.raises(ValueError):
+            rank_by_cosine(q, table, topk=0)
+
+    def test_non_finite_row_never_displaces_a_finite_candidate(self):
+        # an inf vector scores nan against every query
+        matrix = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [np.inf, 0.0]])
+        table = PretrainedTable.from_arrays(["a", "b", "c", "d"], matrix)
+        with np.errstate(invalid="ignore"):
+            assert [w for w, _ in rank_by_cosine(np.array([1.0, 0.2]), table, topk=2)] == ["a", "c"]
+
     def test_cosine_to_all_matches_lookup_geometry(self):
         table = toy_table()
         scores = cosine_to_all(np.array([0.6, 0.8, 0.0]), table)
@@ -157,3 +178,42 @@ def test_load_pretrained_infers_width_from_first_row(tmp_path):
     assert table.dimension == 3
     assert table.words == ["cat", "owl"]
     assert stats.dim_mismatch == 1
+
+
+def sort_everything(query, table, candidate_filter=None):
+    """The ranking ``rank_by_cosine`` replaced: a filter loop, then a sort of the whole pool."""
+    scores = cosine_to_all(query, table)
+    if candidate_filter is None:
+        pool = range(len(table.words))
+    else:
+        pool = [i for i, w in enumerate(table.words) if candidate_filter(w)]
+    return sorted(((table.words[i], float(scores[i])) for i in pool), key=lambda ws: (-ws[1], ws[0]))
+
+
+def test_tied_tables_have_exact_ties(tied_tables):
+    for table, queries in tied_tables:
+        for q in queries:
+            scores = cosine_to_all(q, table)
+            assert np.unique(scores).size < len(table)
+        (_, best), (_, second) = sort_everything(queries[1], table)[:2]
+        assert best == second == pytest.approx(1.0)  # a copied row and its copy share the top
+
+
+def test_partial_selection_matches_the_full_sort(tied_tables):
+    cut_inside_a_tie = 0
+    for table, queries in tied_tables:
+        present = sorted(set(table.word_lengths.tolist()))
+        absent = max(present) + 1
+        for q in queries:
+            for length in [None, *present, absent]:
+                keep = None if length is None else (lambda w, n=length: len(w) == n)
+                expected = sort_everything(q, table, keep)
+                pool = len(expected)
+                assert table.candidate_rows(length).size == pool
+                # every k that cuts a group of exactly equal scores in two
+                inside = [k for k in range(1, pool) if expected[k - 1][1] == expected[k][1]]
+                cut_inside_a_tie += len(inside)
+                for topk in [None, 1, *inside, max(pool, 1), pool + 3]:
+                    got = rank_by_cosine(q, table, answer_length=length, topk=topk)
+                    assert got == expected[:topk], (length, topk)
+    assert cut_inside_a_tie > 0

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from revdict.corpus import CrosswordClue, DefinitionPair, clues_to_pairs, length_histogram
-from revdict.embeddings import PretrainedTable
+from revdict.embeddings import PretrainedTable, cosine_to_all
 from revdict.encoder import DefinitionModel
 from revdict.errors import DataError
 from revdict.evaluator import (
     MetricsReport,
+    RankRecord,
     accuracy_at_k,
     evaluate,
     format_summary,
@@ -57,9 +58,7 @@ class TestRankOfCorrect:
 
     def test_filter_excluding_correct_scores_worst_plus_one(self):
         table = angled_table(["cat", "mouse", "horse"], [0.9, 0.5, 0.1])
-        rec = rank_of_correct(
-            np.array([1.0, 0.0]), table, "cat", candidate_filter=lambda w: len(w) == 5
-        )
+        rec = rank_of_correct(np.array([1.0, 0.0]), table, "cat", answer_length=5)
         assert rec.excluded
         assert rec.candidate_count == 2
         assert rec.rank == 3
@@ -69,6 +68,42 @@ class TestRankOfCorrect:
         table = angled_table(["a", "b"], [0.9, 0.1])
         with pytest.raises(DataError):
             rank_of_correct(np.array([1.0, 0.0]), table, "nope")
+
+
+def loop_rank_of_correct(y, table, correct, candidate_filter=None, item_id=""):
+    """The rank count ``rank_of_correct`` replaced: a filter loop and a zip over the pool."""
+    scores = cosine_to_all(y, table)
+    if candidate_filter is None:
+        pool = np.arange(len(table.words))
+    else:
+        pool = np.array([i for i, w in enumerate(table.words) if candidate_filter(w)], dtype=np.int64)
+    correct_row = table.word_to_row[correct]
+    filtered = candidate_filter is not None
+    if correct_row not in pool:
+        return RankRecord(item_id, len(pool) + 1, len(pool), filtered=filtered, excluded=True)
+    pool_scores = scores[pool]
+    correct_score = scores[correct_row]
+    greater = int((pool_scores > correct_score).sum())
+    tied = [int(i) for i, s in zip(pool, pool_scores) if s == correct_score and i != correct_row]
+    tied_before = sum(1 for i in tied if table.words[i] < correct)
+    return RankRecord(item_id, 1 + greater + tied_before, len(pool), filtered=filtered)
+
+
+def test_rank_count_matches_the_loop(tied_tables):
+    excluded = tied = 0
+    for table, queries in tied_tables:
+        present = sorted(set(table.word_lengths.tolist()))
+        for y in queries:
+            scores = cosine_to_all(y, table)
+            for length in [None, *present, max(present) + 1]:
+                keep = None if length is None else (lambda w, n=length: len(w) == n)
+                for word in table.words:
+                    expected = loop_rank_of_correct(y, table, word, keep, item_id=word)
+                    got = rank_of_correct(y, table, word, answer_length=length, item_id=word)
+                    assert got == expected, (word, length)
+                    excluded += got.excluded
+                    tied += np.count_nonzero(scores == scores[table.word_to_row[word]]) > 1
+    assert excluded > 0 and tied > 0
 
 
 class TestLengthFilter:
@@ -116,8 +151,6 @@ class TestMetrics:
             )
 
     def test_summary_order_invariant_and_consistent(self):
-        from revdict.evaluator import RankRecord
-
         records = [RankRecord(item_id=str(i), rank=r, candidate_count=50) for i, r in enumerate([9, 1, 40, 2])]
         a = summarize(records)
         b = summarize(list(reversed(records)))
@@ -201,8 +234,6 @@ class TestEvaluate:
             evaluate(ckpt, [DefinitionPair(head="cat", gloss=("small",))], mode="crossword")
 
     def test_write_rank_records(self, tmp_path):
-        from revdict.evaluator import RankRecord
-
         path = tmp_path / "ranks.tsv"
         write_rank_records(
             path,
