@@ -2,7 +2,8 @@
 
 The pretrained file format is one word per line followed by its vector:
 ``word f1 f2 ... fD``, whitespace separated.  Rows with the wrong number of
-fields, unparseable floats, or zero norm are dropped (counted, not fatal);
+fields, unparseable floats, a non-finite norm (an ``inf``/``nan`` entry) or
+zero norm are dropped (counted, not fatal);
 duplicate words keep their first occurrence.
 """
 
@@ -28,11 +29,12 @@ class PretrainedTable:
     words: list[str]
     matrix: np.ndarray  # (n, D) float64
     word_to_row: dict[str, int]
-    norms: np.ndarray = field(init=False)  # (n,) float64, all > 0
+    norms: np.ndarray = field(init=False)  # (n,) float64, all finite and > 0
     word_lengths: np.ndarray = field(init=False)  # (n,) int64 character counts
 
     def __post_init__(self) -> None:
-        self.norms = np.linalg.norm(self.matrix, axis=1)
+        with np.errstate(over="ignore"):  # an overflowing norm reads inf, which from_arrays rejects
+            self.norms = np.linalg.norm(self.matrix, axis=1)
         self.word_lengths = np.fromiter(map(len, self.words), dtype=np.int64, count=len(self.words))
 
     @classmethod
@@ -43,6 +45,8 @@ class PretrainedTable:
         if len(set(words)) != len(words):
             raise ValueError("duplicate words in table")
         table = cls(words=list(words), matrix=matrix, word_to_row={w: i for i, w in enumerate(words)})
+        if not np.all(np.isfinite(table.norms)):
+            raise ValueError("non-finite vector in table")
         if np.any(table.norms == 0.0):
             raise ValueError("zero-norm vector in table")
         return table
@@ -74,12 +78,13 @@ class PretrainedTable:
 class PretrainedLoadStats:
     kept: int = 0
     dim_mismatch: int = 0
+    non_finite: int = 0
     zero_norm: int = 0
     duplicates: int = 0
 
     @property
     def rejected(self) -> int:
-        return self.dim_mismatch + self.zero_norm + self.duplicates
+        return self.dim_mismatch + self.non_finite + self.zero_norm + self.duplicates
 
 
 def load_pretrained(
@@ -95,7 +100,7 @@ def load_pretrained(
     rows: list[np.ndarray] = []
     word_to_row: dict[str, int] = {}
     stats = PretrainedLoadStats()
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle, np.errstate(over="ignore"):
         for line in handle:
             fields = line.split()
             if not fields:
@@ -114,7 +119,11 @@ def load_pretrained(
             if vector.shape[0] != expected_dim:
                 stats.dim_mismatch += 1
                 continue
-            if not np.linalg.norm(vector) > 0.0:
+            norm = np.linalg.norm(vector)
+            if not np.isfinite(norm):
+                stats.non_finite += 1
+                continue
+            if not norm > 0.0:
                 stats.zero_norm += 1
                 continue
             if word in word_to_row:
@@ -124,7 +133,10 @@ def load_pretrained(
             words.append(word)
             rows.append(vector)
     if not rows:
-        raise DataError(f"{path}: no usable embedding rows")
+        raise DataError(
+            f"{path}: no usable embedding rows ({stats.dim_mismatch} malformed, "
+            f"{stats.non_finite} non-finite, {stats.zero_norm} zero-norm)"
+        )
     stats.kept = len(rows)
     return PretrainedTable(words=words, matrix=np.stack(rows), word_to_row=word_to_row), stats
 

@@ -68,17 +68,40 @@ def sample_negative(n_candidates: int, correct_id: int, rng: np.random.Generator
 
 
 @dataclass
-class GradientSet:
-    """Gradients shaped exactly like the model parameters."""
+class RowGradient:
+    """A gradient that is zero outside ``rows``: ascending unique row ids and their values."""
 
-    embeddings: np.ndarray
+    rows: np.ndarray  # (k,) int64
+    values: np.ndarray  # (k, ...) float64
+    shape: tuple[int, ...]  # shape of the full parameter
+
+    def dense(self) -> np.ndarray:
+        full = np.zeros(self.shape)
+        full[self.rows] = self.values
+        return full
+
+
+@dataclass
+class GradientSet:
+    """Gradients of every model parameter; the embedding's holds only its touched rows."""
+
+    embedding_rows: RowGradient
     lstm: LSTMParams
     lstm_back: LSTMParams | None
     proj_weight: np.ndarray
     proj_bias: np.ndarray
 
-    def as_dict(self) -> dict[str, np.ndarray]:
-        grads = {"emb": self.embeddings}
+    @property
+    def embeddings(self) -> np.ndarray:
+        return self.embedding_rows.dense()
+
+    def as_dict(self, sparse: bool = False) -> dict[str, np.ndarray | RowGradient]:
+        """Gradients by parameter name, shaped like the parameters.
+
+        With ``sparse`` the embedding gradient stays a RowGradient, which
+        ``trainer.adam_update`` applies without a dense table-sized array.
+        """
+        grads = {"emb": self.embedding_rows if sparse else self.embeddings}
         for name in LSTMParams.FIELDS:
             grads[f"fwd.{name}"] = getattr(self.lstm, name)
         if self.lstm_back is not None:
@@ -248,6 +271,22 @@ def _lstm_backward(
     return dx, grads
 
 
+def _embedding_gradient(
+    token_ids: np.ndarray, dx: np.ndarray, shape: tuple[int, ...], pad_id: int
+) -> RowGradient:
+    """Sum the input gradients ``dx`` per token row, PAD pinned to zero.
+
+    Only the batch's own rows are accumulated, each in position order as a
+    scatter into a dense zero table would add them, so the sums are bitwise
+    equal to that scatter.
+    """
+    rows, position_row = np.unique(token_ids.ravel(), return_inverse=True)
+    values = np.zeros((rows.size, dx.shape[-1]))
+    np.add.at(values, position_row, dx.reshape(-1, dx.shape[-1]))
+    values[rows == pad_id] = 0.0
+    return RowGradient(rows=rows, values=values, shape=shape)
+
+
 def backward(
     model: DefinitionModel,
     token_ids: np.ndarray,
@@ -292,12 +331,10 @@ def backward(
         dx_rev, back_grads = _lstm_backward(model.lstm_back, x_rev, back_trace, dh_back)
         dx += reverse_within_lengths(dx_rev, lengths)
 
-    d_emb = np.zeros_like(model.embeddings.matrix)
-    np.add.at(d_emb, token_ids.ravel(), dx.reshape(-1, dx.shape[-1]))
-    d_emb[model.embeddings.pad_id] = 0.0
-
     return loss, GradientSet(
-        embeddings=d_emb,
+        embedding_rows=_embedding_gradient(
+            token_ids, dx, model.embeddings.matrix.shape, model.embeddings.pad_id
+        ),
         lstm=lstm_grads,
         lstm_back=back_grads,
         proj_weight=d_proj_w,

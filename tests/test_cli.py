@@ -1,9 +1,11 @@
 """End-to-end command tests driven through run(argv)."""
 
 import io
+import json
 import re
 import subprocess
 import sys
+import zipfile
 from collections import Counter
 
 import numpy as np
@@ -60,6 +62,25 @@ def workspace(tmp_path):
     (tmp_path / "dev.tsv").write_text(DEV)
     (tmp_path / "cw.csv").write_text(CROSSWORDS)
     return tmp_path
+
+
+def rewrite_checkpoint(source, target, meta=None, drop_meta=None, drop=None, emb=None):
+    """Copy a checkpoint archive with its meta updated, a member dropped, or ``emb`` applied to the emb array."""
+    with zipfile.ZipFile(source) as src, zipfile.ZipFile(target, "w") as dst:
+        for name in src.namelist():
+            data = src.read(name)
+            if name == drop:
+                continue
+            if name == "meta.json":
+                content = json.loads(data)
+                content.update(meta or {})
+                content.pop(drop_meta, None)
+                data = json.dumps(content).encode("utf-8")
+            if name == "param/emb.npy" and emb is not None:
+                buffer = io.BytesIO()
+                np.save(buffer, emb(np.load(io.BytesIO(data))))
+                data = buffer.getvalue()
+            dst.writestr(name, data)
 
 
 def write_config(tmp_path, **overrides):
@@ -213,12 +234,22 @@ class TestTrainEvalQuery:
         config = write_config(workspace, train=workspace / "absent.tsv")
         assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 2
 
-    def test_non_finite_loss_exits_three(self, workspace):
-        # inf targets make the cosine dot product nan
+    def test_non_finite_loss_exits_three(self, workspace, capsys):
+        # a finite learning rate so large that the first Adam step overflows
+        # the parameters to inf; the next batch's cosine is then nan
+        config = write_config(workspace, learning_rate=1e308, epochs=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 3
+        assert "numeric error: epoch 1 batch 1: non-finite cosine in loss" in capsys.readouterr().err
+        assert not (workspace / "m.ckpt").exists()
+
+    def test_non_finite_embeddings_are_a_data_error(self, workspace, capsys):
         bad = workspace / "bad_vecs.txt"
         bad.write_text("".join(f"{w} inf inf inf inf inf inf\n" for w in HEADS))
         config = write_config(workspace, embeddings=bad, epochs=1)
-        assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 3
+        assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {bad}: no usable embedding rows (0 malformed, 7 non-finite, 0 zero-norm)\n"
 
     @pytest.fixture
     def trained(self, workspace):
@@ -244,6 +275,31 @@ class TestTrainEvalQuery:
         bogus = workspace / "bogus.ckpt"
         bogus.write_text("not a checkpoint")
         assert run(["eval", "--checkpoint", str(bogus), "--test", str(workspace / "dev.tsv")]) == 2
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (dict(meta={"version": 99}), "checkpoint version 99 is not 1"),
+            (dict(meta={"version": None}), "checkpoint version None is not 1"),
+            (dict(drop_meta="config"), "checkpoint meta has no 'config'"),
+            (dict(drop="param/fwd.u_g.npy"), "checkpoint has no array 'param/fwd.u_g'"),
+            (dict(emb=lambda a: a[:-1]), "array 'param/emb' is float64 (14, 6), expected float64 (15, 6)"),
+            (dict(emb=lambda a: a.astype(np.float32)), "array 'param/emb' is float32 (15, 6), expected float64 (15, 6)"),
+            (dict(meta={"mode": "bidirectional"}), "checkpoint has no array 'param/bwd.w_i'"),
+            (dict(meta={"pad_id": 15}), "pad/unk ids 15/13 outside the 15-token vocabulary"),
+        ],
+        ids=["version", "no-version", "meta-key", "param-array", "emb-shape", "emb-dtype", "mode", "pad-id"],
+    )
+    def test_malformed_checkpoint_is_a_data_error(self, workspace, trained, capsys, monkeypatch, edit, message):
+        broken = workspace / "broken.ckpt"
+        rewrite_checkpoint(trained, broken, **edit)
+        monkeypatch.setattr("sys.stdin", io.StringIO("small feline\n"))
+        capsys.readouterr()
+        assert run(["query", "--checkpoint", str(broken)]) == 2
+        assert capsys.readouterr().err == f"data error: {broken}: {message}\n"
+        argv = ["eval", "--checkpoint", str(broken), "--test", str(workspace / "dev.tsv")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"data error: {broken}: {message}\n"
 
     def test_non_finite_model_output_exits_three(self, workspace, trained, capsys, monkeypatch):
         # a nan projection bias makes every encoded vector nan; query and eval

@@ -52,6 +52,21 @@ class TestLoadPretrained:
         assert table.words == ["dog"]
         assert stats.dim_mismatch == 1
 
+    def test_non_finite_rows_dropped_and_counted(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("cat 0.1 0.2 0.3\nbig inf 0 0\nodd 1 nan 0\nhuge 1e200 1e200 0\ndog 1 0 0\n")
+        table, stats = load_pretrained(path, expected_dim=3)
+        assert table.words == ["cat", "dog"]
+        assert stats.non_finite == 3  # the last one's entries are finite, its norm is not
+        assert stats.zero_norm == 0 and stats.rejected == 3
+        assert np.all(np.isfinite(table.norms))
+
+    def test_all_rows_non_finite_is_an_error(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("cat inf 0\ndog nan 1\n")
+        with pytest.raises(DataError, match=r"no usable embedding rows \(0 malformed, 2 non-finite, 0 zero-norm\)"):
+            load_pretrained(path, expected_dim=2)
+
     def test_empty_file_is_an_error(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("")
@@ -158,9 +173,11 @@ class TestRanking:
             rank_by_cosine(q, table, topk=0)
 
     def test_non_finite_row_never_displaces_a_finite_candidate(self):
-        # an inf vector scores nan against every query
+        # an inf vector scores nan against every query; from_arrays and
+        # load_pretrained reject one, so the table is built around them
         matrix = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [np.inf, 0.0]])
-        table = PretrainedTable.from_arrays(["a", "b", "c", "d"], matrix)
+        words = ["a", "b", "c", "d"]
+        table = PretrainedTable(words=words, matrix=matrix, word_to_row={w: i for i, w in enumerate(words)})
         with np.errstate(invalid="ignore"):
             assert [w for w, _ in rank_by_cosine(np.array([1.0, 0.2]), table, topk=2)] == ["a", "c"]
 
@@ -169,6 +186,13 @@ class TestRanking:
         scores = cosine_to_all(np.array([0.6, 0.8, 0.0]), table)
         assert scores[table.word_to_row["cat"]] == pytest.approx(1.0)
         assert scores[table.word_to_row["mouse"]] == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200])
+def test_from_arrays_rejects_non_finite_rows(bad):
+    matrix = np.array([[1.0, 0.0], [bad, bad]])
+    with pytest.raises(ValueError, match="non-finite vector in table"):
+        PretrainedTable.from_arrays(["a", "b"], matrix)
 
 
 def test_load_pretrained_infers_width_from_first_row(tmp_path):

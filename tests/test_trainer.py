@@ -1,16 +1,24 @@
 """Config parsing, Adam, training-loop, and checkpoint round-trip tests."""
 
+import copy
+import zipfile
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from revdict import objective, trainer
 from revdict.corpus import DefinitionPair
+from revdict.encoder import DefinitionModel, EncoderMode
 from revdict.embeddings import PretrainedTable
 from revdict.errors import ConfigError, DataError, NonFiniteLossError
 from revdict.evaluator import evaluate
+from revdict.objective import LossKind, RowGradient, backward
 from revdict.tokenizer import build_word_vocab, learn_bpe
 from revdict.trainer import (
+    BETA1,
+    BETA2,
+    EPSILON,
     AdamState,
     TrainConfig,
     adam_update,
@@ -141,6 +149,108 @@ class TestAdam:
             assert np.all(np.abs(params["w"] - before) <= 0.01 * (1 + 1e-6))
 
 
+def dense_adam_update(params, grads, state, lr):
+    """The whole-array Adam step that ``adam_update`` replaced, kept as its oracle."""
+    state.t += 1
+    bias1 = 1.0 - BETA1**state.t
+    bias2 = 1.0 - BETA2**state.t
+    for name, param in params.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        param -= lr * (m / bias1) / (np.sqrt(v / bias2) + EPSILON)
+
+
+def dense_scatter(token_ids, dx, shape, pad_id):
+    """The dense embedding gradient ``backward`` built before, kept as an oracle."""
+    d_emb = np.zeros(shape)
+    np.add.at(d_emb, token_ids.ravel(), dx.reshape(-1, dx.shape[-1]))
+    d_emb[pad_id] = 0.0
+    return d_emb
+
+
+class TestTrainingStepOracle:
+    """The sparse embedding gradient and blocked Adam against the dense step, bit for bit."""
+
+    VOCAB, PAD, TOUCHED = 40, 39, 12  # batches draw ids below TOUCHED, plus PAD
+
+    def test_embedding_gradient_equals_dense_scatter(self):
+        rng = np.random.default_rng(4)
+        ids = rng.integers(0, 6, size=(5, 9))  # heavy repeats, in no order
+        ids[:, -2:] = 3
+        dx = rng.normal(size=(5, 9, 7)) * 10.0 ** rng.integers(-8, 8, size=(5, 9, 1))
+        sparse = objective._embedding_gradient(ids, dx, (10, 7), pad_id=3)
+        assert sparse.rows.tolist() == sorted(set(ids.ravel().tolist()))
+        assert sparse.dense().tobytes() == dense_scatter(ids, dx, (10, 7), 3).tobytes()
+
+    @pytest.mark.parametrize("loss_kind", list(LossKind))
+    @pytest.mark.parametrize("mode", list(EncoderMode))
+    def test_steps_match_the_dense_oracle(self, mode, loss_kind, monkeypatch):
+        # 64-element blocks: the 40x6 table ends in a partial block, and the
+        # gate matrices and biases are smaller than one block
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", 64)
+        scattered = []
+        sparse_gradient = objective._embedding_gradient
+
+        def recording(token_ids, dx, shape, pad_id):
+            scattered.append(dense_scatter(token_ids, dx, shape, pad_id))
+            return sparse_gradient(token_ids, dx, shape, pad_id)
+
+        monkeypatch.setattr(objective, "_embedding_gradient", recording)
+        model = DefinitionModel.create(self.VOCAB, self.PAD, mode, embed_dim=6, hidden=5, output_dim=4, seed=2)
+        oracle = copy.deepcopy(model)
+        params, oracle_params = model.param_dict(), oracle.param_dict()
+        untouched = params["emb"][self.TOUCHED : self.PAD].copy()
+        state, oracle_state = AdamState.for_params(params), AdamState.for_params(oracle_params)
+        rng = np.random.default_rng(9)
+        for step in range(5):
+            lengths = rng.integers(1, 7, size=4)
+            ids = rng.integers(0, self.TOUCHED, size=(4, 6))
+            ids[np.arange(6)[None, :] >= lengths[:, None]] = self.PAD
+            targets = rng.normal(size=(4, 4))
+            negatives = targets + 0.3 * rng.normal(size=(4, 4))  # near the targets: the hinge is active
+            loss, grads = backward(model, ids, lengths, targets, loss_kind, negatives)
+            _, oracle_grads = backward(oracle, ids, lengths, targets, loss_kind, negatives)
+            assert loss > 0.0
+            dense = grads.as_dict()
+            assert dense["emb"].tobytes() == scattered[-2].tobytes()
+            assert {k: g.shape for k, g in dense.items()} == {k: p.shape for k, p in params.items()}
+
+            adam_update(params, grads.as_dict(sparse=True), state, lr=0.05)
+            dense_adam_update(oracle_params, {**oracle_grads.as_dict(), "emb": scattered[-1]}, oracle_state, lr=0.05)
+            for name, param in params.items():
+                assert param.tobytes() == oracle_params[name].tobytes(), (step, name)
+                assert state.m[name].tobytes() == oracle_state.m[name].tobytes(), (step, name)
+                assert state.v[name].tobytes() == oracle_state.v[name].tobytes(), (step, name)
+        assert params["emb"][self.TOUCHED : self.PAD].tobytes() == untouched.tobytes()
+
+    def test_row_gradient_updates_every_row(self, monkeypatch):
+        # rows outside the gradient still take the step with g = 0 (their
+        # moments decay and the parameter moves), exactly as a dense zero row
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", 8)
+        rng = np.random.default_rng(1)
+        start = rng.normal(size=(6, 3))
+        params, oracle_params = {"emb": start.copy()}, {"emb": start.copy()}
+        state, oracle_state = AdamState.for_params(params), AdamState.for_params(oracle_params)
+        for rows in ([0, 4], [1], [5]):
+            grad = RowGradient(rows=np.array(rows), values=rng.normal(size=(len(rows), 3)), shape=(6, 3))
+            adam_update(params, {"emb": grad}, state, lr=0.1)
+            dense_adam_update(oracle_params, {"emb": grad.dense()}, oracle_state, lr=0.1)
+            assert params["emb"].tobytes() == oracle_params["emb"].tobytes()
+        assert np.all(params["emb"][[0, 1, 4, 5]] != start[[0, 1, 4, 5]])
+        assert np.all(params["emb"][[2, 3]] == start[[2, 3]])  # never a nonzero gradient, so m stays 0
+
+    def test_non_contiguous_parameter_rejected(self):
+        # a flattened copy would take the step and be thrown away
+        params = {"w": np.zeros((4, 6))[:, ::2]}
+        with pytest.raises(ValueError, match="C-contiguous"):
+            adam_update(params, {"w": np.ones((4, 3))}, AdamState.for_params(params), lr=0.1)
+
+
 class TestTrainLoop:
     def test_deterministic_across_runs(self):
         pairs, table, vocab, cfg = toy_world()
@@ -263,6 +373,32 @@ class TestCheckpointIO:
         clipped.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         with pytest.raises(DataError):
             load_checkpoint(clipped)
+
+    def test_failed_write_leaves_previous_checkpoint(self, tmp_path, monkeypatch):
+        ckpt, _ = self.make_checkpoint()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        before = path.read_bytes()
+        written = []
+        real_writestr = zipfile.ZipFile.writestr
+
+        def failing(self, info, data):
+            if len(written) == 3:
+                raise OSError("disk full")
+            written.append(info)
+            real_writestr(self, info, data)
+
+        monkeypatch.setattr(zipfile.ZipFile, "writestr", failing)
+        ckpt.epoch += 1
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, ckpt)
+        assert len(written) == 3  # the write failed midway, not before it started
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        monkeypatch.undo()
+        save_checkpoint(path, ckpt)
+        assert load_checkpoint(path).epoch == ckpt.epoch
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_non_checkpoint_zip_rejected(self, tmp_path):
         import zipfile
