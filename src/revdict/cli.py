@@ -168,10 +168,18 @@ def _cmd_train(args) -> int:
     if config.dataset == "full":
         if "crosswords" not in paths:
             raise ConfigError("dataset=full needs a crosswords path in the config")
-        clues, _ = clean_crosswords(load_crossword_csv(paths["crosswords"]))
+        clues, clean = clean_crosswords(load_crossword_csv(paths["crosswords"]))
+        _note(
+            f"crosswords: {len(clues)} clues ({clean.duplicates} duplicate, "
+            f"{clean.multiword_answers} multi-word answer, {clean.empty} empty rows dropped)"
+        )
         train_pairs = train_pairs + clues_to_pairs(clues, source="crosswords")
 
-    pretrained, _ = load_pretrained(paths["embeddings"], expected_dim=None)
+    pretrained, loaded = load_pretrained(paths["embeddings"], expected_dim=None)
+    _note(
+        f"embeddings: {loaded.kept} vectors ({loaded.dim_mismatch} malformed, {loaded.non_finite} non-finite, "
+        f"{loaded.zero_norm} zero-norm, {loaded.duplicates} duplicate rows dropped)"
+    )
     train_pairs, missing_train = _drop_missing_heads(train_pairs, pretrained)
     dev_pairs, missing_dev = _drop_missing_heads(dev_pairs, pretrained)
     _note(f"train: {len(train_pairs)} pairs ({rejected_train} rejected, {missing_train} without vectors)")

@@ -1,4 +1,4 @@
-"""Gloss encoders: LSTM composition in three modes, plus w2v fold baselines.
+"""Gloss encoders: LSTM composition in three modes.
 
 A gloss is embedded token by token and folded into one vector:
 
@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .embeddings import INIT_SCALE, LearnedTable, PretrainedTable, init_learned
+from .embeddings import INIT_SCALE, LearnedTable, init_learned
 
 HIDDEN_SIZE = 512
 OUTPUT_DIM = 500
@@ -126,7 +126,9 @@ class LSTMTrace:
     """Every intermediate of a forward run, kept for backpropagation.
 
     All arrays are (B, L, H); ``c_prev[:, t]`` is the cell state entering
-    step t (zeros at t = 0).
+    step t (zeros at t = 0).  ``finite`` is False when any gate
+    pre-activation overflowed to inf or was nan, which the saturating gates
+    would otherwise hide.
     """
 
     i: np.ndarray
@@ -137,6 +139,7 @@ class LSTMTrace:
     h: np.ndarray
     c_prev: np.ndarray
     h_prev: np.ndarray
+    finite: bool = True
 
 
 def run_lstm(params: LSTMParams, x_seq: np.ndarray) -> LSTMTrace:
@@ -157,8 +160,10 @@ def run_lstm(params: LSTMParams, x_seq: np.ndarray) -> LSTMTrace:
     b = np.concatenate((params.b_i, params.b_f, params.b_o, params.b_g))
     x_proj = x_seq @ w
     columns: tuple[list, ...] = tuple([] for _ in range(8))
+    finite = True
     for t in range(length):
         pre = x_proj[:, t] + h @ u + b
+        finite = finite and bool(np.isfinite(pre).all())
         gates = sigmoid(pre[:, : 3 * hidden])
         i = gates[:, :hidden]
         f = gates[:, hidden : 2 * hidden]
@@ -169,7 +174,7 @@ def run_lstm(params: LSTMParams, x_seq: np.ndarray) -> LSTMTrace:
         for column, value in zip(columns, (i, f, o, g, c_next, h_next, c, h)):
             column.append(value)
         h, c = h_next, c_next
-    return LSTMTrace(*(np.stack(column, axis=1) for column in columns))
+    return LSTMTrace(*(np.stack(column, axis=1) for column in columns), finite=finite)
 
 
 def run_lstm_states(params: LSTMParams, x_seq: np.ndarray) -> np.ndarray:
@@ -324,27 +329,3 @@ class DefinitionModel:
         y = project(pre, self.projection)
         return y[0] if single else y
 
-
-def pretrained_gloss_vectors(tokens: list[str], table: PretrainedTable) -> np.ndarray:
-    """Stack the pretrained vectors of the gloss tokens found in the table."""
-    found = [table.lookup(t) for t in tokens]
-    found = [v for v in found if v is not None]
-    if not found:
-        raise ValueError("no gloss token present in the pretrained table")
-    return np.stack(found)
-
-
-def w2v_add(vectors: np.ndarray) -> np.ndarray:
-    """Elementwise sum of gloss-word vectors."""
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    if vectors.shape[0] == 0:
-        raise ValueError("w2v_add needs at least one vector")
-    return vectors.sum(axis=0)
-
-
-def w2v_mult(vectors: np.ndarray) -> np.ndarray:
-    """Elementwise product of gloss-word vectors."""
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    if vectors.shape[0] == 0:
-        raise ValueError("w2v_mult needs at least one vector")
-    return vectors.prod(axis=0)

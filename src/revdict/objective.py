@@ -305,6 +305,9 @@ def backward(
     lengths = np.asarray(lengths)
     y, (x_seq, x_rev, mask, rows, trace, back_trace, pre) = _forward(model, token_ids, lengths)
     loss, dy = _loss_and_dy(y, targets, LossKind(loss_kind), negatives, margin)
+    if not (trace.finite and (back_trace is None or back_trace.finite)):
+        # a finite loss can still come from inf pre-activations saturating the gates
+        raise NonFiniteLossError("non-finite LSTM pre-activation")
 
     # projection: y = tanh(pre @ W + b)
     dp = dy * (1.0 - y**2)

@@ -4,12 +4,24 @@ BPE here works on whole words: each word starts as its characters with a
 word-final marker fused onto the last character ("dogs" -> d o g s#), and
 the most frequent adjacent symbol pair is merged repeatedly.  Count ties
 prefer the alphabetically earliest left symbol, then the earliest right
-symbol.  Segmented words are rendered with a trailing "@@" on every
-non-final subword, e.g. "commencing" -> "comm@@ en@@ cing".
+symbol; the learner finds that pair with a max-heap of (-count, pair)
+whose stale entries are dropped when they surface.
+
+A word is segmented as if every merge of the table were replayed on it in
+order, but only the merges that change it are run ("skip-replay"): the
+table indexes each pair to its ascending ranks, and the next merge to run
+is the lowest rank above the last one run among the word's current
+adjacent pairs.  A skipped merge is one whose pair is absent when its turn
+comes, which replay would leave as a no-op, so the result equals replay
+for every table, including tables that emit one symbol from two different
+pairs or list a pair twice.  Segmented words are rendered with a trailing
+"@@" on every non-final subword, e.g. "commencing" -> "comm@@ en@@ cing".
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,10 +107,21 @@ def build_word_vocab(frequencies: Mapping[str, int], cap: int = WORD_VOCAB_CAP) 
 
 @dataclass
 class MergeTable:
-    """Ordered list of learned BPE merges plus the word-final marker."""
+    """Ordered list of learned BPE merges plus the word-final marker.
+
+    ``ranks`` maps each pair to the ascending ranks (list positions) it has
+    in ``merges``; it is built once here, so ``merges`` is not to be edited
+    after construction.
+    """
 
     merges: list[tuple[str, str]] = field(default_factory=list)
     end_marker: str = END_MARKER
+    ranks: dict[tuple[str, str], list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.ranks = {}
+        for rank, pair in enumerate(self.merges):
+            self.ranks.setdefault(pair, []).append(rank)
 
     def __len__(self) -> int:
         return len(self.merges)
@@ -163,16 +186,24 @@ def learn_bpe(word_frequencies: Mapping[str, int], num_merges: int = BPE_MERGES)
             pair_counts[pair] += freqs[idx]
             where.setdefault(pair, set()).add(idx)
 
-    table = MergeTable()
-    for _ in range(num_merges):
-        if not pair_counts:
+    # every live pair has an entry holding its current count; an entry whose
+    # count is no longer current is stale and is dropped when it surfaces.
+    # The heap is (re)built from the counts at the start and whenever stale
+    # entries make it more than twice the number of live pairs.
+    heap: list[tuple[int, tuple[str, str]]] = []
+    merges: list[tuple[str, str]] = []
+    while len(merges) < num_merges:
+        if not heap or len(heap) > 2 * len(pair_counts):
+            heap = [(-count, pair) for pair, count in pair_counts.items()]
+            heapq.heapify(heap)
+        while heap and pair_counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap or -heap[0][0] < 2:
             break
-        best_count = max(pair_counts.values())
-        if best_count < 2:
-            break
-        best = min(p for p, c in pair_counts.items() if c == best_count)
-        table.merges.append(best)
+        best = heap[0][1]
+        merges.append(best)
 
+        touched: set[tuple[str, str]] = set()
         for idx in sorted(where.get(best, ())):
             old = words[idx]
             new = _merge_symbols(old, best)
@@ -187,20 +218,39 @@ def learn_bpe(word_frequencies: Mapping[str, int], num_merges: int = BPE_MERGES)
                     occupants.discard(idx)
                     if not occupants:
                         del where[pair]
+                touched.add(pair)
             for pair in zip(new, new[1:]):
                 pair_counts[pair] += freqs[idx]
                 where.setdefault(pair, set()).add(idx)
+                touched.add(pair)
             words[idx] = new
-    return table
+        for pair in touched:
+            if pair in pair_counts:
+                heapq.heappush(heap, (-pair_counts[pair], pair))
+    return MergeTable(merges=merges)
 
 
 def apply_bpe(word: str, table: MergeTable) -> list[str]:
-    """Segment a word by replaying the merge table; keeps the fused end marker."""
+    """Segment a word as replaying the merge table would; keeps the fused end marker.
+
+    Runs only the merges whose pair is present when their turn comes: the
+    next one is the lowest rank above ``done`` among the current adjacent
+    pairs.
+    """
     symbols = _initial_symbols(word, table.end_marker)
-    for pair in table.merges:
-        if len(symbols) == 1:
+    done = -1
+    while len(symbols) > 1:
+        rank = len(table.merges)
+        for pair in zip(symbols, symbols[1:]):
+            pair_ranks = table.ranks.get(pair)
+            if pair_ranks is not None:
+                at = bisect_right(pair_ranks, done)
+                if at < len(pair_ranks) and pair_ranks[at] < rank:
+                    rank = pair_ranks[at]
+        if rank == len(table.merges):
             break
-        symbols = _merge_symbols(symbols, pair)
+        symbols = _merge_symbols(symbols, table.merges[rank])
+        done = rank
     return list(symbols)
 
 

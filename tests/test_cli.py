@@ -243,6 +243,39 @@ class TestTrainEvalQuery:
         assert "numeric error: epoch 1 batch 1: non-finite cosine in loss" in capsys.readouterr().err
         assert not (workspace / "m.ckpt").exists()
 
+    def test_saturating_learning_rate_exits_three(self, workspace, capsys):
+        # 1e300 leaves the parameters finite but overflows the LSTM input
+        # projection; the saturated gates would hide it behind a finite loss
+        config = write_config(workspace, learning_rate=1e300, epochs=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 3
+        assert "numeric error: epoch 1 batch 1: non-finite LSTM pre-activation" in capsys.readouterr().err
+        assert not (workspace / "m.ckpt").exists()
+
+    def test_train_prints_load_counters(self, workspace, capsys):
+        config = write_config(workspace, epochs=1)
+        clean = workspace / "clean.ckpt"
+        assert run(["train", "--config", str(config), "--output", str(clean)]) == 0
+        assert "embeddings: 7 vectors (0 malformed, 0 non-finite, 0 zero-norm, 0 duplicate rows dropped)" in (
+            capsys.readouterr().err
+        )
+        extra = workspace / "extra_vecs.txt"
+        extra.write_text((workspace / "vecs.txt").read_text() + "emu inf 0 0 0 0 0\n")
+        config = write_config(workspace, embeddings=extra, epochs=1)
+        with_inf = workspace / "with_inf.ckpt"
+        assert run(["train", "--config", str(config), "--output", str(with_inf)]) == 0
+        assert "embeddings: 7 vectors (0 malformed, 1 non-finite, 0 zero-norm, 0 duplicate rows dropped)" in (
+            capsys.readouterr().err
+        )
+        assert with_inf.read_bytes() == clean.read_bytes()
+
+    def test_train_prints_crossword_counters(self, workspace, capsys):
+        (workspace / "cw.csv").write_text(CROSSWORDS + "small feline,cat\nbig cat,snow leopard\n,\n")
+        config = write_config(workspace, dataset="full", crosswords=workspace / "cw.csv", epochs=1)
+        assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 0
+        err = capsys.readouterr().err
+        assert "crosswords: 2 clues (1 duplicate, 1 multi-word answer, 1 empty rows dropped)" in err
+
     def test_non_finite_embeddings_are_a_data_error(self, workspace, capsys):
         bad = workspace / "bad_vecs.txt"
         bad.write_text("".join(f"{w} inf inf inf inf inf inf\n" for w in HEADS))

@@ -13,14 +13,10 @@ from revdict.encoder import (
     encode,
     init_lstm,
     lstm_step,
-    pretrained_gloss_vectors,
     project,
     run_lstm,
     run_lstm_states,
-    w2v_add,
-    w2v_mult,
 )
-from revdict.embeddings import PretrainedTable
 
 # Hand evaluation of the gate equations for E=H=1, all weights 1, biases 0,
 # x=1, h0=c0=0: every gate pre-activation is 1, so c1 = sigma(1)*tanh(1) and
@@ -122,6 +118,16 @@ class TestRunLstm:
             params = init_lstm(e, hdim, rng)
             x = rng.normal(size=(int(rng.integers(1, 4)), int(rng.integers(1, 7)), e))
             np.testing.assert_array_equal(run_lstm_states(params, x), run_lstm(params, x).h)
+
+    def test_trace_flags_overflowing_pre_activations(self):
+        params = init_lstm(2, 3, np.random.default_rng(0))
+        x = 1.0 + np.random.default_rng(1).uniform(size=(2, 4, 2))
+        assert run_lstm(params, x).finite
+        params.w_f[:] = 1e308  # x @ w overflows; the forget gate saturates to a finite 0 or 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run_lstm(params, x)
+        assert not trace.finite
+        assert np.all(np.isfinite(trace.h))
 
     def test_states_only_run_handles_empty_sequence(self):
         params = init_lstm(2, 3, np.random.default_rng(0))
@@ -253,24 +259,3 @@ class TestDefinitionModel:
         assert solo.shape == (5,)
         np.testing.assert_allclose(batch[1], solo, atol=1e-12)
 
-
-class TestW2v:
-    def test_single_vector_identity(self):
-        v = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(w2v_add(v), v)
-        np.testing.assert_array_equal(w2v_mult(v), v)
-
-    def test_add_cancels_opposites(self):
-        v = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(w2v_add(np.stack([v, -v])), 0.0)
-
-    def test_mult_propagates_zero_coordinates(self):
-        out = w2v_mult(np.array([[2.0, 0.0], [3.0, 5.0]]))
-        np.testing.assert_array_equal(out, [6.0, 0.0])
-
-    def test_gathers_known_gloss_words_only(self):
-        table = PretrainedTable.from_arrays(["cat", "dog"], np.eye(2))
-        got = pretrained_gloss_vectors(["cat", "emu", "dog"], table)
-        assert got.shape == (2, 2)
-        with pytest.raises(ValueError):
-            pretrained_gloss_vectors(["emu"], table)

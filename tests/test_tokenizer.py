@@ -1,12 +1,20 @@
-"""Tokenizer tests: vocab construction and BPE against a brute-force oracle."""
+"""Tokenizer tests: vocab construction and BPE against brute-force and replay oracles."""
+
+import heapq
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from revdict import tokenizer
 from revdict.errors import DataError
 from revdict.tokenizer import (
+    END_MARKER,
     MergeTable,
     WordVocab,
+    _initial_symbols,
+    _merge_symbols,
     apply_bpe,
     build_word_vocab,
     learn_bpe,
@@ -51,6 +59,90 @@ def oracle_learn_bpe(word_freqs, num_merges):
                     pieces[i : i + 2] = [pieces[i] + pieces[i + 1]]
                 i += 1
     return merges, corpus
+
+
+def scan_learn_bpe(word_frequencies, num_merges):
+    """Reference learner: the library's incremental pair counts, but each merge
+    picked by a scan over every pair count (highest count, then smallest pair)."""
+    words = [_initial_symbols(w, END_MARKER) for w in word_frequencies]
+    freqs = [int(word_frequencies[w]) for w in word_frequencies]
+
+    pair_counts = Counter()
+    where = {}
+    for idx, symbols in enumerate(words):
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] += freqs[idx]
+            where.setdefault(pair, set()).add(idx)
+
+    merges = []
+    for _ in range(num_merges):
+        if not pair_counts:
+            break
+        best_count = max(pair_counts.values())
+        if best_count < 2:
+            break
+        best = min(p for p, c in pair_counts.items() if c == best_count)
+        merges.append(best)
+
+        for idx in sorted(where.get(best, ())):
+            old = words[idx]
+            new = _merge_symbols(old, best)
+            if new == old:
+                continue
+            for pair in zip(old, old[1:]):
+                pair_counts[pair] -= freqs[idx]
+                if pair_counts[pair] <= 0:
+                    del pair_counts[pair]
+                occupants = where.get(pair)
+                if occupants is not None:
+                    occupants.discard(idx)
+                    if not occupants:
+                        del where[pair]
+            for pair in zip(new, new[1:]):
+                pair_counts[pair] += freqs[idx]
+                where.setdefault(pair, set()).add(idx)
+            words[idx] = new
+    return merges
+
+
+def replay_apply_bpe(word, table):
+    """Segment by replaying every merge of the table in order."""
+    symbols = _initial_symbols(word, table.end_marker)
+    for pair in table.merges:
+        if len(symbols) == 1:
+            break
+        symbols = _merge_symbols(symbols, pair)
+    return list(symbols)
+
+
+def criterion_corpus(rng):
+    """Drawn like acceptance criterion 2: 2-5 letters, 1-100 words of 1-8 letters."""
+    alphabet = list("abcde"[: int(rng.integers(2, 6))])
+    freqs = {}
+    for _ in range(int(rng.integers(1, 101))):
+        word = "".join(rng.choice(alphabet, size=int(rng.integers(1, 9))))
+        freqs[word] = freqs.get(word, 0) + int(rng.integers(1, 21))
+    return freqs
+
+
+def tie_corpus(rng):
+    """Two letters and frequencies 1-2, so most pair counts tie with another."""
+    freqs = {}
+    for _ in range(int(rng.integers(5, 61))):
+        word = "".join(rng.choice(["a", "b"], size=int(rng.integers(1, 11))))
+        freqs[word] = int(rng.integers(1, 3))
+    return freqs
+
+
+ORACLE_CORPORA = [("criterion", seed, criterion_corpus) for seed in range(25)] + [
+    ("ties", seed, tie_corpus) for seed in range(25)
+]
+
+
+def strings_over(letters, max_len):
+    for length in range(1, max_len + 1):
+        for chars in itertools.product(letters, repeat=length):
+            yield "".join(chars)
 
 
 def random_corpus(rng, max_words=40, max_letters=5, max_len=7):
@@ -156,12 +248,84 @@ class TestLearnBpe:
         assert len(seen) <= len(initial) + len(table)
 
 
+class TestIndexedLearner:
+    @pytest.mark.parametrize("kind,seed,draw", ORACLE_CORPORA, ids=[f"{k}-{s}" for k, s, _ in ORACLE_CORPORA])
+    def test_equals_scan_learner_and_replay(self, kind, seed, draw):
+        freqs = draw(np.random.default_rng([seed, 0 if kind == "criterion" else 1]))
+        table = learn_bpe(freqs, num_merges=10_000)
+        assert table.merges == scan_learn_bpe(freqs, 10_000)
+        for word in freqs:
+            assert apply_bpe(word, table) == replay_apply_bpe(word, table)
+
+    def test_merge_cap_cuts_the_same_prefix(self):
+        freqs = tie_corpus(np.random.default_rng(3))
+        full = scan_learn_bpe(freqs, 10_000)
+        assert len(full) > 5
+        for n in (0, 1, 2, len(full) // 2, len(full)):
+            assert learn_bpe(freqs, num_merges=n).merges == full[:n]
+
+    def test_heap_is_rebuilt_and_still_exact(self, monkeypatch):
+        # the tie corpora leave many stale entries, so the heap outgrows twice
+        # the live pairs and is rebuilt from the counts
+        calls = []
+        heapify = heapq.heapify
+        monkeypatch.setattr(tokenizer.heapq, "heapify", lambda h: calls.append(len(h)) or heapify(h))
+        freqs = tie_corpus(np.random.default_rng(7))
+        assert learn_bpe(freqs, num_merges=10_000).merges == scan_learn_bpe(freqs, 10_000)
+        assert len(calls) > 1
+
+
+HAND_TABLE = MergeTable(
+    merges=[("b", "c"), ("a", "b"), ("ab", "c"), ("a", "bc"), ("a", "b"), ("abc", "c#")]
+)
+
+
+class TestSkipReplay:
+    def test_ranks_index_every_occurrence(self):
+        assert HAND_TABLE.ranks[("a", "b")] == [1, 4]
+        assert HAND_TABLE.ranks[("abc", "c#")] == [5]
+        assert len(HAND_TABLE.ranks) == 5
+        assert HAND_TABLE == MergeTable(merges=list(HAND_TABLE.merges))
+
+    def test_hand_table_equals_replay_on_every_short_string(self):
+        # (ab,c) and (a,bc) both emit abc, and (a,b) comes twice: tables a
+        # rank-ordered segmenter could not handle without a replay fallback
+        for word in strings_over("abc", 6):
+            assert apply_bpe(word, HAND_TABLE) == replay_apply_bpe(word, HAND_TABLE), word
+
+    def test_random_tables_equal_replay(self):
+        # pairs are drawn from every short string, not only from symbols an
+        # earlier merge emits, so a merge often creates the pair of one whose
+        # turn has passed: replay must not run that one, and neither may we
+        rng = np.random.default_rng(17)
+        lefts = list(strings_over("abc", 2))
+        rights = lefts + [s + END_MARKER for s in lefts]
+        for _ in range(60):
+            merges = [
+                (lefts[int(rng.integers(len(lefts)))], rights[int(rng.integers(len(rights)))])
+                for _ in range(int(rng.integers(1, 16)))
+            ]
+            table = MergeTable(merges=merges)
+            for word in strings_over("abc", 5):
+                assert apply_bpe(word, table) == replay_apply_bpe(word, table), (merges, word)
+
+    def test_segments_long_words_of_one_letter(self):
+        table = MergeTable(merges=[("a", "a"), ("aa", "a#"), ("aa", "aa"), ("a", "a")])
+        for n in range(1, 20):
+            assert apply_bpe("a" * n, table) == replay_apply_bpe("a" * n, table)
+
+
 class TestApplyBpe:
     def test_replays_merges_on_unseen_word(self):
         table = MergeTable(merges=[("a", "b"), ("ab", "c#"), ("ab", "d#")])
         assert apply_bpe("abcd", table) == ["ab", "c", "d#"]
         assert apply_bpe("abd", table) == ["abd#"]
         assert apply_bpe("zz", table) == ["z", "z#"]
+
+    def test_a_merge_never_runs_after_its_turn(self):
+        # (a,b) emits ab after (ab,c#) had its turn, so abc stays two pieces
+        table = MergeTable(merges=[("ab", "c#"), ("a", "b")])
+        assert apply_bpe("abc", table) == ["ab", "c#"]
 
     def test_left_to_right_no_remerge_within_pass(self):
         table = MergeTable(merges=[("a", "a")])
