@@ -8,8 +8,10 @@ A gloss is embedded token by token and folded into one vector:
                         state of a second LSTM run over the reversed tokens
 
 The result is projected through a tanh layer into the pretrained embedding
-space.  All arithmetic is float64 and batch-first; single sequences are
-accepted anywhere a batch is and return unbatched vectors.
+space.  Training, inference and the gradient check share one recurrence
+(``run_lstm_states``) and one read-out (``read_out``, with its adjoint).
+All arithmetic is float64 and batch-first; ``encode_ids`` and ``project``
+also take a single sequence and return an unbatched vector.
 """
 
 from __future__ import annotations
@@ -40,47 +42,35 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LSTMParams:
-    """Gate weights: input matrices (E, H), recurrent matrices (H, H), biases (H,)."""
+    """One direction's fused gate weights, gate blocks in the order i, f, o, g.
 
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_o: np.ndarray
-    w_g: np.ndarray
-    u_i: np.ndarray
-    u_f: np.ndarray
-    u_o: np.ndarray
-    u_g: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_g: np.ndarray
+    ``w`` is (E, 4H), ``u`` is (H, 4H) and ``b`` is (4H,).  Leading axes
+    before those broadcast, so one object can hold stacked replicas.
+    """
 
-    FIELDS = ("w_i", "w_f", "w_o", "w_g", "u_i", "u_f", "u_o", "u_g", "b_i", "b_f", "b_o", "b_g")
+    w: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
+
+    FIELDS = ("w", "u", "b")
 
     @property
     def embed_dim(self) -> int:
-        return int(self.w_i.shape[0])
+        return int(self.w.shape[-2])
 
     @property
     def hidden(self) -> int:
-        return int(self.w_i.shape[1])
+        return int(self.u.shape[-2])
 
-    @classmethod
-    def zeros(cls, embed_dim: int, hidden: int) -> "LSTMParams":
-        return cls(
-            *(np.zeros((embed_dim, hidden)) for _ in range(4)),
-            *(np.zeros((hidden, hidden)) for _ in range(4)),
-            *(np.zeros(hidden) for _ in range(4)),
-        )
+    def named(self, prefix: str) -> dict[str, np.ndarray]:
+        return {f"{prefix}.{name}": getattr(self, name) for name in self.FIELDS}
 
 
 def init_lstm(embed_dim: int, hidden: int, rng: np.random.Generator) -> LSTMParams:
-    """Uniform [-0.05, 0.05] gate matrices; biases start at zero."""
-    return LSTMParams(
-        *(rng.uniform(-INIT_SCALE, INIT_SCALE, size=(embed_dim, hidden)) for _ in range(4)),
-        *(rng.uniform(-INIT_SCALE, INIT_SCALE, size=(hidden, hidden)) for _ in range(4)),
-        *(np.zeros(hidden) for _ in range(4)),
-    )
+    """Uniform [-0.05, 0.05] gate matrices, drawn gate by gate; biases start at zero."""
+    w = [rng.uniform(-INIT_SCALE, INIT_SCALE, size=(embed_dim, hidden)) for _ in range(4)]
+    u = [rng.uniform(-INIT_SCALE, INIT_SCALE, size=(hidden, hidden)) for _ in range(4)]
+    return LSTMParams(np.concatenate(w, axis=1), np.concatenate(u, axis=1), np.zeros(4 * hidden))
 
 
 @dataclass
@@ -106,153 +96,128 @@ def init_projection(input_width: int, output_dim: int, rng: np.random.Generator)
     )
 
 
-def lstm_step(
-    params: LSTMParams, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM step; works on single vectors or batch rows alike."""
-    if x_t.shape[-1] != params.embed_dim:
-        raise ValueError(f"input width {x_t.shape[-1]} != embed dim {params.embed_dim}")
-    i = sigmoid(x_t @ params.w_i + h_prev @ params.u_i + params.b_i)
-    f = sigmoid(x_t @ params.w_f + h_prev @ params.u_f + params.b_f)
-    o = sigmoid(x_t @ params.w_o + h_prev @ params.u_o + params.b_o)
-    g = np.tanh(x_t @ params.w_g + h_prev @ params.u_g + params.b_g)
-    c_t = f * c_prev + i * g
-    h_t = o * np.tanh(c_t)
-    return h_t, c_t
-
-
 @dataclass
 class LSTMTrace:
-    """Every intermediate of a forward run, kept for backpropagation.
+    """Every intermediate of a recorded run, kept for backpropagation.
 
-    All arrays are (B, L, H); ``c_prev[:, t]`` is the cell state entering
-    step t (zeros at t = 0).  ``finite`` is False when any gate
-    pre-activation overflowed to inf or was nan, which the saturating gates
-    would otherwise hide.
+    ``gates`` is (..., B, L, 4H), the activated i, f, o, g blocks; ``c`` and
+    ``h`` are (..., B, L, H), the cell and hidden state after each step.
+    ``finite`` is False when any gate pre-activation overflowed to inf or
+    was nan, which the saturating gates would otherwise hide.
     """
 
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
+    gates: np.ndarray
     c: np.ndarray
     h: np.ndarray
-    c_prev: np.ndarray
-    h_prev: np.ndarray
     finite: bool = True
 
 
-def run_lstm(params: LSTMParams, x_seq: np.ndarray) -> LSTMTrace:
-    """Run the LSTM over (B, L, E) inputs from zero state, recording gates.
+def run_lstm_states(params: LSTMParams, x: np.ndarray, record: bool = False):
+    """Run the LSTM over (..., B, L, E) inputs from zero state.
 
-    The four gate projections run as stacked matmuls; per-element
-    arithmetic is identical to repeated lstm_step calls.
+    Returns the hidden states (..., B, L, H), or with ``record`` the whole
+    LSTMTrace.  The params' leading axes broadcast against the inputs' (...),
+    so stacked model replicas run in one pass.
     """
-    batch, length, _ = x_seq.shape
     hidden = params.hidden
-    if length == 0:
-        empty = np.zeros((batch, 0, hidden))
-        return LSTMTrace(*(empty.copy() for _ in range(8)))
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    w = np.concatenate((params.w_i, params.w_f, params.w_o, params.w_g), axis=1)
-    u = np.concatenate((params.u_i, params.u_f, params.u_o, params.u_g), axis=1)
-    b = np.concatenate((params.b_i, params.b_f, params.b_o, params.b_g))
-    x_proj = x_seq @ w
-    columns: tuple[list, ...] = tuple([] for _ in range(8))
+    batch, length = x.shape[-3:-1]
+    lead = np.broadcast_shapes(x.shape[:-3], params.w.shape[:-2], params.u.shape[:-2], params.b.shape[:-1])
+    shape = lead + (batch, length)
+    h = np.zeros(lead + (batch, hidden))
+    c = np.zeros_like(h)
+    states = np.empty(shape + (hidden,))
+    if record:
+        gate_record = np.empty(shape + (4 * hidden,))
+        cells = np.empty(shape + (hidden,))
     finite = True
-    for t in range(length):
-        pre = x_proj[:, t] + h @ u + b
-        finite = finite and bool(np.isfinite(pre).all())
-        gates = sigmoid(pre[:, : 3 * hidden])
-        i = gates[:, :hidden]
-        f = gates[:, hidden : 2 * hidden]
-        o = gates[:, 2 * hidden :]
-        g = np.tanh(pre[:, 3 * hidden :])
-        c_next = f * c + i * g
-        h_next = o * np.tanh(c_next)
-        for column, value in zip(columns, (i, f, o, g, c_next, h_next, c, h)):
-            column.append(value)
-        h, c = h_next, c_next
-    return LSTMTrace(*(np.stack(column, axis=1) for column in columns), finite=finite)
+    # a recorded run reports overflow through ``finite``; inference keeps numpy's warnings
+    with np.errstate(**({"over": "ignore", "invalid": "ignore"} if record else {})):
+        x_proj = x @ params.w[..., None, :, :]
+        b = params.b[..., None, :]
+        for t in range(length):
+            pre = x_proj[..., t, :] + h @ params.u + b
+            gates = sigmoid(pre[..., : 3 * hidden])
+            i = gates[..., :hidden]
+            f = gates[..., hidden : 2 * hidden]
+            o = gates[..., 2 * hidden :]
+            g = np.tanh(pre[..., 3 * hidden :])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            states[..., t, :] = h
+            if record:
+                finite = finite and bool(np.isfinite(pre).all())
+                gate_record[..., t, : 3 * hidden] = gates
+                gate_record[..., t, 3 * hidden :] = g
+                cells[..., t, :] = c
+    return LSTMTrace(gate_record, cells, states, finite) if record else states
 
 
-def run_lstm_states(params: LSTMParams, x_seq: np.ndarray) -> np.ndarray:
-    """Hidden states (B, L, H) only, skipping the gate trace.
+def reverse_steps(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """(..., B, L, D) with each row's first ``lengths[b]`` steps reversed and its pad tail kept.
 
-    Same arithmetic as run_lstm; for inference paths that never
-    backpropagate.
+    A permutation, and its own inverse: it feeds the backward direction its
+    inputs and hands its input gradients back in forward order.
     """
-    batch, length, _ = x_seq.shape
-    hidden = params.hidden
-    if length == 0:
-        return np.zeros((batch, 0, hidden))
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    w = np.concatenate((params.w_i, params.w_f, params.w_o, params.w_g), axis=1)
-    u = np.concatenate((params.u_i, params.u_f, params.u_o, params.u_g), axis=1)
-    b = np.concatenate((params.b_i, params.b_f, params.b_o, params.b_g))
-    x_proj = x_seq @ w
-    states = []
-    for t in range(length):
-        pre = x_proj[:, t] + h @ u + b
-        gates = sigmoid(pre[:, : 3 * hidden])
-        i = gates[:, :hidden]
-        f = gates[:, hidden : 2 * hidden]
-        o = gates[:, 2 * hidden :]
-        g = np.tanh(pre[:, 3 * hidden :])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        states.append(h)
-    return np.stack(states, axis=1)
+    steps = np.arange(x.shape[-2])
+    order = np.where(steps < lengths[:, None], lengths[:, None] - 1 - steps, steps)
+    return x[..., np.arange(lengths.size)[:, None], order, :]
 
 
-def reverse_within_lengths(x_seq: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Reverse each row's first ``lengths[b]`` positions, leaving the tail."""
-    out = x_seq.copy()
-    for b, n in enumerate(lengths):
-        out[b, :n] = x_seq[b, :n][::-1]
-    return out
+def _mask(lengths: np.ndarray, length: int) -> np.ndarray:
+    return np.arange(length)[None, :] < lengths[:, None]
 
 
-def _as_batch(x_seq: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    if x_seq.ndim == 2:
-        return x_seq[None, :, :], np.asarray(mask, dtype=bool)[None, :], True
-    return x_seq, np.asarray(mask, dtype=bool), False
+def read_out(
+    mode: EncoderMode, lengths: np.ndarray, states: np.ndarray, back_states: np.ndarray | None = None
+) -> np.ndarray:
+    """Fold (..., B, L, H) states into pre-projection vectors (..., B, H or 2H).
+
+    ``back_states`` are the bidirectional mode's second direction, run over
+    reversed inputs.  A row of length 0 is an error.
+    """
+    if np.any(lengths < 1):
+        raise ValueError("cannot encode an all-pad sequence")
+    if mode is EncoderMode.AVERAGE:
+        mask = _mask(lengths, states.shape[-2])
+        return (states * mask[:, :, None]).sum(axis=-2) / lengths[:, None]
+    rows = np.arange(lengths.size)
+    last = states[..., rows, lengths - 1, :]
+    if mode is EncoderMode.FINAL:
+        return last
+    return np.concatenate(np.broadcast_arrays(last, back_states[..., rows, lengths - 1, :]), axis=-1)
+
+
+def read_out_adjoint(mode: EncoderMode, lengths: np.ndarray, length: int, d_pre: np.ndarray) -> list[np.ndarray]:
+    """Gradients (B, L, H) at each direction's states, given the gradient of read_out's (B, H or 2H) output."""
+    if mode is EncoderMode.AVERAGE:
+        return [(d_pre / lengths[:, None])[:, None, :] * _mask(lengths, length)[:, :, None]]
+    grads = []
+    for part in np.split(d_pre, 2 if mode is EncoderMode.BIDIRECTIONAL else 1, axis=-1):
+        dh = np.zeros((lengths.size, length, part.shape[-1]))
+        dh[np.arange(lengths.size), lengths - 1] = part
+        grads.append(dh)
+    return grads
 
 
 def encode(
     mode: EncoderMode,
     params: LSTMParams,
     x_seq: np.ndarray,
-    mask: np.ndarray,
+    lengths: np.ndarray,
     params_back: LSTMParams | None = None,
 ) -> np.ndarray:
-    """Compose embedded tokens into pre-projection vectors (B, H or 2H).
+    """Compose embedded (B, L, E) tokens into pre-projection vectors (B, H or 2H).
 
-    ``mask`` marks true (non-pad) positions and must be a prefix per row,
-    padding being a suffix by construction; a row with no true position is
-    an error.  Accepts a single (L, E) sequence and returns one vector.
+    Row b holds ``lengths[b]`` true positions followed by padding.
     """
     mode = EncoderMode(mode)
-    x_seq, mask, single = _as_batch(x_seq, mask)
-    lengths = mask.sum(axis=1)
-    if np.any(lengths == 0):
-        raise ValueError("cannot encode an all-pad sequence")
-    rows = np.arange(x_seq.shape[0])
-
     states = run_lstm_states(params, x_seq)
-    if mode is EncoderMode.FINAL:
-        out = states[rows, lengths - 1]
-    elif mode is EncoderMode.AVERAGE:
-        out = (states * mask[:, :, None]).sum(axis=1) / lengths[:, None]
-    else:
+    back_states = None
+    if mode is EncoderMode.BIDIRECTIONAL:
         if params_back is None:
             raise ValueError("bidirectional mode needs backward-direction parameters")
-        forward = states[rows, lengths - 1]
-        back_states = run_lstm_states(params_back, reverse_within_lengths(x_seq, lengths))
-        out = np.concatenate([forward, back_states[rows, lengths - 1]], axis=1)
-    return out[0] if single else out
+        back_states = run_lstm_states(params_back, reverse_steps(x_seq, lengths))
+    return read_out(mode, lengths, states, back_states)
 
 
 def project(v: np.ndarray, projection: Projection) -> np.ndarray:
@@ -305,14 +270,27 @@ class DefinitionModel:
     def output_dim(self) -> int:
         return self.projection.output_dim
 
+    @classmethod
+    def from_params(cls, mode: EncoderMode, pad_id: int, params: dict[str, np.ndarray]) -> "DefinitionModel":
+        """The model over the arrays ``param_dict`` names, as views."""
+        mode = EncoderMode(mode)
+
+        def lstm(prefix: str) -> LSTMParams:
+            return LSTMParams(*(params[f"{prefix}.{name}"] for name in LSTMParams.FIELDS))
+
+        return cls(
+            embeddings=LearnedTable(matrix=params["emb"], pad_id=pad_id),
+            lstm=lstm("fwd"),
+            lstm_back=lstm("bwd") if mode is EncoderMode.BIDIRECTIONAL else None,
+            projection=Projection(weight=params["proj.w"], bias=params["proj.b"]),
+            mode=mode,
+        )
+
     def param_dict(self) -> dict[str, np.ndarray]:
         """Named views of every trainable array (PAD row handled by the trainer)."""
-        params = {"emb": self.embeddings.matrix}
-        for name in LSTMParams.FIELDS:
-            params[f"fwd.{name}"] = getattr(self.lstm, name)
+        params = {"emb": self.embeddings.matrix, **self.lstm.named("fwd")}
         if self.lstm_back is not None:
-            for name in LSTMParams.FIELDS:
-                params[f"bwd.{name}"] = getattr(self.lstm_back, name)
+            params.update(self.lstm_back.named("bwd"))
         params["proj.w"] = self.projection.weight
         params["proj.b"] = self.projection.bias
         return params
@@ -324,8 +302,6 @@ class DefinitionModel:
         token_ids = np.atleast_2d(token_ids)
         lengths = np.atleast_1d(np.asarray(lengths))
         x_seq = self.embeddings.matrix[token_ids]
-        mask = np.arange(token_ids.shape[1])[None, :] < lengths[:, None]
-        pre = encode(self.mode, self.lstm, x_seq, mask, self.lstm_back)
+        pre = encode(self.mode, self.lstm, x_seq, lengths, self.lstm_back)
         y = project(pre, self.projection)
         return y[0] if single else y
-

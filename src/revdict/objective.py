@@ -19,14 +19,9 @@ from enum import Enum
 
 import numpy as np
 
-from .encoder import (
-    DefinitionModel,
-    EncoderMode,
-    LSTMParams,
-    reverse_within_lengths,
-    run_lstm,
-    sigmoid,
-)
+from .encoder import DefinitionModel, EncoderMode, LSTMParams, read_out, read_out_adjoint, reverse_steps
+# bound under this name because the benchmark's tracer (perfbench/tracing.SITES) wraps it here
+from .encoder import run_lstm_states as run_lstm
 from .errors import NonFiniteLossError
 
 MARGIN = 0.1
@@ -43,18 +38,6 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     if nu == 0.0 or nv == 0.0:
         raise ValueError("cosine of a zero-norm vector is undefined")
     return float(np.dot(u, v) / (nu * nv))
-
-
-def cosine_loss(y: np.ndarray, target: np.ndarray) -> float:
-    """1 - cos(y, target); 0 when aligned, 2 when opposite."""
-    return 1.0 - cosine(y, target)
-
-
-def rank_loss(
-    y: np.ndarray, target: np.ndarray, confounder: np.ndarray, margin: float = MARGIN
-) -> float:
-    """Hinge on the cosine gap between target and confounder."""
-    return max(0.0, margin - cosine(y, target) + cosine(y, confounder))
 
 
 def sample_negative(n_candidates: int, correct_id: int, rng: np.random.Generator) -> int:
@@ -101,66 +84,49 @@ class GradientSet:
         With ``sparse`` the embedding gradient stays a RowGradient, which
         ``trainer.adam_update`` applies without a dense table-sized array.
         """
-        grads = {"emb": self.embedding_rows if sparse else self.embeddings}
-        for name in LSTMParams.FIELDS:
-            grads[f"fwd.{name}"] = getattr(self.lstm, name)
+        grads = {"emb": self.embedding_rows if sparse else self.embeddings, **self.lstm.named("fwd")}
         if self.lstm_back is not None:
-            for name in LSTMParams.FIELDS:
-                grads[f"bwd.{name}"] = getattr(self.lstm_back, name)
+            grads.update(self.lstm_back.named("bwd"))
         grads["proj.w"] = self.proj_weight
         grads["proj.b"] = self.proj_bias
         return grads
 
 
-def _mask_from_lengths(token_ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    return np.arange(token_ids.shape[1])[None, :] < lengths[:, None]
+def _forward(model: DefinitionModel, token_ids: np.ndarray, lengths: np.ndarray, record: bool = True):
+    """Projected outputs (..., B, D) plus what backward needs: pre, each direction's inputs and run.
 
-
-def _forward(model: DefinitionModel, token_ids: np.ndarray, lengths: np.ndarray):
-    """Shared forward pass returning y plus everything backward needs."""
-    x_seq = model.embeddings.matrix[token_ids]
-    mask = _mask_from_lengths(token_ids, lengths)
-    if np.any(lengths < 1):
-        raise ValueError("cannot encode an all-pad sequence")
-    rows = np.arange(token_ids.shape[0])
-    trace = run_lstm(model.lstm, x_seq)
-
-    back_trace = None
-    x_rev = None
-    if model.mode is EncoderMode.FINAL:
-        pre = trace.h[rows, lengths - 1]
-    elif model.mode is EncoderMode.AVERAGE:
-        pre = (trace.h * mask[:, :, None]).sum(axis=1) / lengths[:, None]
-    else:
-        x_rev = reverse_within_lengths(x_seq, lengths)
-        back_trace = run_lstm(model.lstm_back, x_rev)
-        pre = np.concatenate(
-            [trace.h[rows, lengths - 1], back_trace.h[rows, lengths - 1]], axis=1
-        )
-
-    p = pre @ model.projection.weight + model.projection.bias
-    y = np.tanh(p)
-    return y, (x_seq, x_rev, mask, rows, trace, back_trace, pre)
+    The model's arrays may carry leading replica axes (see _replica_losses);
+    without ``record`` each run is its states, not an LSTMTrace.
+    """
+    x = np.take(model.embeddings.matrix, token_ids, axis=-2)
+    inputs, directions = [x], [model.lstm]
+    if model.mode is EncoderMode.BIDIRECTIONAL:
+        inputs.append(reverse_steps(x, lengths))
+        directions.append(model.lstm_back)
+    runs = [run_lstm(params, x_dir, record) for params, x_dir in zip(directions, inputs)]
+    pre = read_out(model.mode, lengths, *(run.h if record else run for run in runs))
+    y = np.tanh(pre @ model.projection.weight + model.projection.bias[..., None, :])
+    return y, (pre, inputs, runs)
 
 
 def _row_cosines(y: np.ndarray, other: np.ndarray, with_grad: bool = True):
-    """Per-row cosine and (optionally) its gradient with respect to y."""
-    ny = np.linalg.norm(y, axis=1)
-    no = np.linalg.norm(other, axis=1)
+    """Cosine of each row of (..., B, D) ``y`` with its row of ``other``, and (optionally) its gradient in y."""
+    ny = np.linalg.norm(y, axis=-1)
+    no = np.linalg.norm(other, axis=-1)
     if np.any(ny == 0.0) or np.any(no == 0.0):
         raise ValueError("cosine of a zero-norm vector is undefined")
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        cos = np.einsum("bd,bd->b", y, other) / (ny * no)
+        cos = np.einsum("...d,...d->...", y, other) / (ny * no)
         dcos = None
         if with_grad:
-            dcos = other / (ny * no)[:, None] - (cos / ny**2)[:, None] * y
+            dcos = other / (ny * no)[..., None] - (cos / ny**2)[..., None] * y
     if not np.all(np.isfinite(cos)):
         # checked here because a nan would slip through the rank hinge as 0
         raise NonFiniteLossError("non-finite cosine in loss")
     return cos, dcos
 
 
-def _row_losses(
+def _loss_and_dy(
     y: np.ndarray,
     targets: np.ndarray,
     loss_kind: LossKind,
@@ -168,7 +134,7 @@ def _row_losses(
     margin: float,
     with_grad: bool = True,
 ):
-    """Per-row loss of (N, D) outputs and (optionally) its gradient rows."""
+    """Mean loss over the B rows of (..., B, D) outputs, and (optionally) its gradient in y."""
     cos_c, dcos_c = _row_cosines(y, targets, with_grad)
     dy = None
     if loss_kind is LossKind.COSINE:
@@ -183,23 +149,11 @@ def _row_losses(
         active = gap > 0.0  # subgradient 0 at the kink
         per_row = np.where(active, gap, 0.0)
         if with_grad:
-            dy = np.where(active[:, None], dcos_r - dcos_c, 0.0)
-    return per_row, dy
-
-
-def _loss_and_dy(
-    y: np.ndarray,
-    targets: np.ndarray,
-    loss_kind: LossKind,
-    negatives: np.ndarray | None,
-    margin: float,
-    with_grad: bool = True,
-):
-    per_row, dy = _row_losses(y, targets, loss_kind, negatives, margin, with_grad)
-    loss = float(per_row.mean())
-    if not np.isfinite(loss):
-        raise NonFiniteLossError(f"non-finite batch loss: {loss!r}")
-    return loss, (dy / y.shape[0] if with_grad else None)
+            dy = np.where(active[..., None], dcos_r - dcos_c, 0.0)
+    loss = per_row.mean(axis=-1)
+    if not np.all(np.isfinite(loss)):
+        raise NonFiniteLossError("non-finite batch loss")
+    return loss, (dy / y.shape[-2] if with_grad else None)
 
 
 def batch_loss(
@@ -218,57 +172,50 @@ def batch_loss(
     """
     y = model.encode_ids(np.asarray(token_ids), np.asarray(lengths))
     loss, _ = _loss_and_dy(y, targets, LossKind(loss_kind), negatives, margin, with_grad=False)
-    return loss
+    return float(loss)
 
 
 def _lstm_backward(
-    params: LSTMParams, x_seq: np.ndarray, trace, dh_inject: np.ndarray
+    params: LSTMParams, x: np.ndarray, trace, dh_inject: np.ndarray
 ) -> tuple[np.ndarray, LSTMParams]:
     """Backpropagation through time for one direction.
 
     ``dh_inject[:, t]`` is the loss gradient arriving directly at h_t (from
     state selection or averaging); returns gradients for the inputs and for
-    every gate parameter.
+    the gate parameters.  The time loop carries only the gradient dZ_t
+    (B, 4H) of the gate pre-activations, the cell-state gradient and
+    dZ_t @ u.T; the weight, bias and input gradients are then each one GEMM
+    or one sum over all B*L positions (Appleyard et al. 2016, section 3).
     """
-    batch, length, _ = x_seq.shape
-    grads = LSTMParams.zeros(params.embed_dim, params.hidden)
-    dx = np.zeros_like(x_seq)
-    dh_next = np.zeros((batch, params.hidden))
-    dc_next = np.zeros((batch, params.hidden))
+    batch, length, embed = x.shape
+    hidden = params.hidden
+    i, f, o, g = np.split(trace.gates, 4, axis=-1)
+    tanh_c = np.tanh(trace.c)
+    c_prev = np.zeros_like(trace.c)
+    c_prev[:, 1:] = trace.c[:, :-1]
+    # per gate block, the factor its pre-activation gradient takes from dc
+    # (i, f, g) or from dh (o); and the factor dc takes from dh
+    coef = np.concatenate(
+        (g * i * (1.0 - i), c_prev * f * (1.0 - f), tanh_c * o * (1.0 - o), i * (1.0 - g**2)), axis=-1
+    ).reshape(batch, length, 4, hidden)
+    dc_from_dh = o * (1.0 - tanh_c**2)
+    dz = np.empty((batch, length, 4, hidden))
+    dh_next = np.zeros((batch, hidden))
+    dc = np.zeros((batch, hidden))
     for t in reversed(range(length)):
-        i, f, o, g = trace.i[:, t], trace.f[:, t], trace.o[:, t], trace.g[:, t]
-        c, c_prev, h_prev = trace.c[:, t], trace.c_prev[:, t], trace.h_prev[:, t]
-        tanh_c = np.tanh(c)
-
         dh = dh_inject[:, t] + dh_next
-        dc = dc_next + dh * o * (1.0 - tanh_c**2)
-        dz_o = dh * tanh_c * o * (1.0 - o)
-        dz_i = dc * g * i * (1.0 - i)
-        dz_g = dc * i * (1.0 - g**2)
-        dz_f = dc * c_prev * f * (1.0 - f)
-        dc_next = dc * f
-
-        x_t = x_seq[:, t]
-        grads.w_i += x_t.T @ dz_i
-        grads.w_f += x_t.T @ dz_f
-        grads.w_o += x_t.T @ dz_o
-        grads.w_g += x_t.T @ dz_g
-        grads.u_i += h_prev.T @ dz_i
-        grads.u_f += h_prev.T @ dz_f
-        grads.u_o += h_prev.T @ dz_o
-        grads.u_g += h_prev.T @ dz_g
-        grads.b_i += dz_i.sum(axis=0)
-        grads.b_f += dz_f.sum(axis=0)
-        grads.b_o += dz_o.sum(axis=0)
-        grads.b_g += dz_g.sum(axis=0)
-
-        dx[:, t] = (
-            dz_i @ params.w_i.T + dz_f @ params.w_f.T + dz_o @ params.w_o.T + dz_g @ params.w_g.T
-        )
-        dh_next = (
-            dz_i @ params.u_i.T + dz_f @ params.u_f.T + dz_o @ params.u_o.T + dz_g @ params.u_g.T
-        )
-    return dx, grads
+        dc = dc + dh * dc_from_dh[:, t]
+        np.multiply(coef[:, t], dc[:, None, :], out=dz[:, t])
+        np.multiply(coef[:, t, 2], dh, out=dz[:, t, 2])
+        dh_next = dz[:, t].reshape(batch, 4 * hidden) @ params.u.T
+        dc = dc * f[:, t]
+    dz_flat = dz.reshape(batch * length, 4 * hidden)
+    grads = LSTMParams(
+        w=x.reshape(-1, embed).T @ dz_flat,
+        u=trace.h[:, :-1].reshape(-1, hidden).T @ dz[:, 1:].reshape(-1, 4 * hidden),
+        b=dz_flat.sum(axis=0),
+    )
+    return (dz_flat @ params.w.T).reshape(x.shape), grads
 
 
 def _embedding_gradient(
@@ -303,9 +250,9 @@ def backward(
     """
     token_ids = np.asarray(token_ids)
     lengths = np.asarray(lengths)
-    y, (x_seq, x_rev, mask, rows, trace, back_trace, pre) = _forward(model, token_ids, lengths)
+    y, (pre, inputs, traces) = _forward(model, token_ids, lengths)
     loss, dy = _loss_and_dy(y, targets, LossKind(loss_kind), negatives, margin)
-    if not (trace.finite and (back_trace is None or back_trace.finite)):
+    if not all(trace.finite for trace in traces):
         # a finite loss can still come from inf pre-activations saturating the gates
         raise NonFiniteLossError("non-finite LSTM pre-activation")
 
@@ -315,31 +262,17 @@ def backward(
     d_proj_b = dp.sum(axis=0)
     d_pre = dp @ model.projection.weight.T
 
-    hidden = model.lstm.hidden
-    batch, length = token_ids.shape
-    dh_inject = np.zeros((batch, length, hidden))
-    if model.mode is EncoderMode.FINAL:
-        dh_inject[rows, lengths - 1] = d_pre
-    elif model.mode is EncoderMode.AVERAGE:
-        dh_inject[:] = (d_pre / lengths[:, None])[:, None, :] * mask[:, :, None]
-    else:
-        dh_inject[rows, lengths - 1] = d_pre[:, :hidden]
+    dh_injects = read_out_adjoint(model.mode, lengths, token_ids.shape[1], d_pre)
+    directions = [model.lstm, model.lstm_back][: len(traces)]
+    dxs, lstm_grads = zip(*map(_lstm_backward, directions, inputs, traces, dh_injects))
+    dx = dxs[0] if len(dxs) == 1 else dxs[0] + reverse_steps(dxs[1], lengths)
 
-    dx, lstm_grads = _lstm_backward(model.lstm, x_seq, trace, dh_inject)
-
-    back_grads = None
-    if model.mode is EncoderMode.BIDIRECTIONAL:
-        dh_back = np.zeros((batch, length, hidden))
-        dh_back[rows, lengths - 1] = d_pre[:, hidden:]
-        dx_rev, back_grads = _lstm_backward(model.lstm_back, x_rev, back_trace, dh_back)
-        dx += reverse_within_lengths(dx_rev, lengths)
-
-    return loss, GradientSet(
+    return float(loss), GradientSet(
         embedding_rows=_embedding_gradient(
             token_ids, dx, model.embeddings.matrix.shape, model.embeddings.pad_id
         ),
-        lstm=lstm_grads,
-        lstm_back=back_grads,
+        lstm=lstm_grads[0],
+        lstm_back=lstm_grads[1] if len(lstm_grads) > 1 else None,
         proj_weight=d_proj_w,
         proj_bias=d_proj_b,
     )
@@ -347,36 +280,6 @@ def backward(
 
 # float64 elements one stacked pass of finite_diff_check may hold per array
 REPLICA_ELEMENTS = 1 << 21
-
-
-def _replica_lstm_states(params: dict[str, np.ndarray], prefix: str, x: np.ndarray) -> np.ndarray:
-    """run_lstm_states over (R, B, L, E) inputs with (R, ...) gate arrays.
-
-    Every array carries a leading replica axis of size R or 1; size-1 axes
-    broadcast, so a direction whose inputs and gates are shared runs once.
-    """
-    w, u, b = (
-        np.concatenate(
-            np.broadcast_arrays(*(params[f"{prefix}.{kind}_{gate}"] for gate in "ifog")), axis=-1
-        )
-        for kind in "wub"
-    )
-    hidden = u.shape[1]
-    x_proj = x @ w[:, None]
-    h = np.zeros(x_proj.shape[:2] + (hidden,))
-    c = np.zeros_like(h)
-    states = []
-    for t in range(x.shape[2]):
-        pre = x_proj[:, :, t] + h @ u + b[:, None]
-        gates = sigmoid(pre[..., : 3 * hidden])
-        i = gates[..., :hidden]
-        f = gates[..., hidden : 2 * hidden]
-        o = gates[..., 2 * hidden :]
-        g = np.tanh(pre[..., 3 * hidden :])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        states.append(h)
-    return np.stack(states, axis=2)
 
 
 def _replica_losses(
@@ -394,8 +297,9 @@ def _replica_losses(
     """batch_loss of R model replicas, scored in one stacked forward pass.
 
     Replica r is the model with flat entry ``entries[r]`` of parameter
-    ``name`` moved by ``deltas[r]``; only that array is copied R times, the
-    others are shared views, and the model itself is never written to.
+    ``name`` moved by ``deltas[r]``.  Every array gains a leading replica
+    axis: that one is copied R times, the others are shared size-1 views
+    that broadcast, and the model itself is never written to.
     """
     params = {key: value[None] for key, value in model.param_dict().items()}
     stacked = np.repeat(params[name], len(entries), axis=0)
@@ -403,38 +307,9 @@ def _replica_losses(
         params[name].reshape(-1)[entries] + deltas
     )
     params[name] = stacked
-
-    if np.any(lengths < 1):
-        raise ValueError("cannot encode an all-pad sequence")
-    rows = np.arange(token_ids.shape[0])
-    last = lengths - 1
-    x = params["emb"][:, token_ids]
-    states = _replica_lstm_states(params, "fwd", x)
-    if model.mode is EncoderMode.FINAL:
-        pre = states[:, rows, last]
-    elif model.mode is EncoderMode.AVERAGE:
-        mask = _mask_from_lengths(token_ids, lengths)
-        pre = (states * mask[:, :, None]).sum(axis=2) / lengths[:, None]
-    else:
-        steps = np.arange(token_ids.shape[1])
-        reverse = np.where(steps < lengths[:, None], last[:, None] - steps, steps)
-        back = _replica_lstm_states(params, "bwd", x[:, rows[:, None], reverse])
-        pre = np.concatenate(
-            np.broadcast_arrays(states[:, rows, last], back[:, rows, last]), axis=-1
-        )
-    y = np.tanh(pre @ params["proj.w"] + params["proj.b"][:, None])
-
-    def tiled(other):
-        return None if other is None else np.broadcast_to(other, y.shape).reshape(-1, y.shape[-1])
-
-    per_row, _ = _row_losses(
-        y.reshape(-1, y.shape[-1]), tiled(targets), loss_kind, tiled(negatives), margin,
-        with_grad=False,
-    )
-    losses = per_row.reshape(y.shape[:2]).mean(axis=1)
-    bad = losses[~np.isfinite(losses)]
-    if bad.size:
-        raise NonFiniteLossError(f"non-finite batch loss: {float(bad[0])!r}")
+    replicas = DefinitionModel.from_params(model.mode, model.embeddings.pad_id, params)
+    y, _ = _forward(replicas, token_ids, lengths, record=False)
+    losses, _ = _loss_and_dy(y, targets, loss_kind, negatives, margin, with_grad=False)
     return losses
 
 
@@ -459,16 +334,15 @@ def finite_diff_check(
     loss_kind = LossKind(loss_kind)
     _, grads = backward(model, token_ids, lengths, targets, loss_kind, negatives)
     grad_dict = grads.as_dict()
-    # what one replica holds besides its copy of the array and the fused
-    # gate matrix it lands in: per direction, the embedded inputs, the gate
-    # pre-activations and the states
+    # what one replica holds besides its copy of the array: per direction,
+    # the embedded inputs, the gate pre-activations and the states
     directions = 1 if model.lstm_back is None else 2
     activations = directions * token_ids.size * (model.lstm.embed_dim + 5 * model.lstm.hidden)
 
     worst = 0.0
     for name, param in model.param_dict().items():
         flat_grad = grad_dict[name].reshape(-1)
-        chunk = max(1, REPLICA_ELEMENTS // (2 * (5 * param.size + activations)))
+        chunk = max(1, REPLICA_ELEMENTS // (2 * (param.size + activations)))
         for start in range(0, param.size, chunk):
             entries = np.arange(start, min(start + chunk, param.size))
             losses = _replica_losses(

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import DefinitionPair, EncodedPair, MINIBATCH_SIZE, bucket_and_batch
-from .embeddings import LearnedTable, PretrainedTable
-from .encoder import DefinitionModel, EncoderMode, LSTMParams, Projection
+from .embeddings import PretrainedTable
+from .encoder import DefinitionModel, EncoderMode, LSTMParams
 from .errors import ConfigError, DataError, NonFiniteLossError
 from .evaluator import median_rank, rank_of_correct
 from .objective import LossKind, RowGradient, backward, sample_negative
@@ -38,7 +38,7 @@ EPSILON = 1e-8
 ADAM_BLOCK = 1 << 15
 
 CHECKPOINT_FORMAT = "revdict-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # config-file keys that name input files rather than hyperparameters
 CONFIG_PATH_KEYS = ("train", "dev", "embeddings", "merges", "crosswords")
@@ -429,11 +429,11 @@ def _checkpoint_from(meta: dict, arrays: dict[str, np.ndarray]) -> Checkpoint:
     out_dim = arrays["pretrained"].shape[1]
     prefixes = ("fwd", "bwd") if mode is EncoderMode.BIDIRECTIONAL else ("fwd",)
     embed, hidden = config.embed_dim, config.hidden_size
-    gate_shapes = {"w": (embed, hidden), "u": (hidden, hidden), "b": (hidden,)}
+    gate_shapes = {"w": (embed, 4 * hidden), "u": (hidden, 4 * hidden), "b": (4 * hidden,)}
     expected = {"pretrained": (len(meta["pretrained_words"]), out_dim), "param/emb": (vocab_size, embed)}
     for prefix in prefixes:
         for name in LSTMParams.FIELDS:
-            expected[f"param/{prefix}.{name}"] = gate_shapes[name[0]]
+            expected[f"param/{prefix}.{name}"] = gate_shapes[name]
     expected["param/proj.w"] = (len(prefixes) * hidden, out_dim)
     expected["param/proj.b"] = (out_dim,)
     for name, shape in expected.items():
@@ -444,17 +444,7 @@ def _checkpoint_from(meta: dict, arrays: dict[str, np.ndarray]) -> Checkpoint:
             raise DataError(f"array {name!r} is {found.dtype} {found.shape}, expected float64 {shape}")
 
     params = {k[len("param/") :]: v for k, v in arrays.items() if k.startswith("param/")}
-    lstm = LSTMParams(**{n: params[f"fwd.{n}"] for n in LSTMParams.FIELDS})
-    lstm_back = None
-    if mode is EncoderMode.BIDIRECTIONAL:
-        lstm_back = LSTMParams(**{n: params[f"bwd.{n}"] for n in LSTMParams.FIELDS})
-    model = DefinitionModel(
-        embeddings=LearnedTable(matrix=params["emb"], pad_id=pad_id),
-        lstm=lstm,
-        lstm_back=lstm_back,
-        projection=Projection(weight=params["proj.w"], bias=params["proj.b"]),
-        mode=mode,
-    )
+    model = DefinitionModel.from_params(mode, pad_id, params)
     id_to_token = list(meta["vocab"])
     vocab = WordVocab(
         token_to_id={tok: i for i, tok in enumerate(id_to_token)},

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 import zipfile
 from collections import Counter
 
@@ -64,8 +65,8 @@ def workspace(tmp_path):
     return tmp_path
 
 
-def rewrite_checkpoint(source, target, meta=None, drop_meta=None, drop=None, emb=None):
-    """Copy a checkpoint archive with its meta updated, a member dropped, or ``emb`` applied to the emb array."""
+def rewrite_checkpoint(source, target, meta=None, drop_meta=None, drop=None, arrays=None):
+    """Copy a checkpoint archive with its meta updated, a member dropped, or ``arrays[name]`` applied to array ``name``."""
     with zipfile.ZipFile(source) as src, zipfile.ZipFile(target, "w") as dst:
         for name in src.namelist():
             data = src.read(name)
@@ -76,9 +77,10 @@ def rewrite_checkpoint(source, target, meta=None, drop_meta=None, drop=None, emb
                 content.update(meta or {})
                 content.pop(drop_meta, None)
                 data = json.dumps(content).encode("utf-8")
-            if name == "param/emb.npy" and emb is not None:
+            edit = (arrays or {}).get(name[: -len(".npy")])
+            if edit is not None:
                 buffer = io.BytesIO()
-                np.save(buffer, emb(np.load(io.BytesIO(data))))
+                np.save(buffer, edit(np.load(io.BytesIO(data))))
                 data = buffer.getvalue()
             dst.writestr(name, data)
 
@@ -247,9 +249,14 @@ class TestTrainEvalQuery:
         # 1e300 leaves the parameters finite but overflows the LSTM input
         # projection; the saturated gates would hide it behind a finite loss
         config = write_config(workspace, learning_rate=1e300, epochs=1)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 3
-        assert "numeric error: epoch 1 batch 1: non-finite LSTM pre-activation" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numeric error: epoch 1 batch 1: non-finite LSTM pre-activation" in err
+        # the named error is the only report: no raw numpy overflow warning precedes it
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert not (workspace / "m.ckpt").exists()
 
     def test_train_prints_load_counters(self, workspace, capsys):
@@ -312,16 +319,21 @@ class TestTrainEvalQuery:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (dict(meta={"version": 99}), "checkpoint version 99 is not 1"),
-            (dict(meta={"version": None}), "checkpoint version None is not 1"),
+            (dict(meta={"version": 99}), "checkpoint version 99 is not 2"),
+            (dict(meta={"version": None}), "checkpoint version None is not 2"),
             (dict(drop_meta="config"), "checkpoint meta has no 'config'"),
-            (dict(drop="param/fwd.u_g.npy"), "checkpoint has no array 'param/fwd.u_g'"),
-            (dict(emb=lambda a: a[:-1]), "array 'param/emb' is float64 (14, 6), expected float64 (15, 6)"),
-            (dict(emb=lambda a: a.astype(np.float32)), "array 'param/emb' is float32 (15, 6), expected float64 (15, 6)"),
-            (dict(meta={"mode": "bidirectional"}), "checkpoint has no array 'param/bwd.w_i'"),
+            (dict(drop="param/fwd.u.npy"), "checkpoint has no array 'param/fwd.u'"),
+            (dict(arrays={"param/emb": lambda a: a[:-1]}), "array 'param/emb' is float64 (14, 6), expected float64 (15, 6)"),
+            (
+                dict(arrays={"param/emb": lambda a: a.astype(np.float32)}),
+                "array 'param/emb' is float32 (15, 6), expected float64 (15, 6)",
+            ),
+            (dict(meta={"mode": "bidirectional"}), "checkpoint has no array 'param/bwd.w'"),
             (dict(meta={"pad_id": 15}), "pad/unk ids 15/13 outside the 15-token vocabulary"),
+            # one gate's (E, H) block where the fused (E, 4H) matrix belongs, as a version-1 array
+            (dict(arrays={"param/fwd.w": lambda a: a[:, :5]}), "array 'param/fwd.w' is float64 (6, 5), expected float64 (6, 20)"),
         ],
-        ids=["version", "no-version", "meta-key", "param-array", "emb-shape", "emb-dtype", "mode", "pad-id"],
+        ids=["version", "no-version", "meta-key", "param-array", "emb-shape", "emb-dtype", "mode", "pad-id", "gate-shape"],
     )
     def test_malformed_checkpoint_is_a_data_error(self, workspace, trained, capsys, monkeypatch, edit, message):
         broken = workspace / "broken.ckpt"

@@ -6,22 +6,31 @@ import numpy as np
 import pytest
 
 from revdict import objective
-from revdict.encoder import DefinitionModel, EncoderMode
+from revdict.encoder import DefinitionModel, EncoderMode, sigmoid
 from revdict.errors import NonFiniteLossError
 from revdict.objective import (
-    GradientSet,
     LossKind,
     MARGIN,
     backward,
     batch_loss,
     cosine,
-    cosine_loss,
     finite_diff_check,
-    rank_loss,
     sample_negative,
     _forward,
     _replica_losses,
 )
+
+GATES = "ifog"
+
+
+def cosine_loss(y, target):
+    """1 - cos(y, target); 0 when aligned, 2 when opposite."""
+    return 1.0 - cosine(y, target)
+
+
+def rank_loss(y, target, confounder, margin=MARGIN):
+    """Hinge on the cosine gap between target and confounder."""
+    return max(0.0, margin - cosine(y, target) + cosine(y, confounder))
 
 
 class TestScalarLosses:
@@ -116,6 +125,108 @@ def toy_setup(mode, seed=0, vocab=8, embed=4, hidden=4, out=5, batch=3, max_len=
     return model, ids, lengths, targets, negatives
 
 
+def per_gate(params):
+    """The gate blocks of each fused array, as views: ``per_gate(p)["w"]["f"]`` is (E, H)."""
+    return {kind: dict(zip(GATES, np.split(getattr(params, kind), 4, axis=-1))) for kind in "wub"}
+
+
+def reverse_within_lengths(x_seq, lengths):
+    """Reverse each row's first ``lengths[b]`` positions, leaving the tail (row by row)."""
+    out = x_seq.copy()
+    for b, n in enumerate(lengths):
+        out[b, :n] = x_seq[b, :n][::-1]
+    return out
+
+
+def oracle_trace(params, x_seq):
+    """Per-gate step loop recording every gate, state and shifted state, as (B, L, H) arrays."""
+    batch, length, _ = x_seq.shape
+    w, u, b = per_gate(params).values()
+    h = np.zeros((batch, params.hidden))
+    c = np.zeros_like(h)
+    columns = {name: [] for name in ("i", "f", "o", "g", "c", "h", "c_prev", "h_prev")}
+    for t in range(length):
+        values = {
+            name: (np.tanh if name == "g" else sigmoid)(x_seq[:, t] @ w[name] + h @ u[name] + b[name])
+            for name in GATES
+        }
+        values["c_prev"], values["h_prev"] = c, h
+        c = values["f"] * c + values["i"] * values["g"]
+        h = values["o"] * np.tanh(c)
+        values["c"], values["h"] = c, h
+        for name, value in values.items():
+            columns[name].append(value)
+    return {name: np.stack(column, axis=1) for name, column in columns.items()}
+
+
+def oracle_lstm_backward(params, x_seq, trace, dh_inject):
+    """Backpropagation through time one step and one gate at a time, as it ran before the GEMM-shaped BPTT."""
+    batch, length, _ = x_seq.shape
+    blocks = per_gate(params)
+    grads = {f"{kind}_{name}": np.zeros(blocks[kind][name].shape) for kind in "wub" for name in GATES}
+    dx = np.zeros_like(x_seq)
+    dh_next = np.zeros((batch, params.hidden))
+    dc_next = np.zeros((batch, params.hidden))
+    for t in reversed(range(length)):
+        i, f, o, g = (trace[name][:, t] for name in GATES)
+        c, c_prev, h_prev = trace["c"][:, t], trace["c_prev"][:, t], trace["h_prev"][:, t]
+        tanh_c = np.tanh(c)
+        dh = dh_inject[:, t] + dh_next
+        dc = dc_next + dh * o * (1.0 - tanh_c**2)
+        dz = {
+            "o": dh * tanh_c * o * (1.0 - o),
+            "i": dc * g * i * (1.0 - i),
+            "g": dc * i * (1.0 - g**2),
+            "f": dc * c_prev * f * (1.0 - f),
+        }
+        dc_next = dc * f
+        dh_next = np.zeros_like(dh_next)
+        for name in GATES:
+            grads[f"w_{name}"] += x_seq[:, t].T @ dz[name]
+            grads[f"u_{name}"] += h_prev.T @ dz[name]
+            grads[f"b_{name}"] += dz[name].sum(axis=0)
+            dx[:, t] += dz[name] @ blocks["w"][name].T
+            dh_next += dz[name] @ blocks["u"][name].T
+    fused = {kind: np.concatenate([grads[f"{kind}_{name}"] for name in GATES], axis=-1) for kind in "wub"}
+    return dx, fused
+
+
+def oracle_gradients(model, token_ids, lengths, targets, loss_kind, negatives):
+    """Every gradient of the mean batch loss, by name, from the per-gate oracles and loops."""
+    x_seq = model.embeddings.matrix[token_ids]
+    rows = np.arange(token_ids.shape[0])
+    mask = np.arange(token_ids.shape[1])[None, :] < lengths[:, None]
+    bidirectional = model.mode is EncoderMode.BIDIRECTIONAL
+    inputs = [x_seq, reverse_within_lengths(x_seq, lengths)] if bidirectional else [x_seq]
+    directions = [("fwd", model.lstm), ("bwd", model.lstm_back)][: len(inputs)]
+    traces = [oracle_trace(params, x) for (_, params), x in zip(directions, inputs)]
+    if model.mode is EncoderMode.AVERAGE:
+        pre = (traces[0]["h"] * mask[:, :, None]).sum(axis=1) / lengths[:, None]
+    else:
+        pre = np.concatenate([trace["h"][rows, lengths - 1] for trace in traces], axis=1)
+    y = np.tanh(pre @ model.projection.weight + model.projection.bias)
+    _, dy = objective._loss_and_dy(y, targets, LossKind(loss_kind), negatives, MARGIN)
+    dp = dy * (1.0 - y**2)
+    grads = {"proj.w": pre.T @ dp, "proj.b": dp.sum(axis=0)}
+    d_pre = dp @ model.projection.weight.T
+    hidden = model.lstm.hidden
+    dx = np.zeros_like(x_seq)
+    for k, ((prefix, params), x, trace) in enumerate(zip(directions, inputs, traces)):
+        dh_inject = np.zeros(trace["h"].shape)
+        if model.mode is EncoderMode.AVERAGE:
+            dh_inject[:] = (d_pre / lengths[:, None])[:, None, :] * mask[:, :, None]
+        else:
+            dh_inject[rows, lengths - 1] = d_pre[:, k * hidden : (k + 1) * hidden]
+        dx_dir, fused = oracle_lstm_backward(params, x, trace, dh_inject)
+        dx += reverse_within_lengths(dx_dir, lengths) if prefix == "bwd" else dx_dir
+        grads.update({f"{prefix}.{kind}": value for kind, value in fused.items()})
+    emb = np.zeros(model.embeddings.matrix.shape)
+    np.add.at(emb, token_ids.ravel(), dx.reshape(-1, dx.shape[-1]))
+    emb[model.embeddings.pad_id] = 0.0
+    grads["emb"] = emb
+    return grads
+
+
 class TestBackward:
     @pytest.mark.parametrize("mode", list(EncoderMode))
     @pytest.mark.parametrize("loss_kind", list(LossKind))
@@ -135,10 +246,10 @@ class TestBackward:
 
         def halved_forget_gate(*args, **kwargs):
             loss, grads = true_backward(*args, **kwargs)
-            grads.lstm.u_f = grads.lstm.u_f * 0.5
+            per_gate(grads.lstm)["u"]["f"][:] *= 0.5
             return loss, grads
 
-        assert np.any(true_backward(model, ids, lengths, targets, LossKind.COSINE)[1].lstm.u_f)
+        assert np.any(per_gate(true_backward(model, ids, lengths, targets, LossKind.COSINE)[1].lstm)["u"]["f"])
         monkeypatch.setattr(objective, "backward", halved_forget_gate)
         assert finite_diff_check(model, ids, lengths, targets, LossKind.COSINE) > 1e-4
 
@@ -167,6 +278,27 @@ class TestBackward:
             np.testing.assert_array_equal(
                 np.concatenate([deltas for _, deltas in mine]), np.tile([1e-4, -1e-4], param.size)
             )
+
+    @pytest.mark.parametrize("max_len", [1, 5])
+    @pytest.mark.parametrize("mode", list(EncoderMode))
+    @pytest.mark.parametrize("loss_kind", list(LossKind))
+    def test_matches_the_per_gate_oracle(self, mode, loss_kind, max_len):
+        # the GEMM-shaped BPTT sums in another order than the per-step,
+        # per-gate loop it replaced, so the two agree to rounding, not bits;
+        # batches of mixed length exercise the masks and the reversal
+        model, ids, lengths, targets, noise = toy_setup(mode, seed=6, batch=4, max_len=max_len)
+        if max_len > 1:
+            lengths[:2] = (max_len, 2)
+        negatives = targets + 0.3 * noise if loss_kind is LossKind.RANK else None
+        _, grads = backward(model, ids, lengths, targets, loss_kind, negatives)
+        expected = oracle_gradients(model, ids, lengths, targets, loss_kind, negatives)
+        got = grads.as_dict()
+        assert set(got) == set(expected)
+        for name, want in expected.items():
+            scale = np.abs(want).max()
+            # with one step there is no h_prev, so only the recurrent matrices have a zero gradient
+            assert (scale == 0.0) == (max_len == 1 and name.endswith(".u")), name
+            np.testing.assert_allclose(got[name], want, rtol=0.0, atol=1e-12 * scale, err_msg=name)
 
     def test_finite_diff_check_leaves_model_bitwise_unchanged(self):
         model, ids, lengths, targets, negatives = toy_setup("bidirectional", seed=5)
