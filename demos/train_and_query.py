@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 
 from revdict.corpus import DefinitionPair, tokenize
-from revdict.embeddings import PretrainedTable, rank_by_cosine
+from revdict.embeddings import PretrainedTable, cosine_to_all, rank_by_cosine
 from revdict.evaluator import rank_of_correct
 from revdict.tokenizer import build_word_vocab, encode_gloss
 from revdict.trainer import TrainConfig, train
@@ -82,7 +82,7 @@ def main() -> None:
     for intended, text in QUERIES:
         ids = encode_gloss(tokenize(text), ckpt.vocab, None, "word")
         y = ckpt.model.encode_ids(np.asarray(ids, dtype=np.int64), np.array([len(ids)]))
-        record = rank_of_correct(y, table, intended)
+        record = rank_of_correct(cosine_to_all(y, table), table, intended)
         listing = "  ".join(f"{word} ({score:+.3f})" for word, score in rank_by_cosine(y, table, topk=3))
         print(f"  {text!r}: {intended} at rank {record.rank:g}")
         print(f"      top: {listing}")

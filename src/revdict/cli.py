@@ -10,8 +10,6 @@ import argparse
 import sys
 from collections import Counter
 
-import numpy as np
-
 from .corpus import (
     DefinitionPair,
     clean_crosswords,
@@ -19,6 +17,7 @@ from .corpus import (
     length_histogram,
     load_crossword_csv,
     load_definitions,
+    pad_minibatch,
     save_definitions,
     save_histogram,
     tokenize,
@@ -250,7 +249,8 @@ def _cmd_query(args) -> int:
             _note("empty query, skipping line")
             continue
         ids = encode_gloss(tokens, checkpoint.vocab, checkpoint.merges, checkpoint.config.segmentation)
-        vector = checkpoint.model.encode_ids(np.asarray(ids, dtype=np.int64), np.array([len(ids)]))
+        batch = pad_minibatch([ids], checkpoint.model.embeddings.pad_id)  # the training length cap
+        vector = checkpoint.model.encode_ids(batch.token_ids, batch.lengths)[0]
         ranked = rank_by_cosine(vector, checkpoint.pretrained, answer_length=wanted, topk=args.topk)
         if not ranked:
             _note("no candidates of that length")

@@ -172,14 +172,14 @@ def init_learned(
 
 
 def cosine_to_all(query: np.ndarray, table: PretrainedTable) -> np.ndarray:
-    """Cosine similarity of ``query`` against every table row."""
+    """Cosine similarity of each (..., D) ``query`` row against every table row: (..., n)."""
     query = np.asarray(query, dtype=np.float64)
-    qnorm = np.linalg.norm(query)
-    if not np.isfinite(qnorm):
+    qnorm = np.sqrt(query[..., None, :] @ query[..., :, None])[..., 0, 0]  # row by row, np.linalg.norm's bits
+    if not np.all(np.isfinite(qnorm)):
         raise NonFiniteLossError("non-finite query vector")
-    if not qnorm > 0.0:
+    if not np.all(qnorm > 0.0):
         raise ValueError("zero-norm query")
-    return (table.matrix @ query) / (table.norms * qnorm)
+    return (query @ table.matrix.T) / (qnorm[..., None] * table.norms)
 
 
 def rank_by_cosine(

@@ -10,8 +10,10 @@ A gloss is embedded token by token and folded into one vector:
 The result is projected through a tanh layer into the pretrained embedding
 space.  Training, inference and the gradient check share one recurrence
 (``run_lstm_states``) and one read-out (``read_out``, with its adjoint).
-All arithmetic is float64 and batch-first; ``encode_ids`` and ``project``
-also take a single sequence and return an unbatched vector.
+The recurrence takes each row's length and steps only the rows that are
+still running, so padded positions cost nothing and hold zeros.  All
+arithmetic is float64 and batch-first; ``encode_ids`` and ``project`` also
+take a single sequence and return an unbatched vector.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .embeddings import INIT_SCALE, LearnedTable, init_learned
+from .errors import NonFiniteLossError
 
 HIDDEN_SIZE = 512
 OUTPUT_DIM = 500
@@ -112,43 +115,51 @@ class LSTMTrace:
     finite: bool = True
 
 
-def run_lstm_states(params: LSTMParams, x: np.ndarray, record: bool = False):
+def run_lstm_states(params: LSTMParams, x: np.ndarray, lengths: np.ndarray, record: bool = False):
     """Run the LSTM over (..., B, L, E) inputs from zero state.
 
-    Returns the hidden states (..., B, L, H), or with ``record`` the whole
-    LSTMTrace.  The params' leading axes broadcast against the inputs' (...),
-    so stacked model replicas run in one pass.
+    Row b steps through its first ``lengths[b]`` positions only, and its
+    padded positions keep zero states, gates and cells.  Returns the hidden
+    states (..., B, L, H), or with ``record`` the whole LSTMTrace.  The
+    params' leading axes broadcast against the inputs' (...), so stacked
+    model replicas run in one pass.  Non-finite gate pre-activations clear
+    a recorded run's ``finite``; any other run raises NonFiniteLossError.
     """
     hidden = params.hidden
-    batch, length = x.shape[-3:-1]
+    batch, length, embed = x.shape[-3:]
     lead = np.broadcast_shapes(x.shape[:-3], params.w.shape[:-2], params.u.shape[:-2], params.b.shape[:-1])
     shape = lead + (batch, length)
     h = np.zeros(lead + (batch, hidden))
     c = np.zeros_like(h)
-    states = np.empty(shape + (hidden,))
+    states = np.zeros(shape + (hidden,))
     if record:
-        gate_record = np.empty(shape + (4 * hidden,))
-        cells = np.empty(shape + (hidden,))
+        gate_record = np.zeros(shape + (4 * hidden,))
+        cells = np.zeros(shape + (hidden,))
     finite = True
-    # a recorded run reports overflow through ``finite``; inference keeps numpy's warnings
-    with np.errstate(**({"over": "ignore", "invalid": "ignore"} if record else {})):
-        x_proj = x @ params.w[..., None, :, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported through ``finite`` instead
+        # one GEMM over all B*L positions; the leading axes still broadcast
+        x_proj = x.reshape(x.shape[:-3] + (batch * length, embed)) @ params.w
+        x_proj = x_proj.reshape(x_proj.shape[:-2] + (batch, length, 4 * hidden))
         b = params.b[..., None, :]
         for t in range(length):
-            pre = x_proj[..., t, :] + h @ params.u + b
+            rows = np.flatnonzero(lengths > t)
+            if rows.size == batch:
+                rows = slice(None)  # every row still running: views, no gathers
+            pre = x_proj[..., rows, t, :] + h[..., rows, :] @ params.u + b
+            finite = finite and bool(np.isfinite(pre).all())
             gates = sigmoid(pre[..., : 3 * hidden])
-            i = gates[..., :hidden]
-            f = gates[..., hidden : 2 * hidden]
-            o = gates[..., 2 * hidden :]
             g = np.tanh(pre[..., 3 * hidden :])
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            states[..., t, :] = h
+            c_t = gates[..., hidden : 2 * hidden] * c[..., rows, :] + gates[..., :hidden] * g
+            h_t = gates[..., 2 * hidden :] * np.tanh(c_t)
+            c[..., rows, :] = c_t
+            h[..., rows, :] = h_t
+            states[..., rows, t, :] = h_t
             if record:
-                finite = finite and bool(np.isfinite(pre).all())
-                gate_record[..., t, : 3 * hidden] = gates
-                gate_record[..., t, 3 * hidden :] = g
-                cells[..., t, :] = c
+                gate_record[..., rows, t, : 3 * hidden] = gates
+                gate_record[..., rows, t, 3 * hidden :] = g
+                cells[..., rows, t, :] = c_t
+    if not (record or finite):
+        raise NonFiniteLossError("non-finite LSTM pre-activation")
     return LSTMTrace(gate_record, cells, states, finite) if record else states
 
 
@@ -211,12 +222,12 @@ def encode(
     Row b holds ``lengths[b]`` true positions followed by padding.
     """
     mode = EncoderMode(mode)
-    states = run_lstm_states(params, x_seq)
+    states = run_lstm_states(params, x_seq, lengths)
     back_states = None
     if mode is EncoderMode.BIDIRECTIONAL:
         if params_back is None:
             raise ValueError("bidirectional mode needs backward-direction parameters")
-        back_states = run_lstm_states(params_back, reverse_steps(x_seq, lengths))
+        back_states = run_lstm_states(params_back, reverse_steps(x_seq, lengths), lengths)
     return read_out(mode, lengths, states, back_states)
 
 

@@ -1,20 +1,22 @@
 """Ranking evaluation: median rank, accuracy@k, rank variance, length filter.
 
-Each test gloss is encoded on its own, with no padding, and the correct head
-is ranked among the pretrained candidates by cosine.  Exact cosine ties are
-broken lexicographically so ranks are deterministic.  Crossword mode first
-restricts candidates to words with the answer's character count.
+Test glosses are encoded in length-sorted, padded batches of at most
+MINIBATCH_SIZE rows, capped at MAX_GLOSS_LEN tokens as in training, and
+each batch is scored against the whole pretrained table in one GEMM.  The
+correct head is ranked among the candidates by cosine; exact cosine ties
+are broken lexicographically so ranks are deterministic.  Crossword mode
+first restricts candidates to words with the answer's character count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import CrosswordClue, DefinitionPair
+from .corpus import MINIBATCH_SIZE, CrosswordClue, DefinitionPair, pad_minibatch
 from .embeddings import PretrainedTable, cosine_to_all
 from .errors import DataError
 from .tokenizer import encode_gloss
@@ -48,13 +50,13 @@ def length_filter(table: PretrainedTable, answer_length: int) -> list[str]:
 
 
 def rank_of_correct(
-    y: np.ndarray,
+    scores: np.ndarray,
     table: PretrainedTable,
     correct: str,
     answer_length: int | None = None,
     item_id: str = "",
 ) -> RankRecord:
-    """1-based rank of ``correct`` among the candidates by cosine.
+    """1-based rank of ``correct`` among the candidates, given the cosine ``scores`` of every table row.
 
     With ``answer_length`` only words of that many characters compete.  A
     correct word that the length rules out is scored one past the worst
@@ -62,7 +64,6 @@ def rank_of_correct(
     """
     if correct not in table:
         raise DataError(f"correct word {correct!r} not in the candidate table")
-    scores = cosine_to_all(y, table)
     rows = table.candidate_rows(answer_length)
     filtered = answer_length is not None
     if filtered and len(correct) != answer_length:
@@ -84,6 +85,22 @@ def rank_of_correct(
         candidate_count=rows.size,
         filtered=filtered,
     )
+
+
+def score_batches(
+    model, table: PretrainedTable, id_lists: Sequence[Sequence[int]]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(k, cosines of gloss ``id_lists[k]``'s encoding to every table row), shortest gloss first.
+
+    Glosses are ordered by length (ties by index) and cut into batches of
+    at most MINIBATCH_SIZE rows that ``pad_minibatch`` pads and cuts as
+    training does; each batch is one ``encode_ids`` call and one score GEMM.
+    """
+    order = sorted(range(len(id_lists)), key=lambda k: len(id_lists[k]))
+    for start in range(0, len(order), MINIBATCH_SIZE):
+        chunk = order[start : start + MINIBATCH_SIZE]
+        batch = pad_minibatch([id_lists[k] for k in chunk], model.embeddings.pad_id)
+        yield from zip(chunk, cosine_to_all(model.encode_ids(batch.token_ids, batch.lengths), table))
 
 
 def median_rank(ranks: Sequence[float]) -> float:
@@ -148,11 +165,9 @@ def evaluate(
         raise ValueError(f"unknown evaluation mode {mode!r}")
     if len(items) == 0:
         raise DataError("empty test set")
-    model = checkpoint.model
     table: PretrainedTable = checkpoint.pretrained
-    segmentation = checkpoint.config.segmentation
-    records = []
-    for index, item in enumerate(items):
+    fields = []
+    for item in items:
         if mode == "crossword":
             if not isinstance(item, CrosswordClue):
                 raise DataError("crossword mode needs crossword clue items")
@@ -161,9 +176,11 @@ def evaluate(
             tokens, correct, wanted = item.gloss, item.head, None
         if correct not in table:
             raise DataError(f"test head {correct!r} missing from the pretrained table")
-        ids = encode_gloss(tokens, checkpoint.vocab, checkpoint.merges, segmentation)
-        y = model.encode_ids(np.asarray(ids, dtype=np.int64), np.array([len(ids)]))
-        records.append(
-            rank_of_correct(y, table, correct, wanted, item_id=f"{index}:{correct}")
-        )
+        fields.append((tokens, correct, wanted))
+    vocab, merges, segmentation = checkpoint.vocab, checkpoint.merges, checkpoint.config.segmentation
+    id_lists = [encode_gloss(tokens, vocab, merges, segmentation) for tokens, _, _ in fields]
+    records: list[RankRecord] = [None] * len(fields)
+    for k, scores in score_batches(checkpoint.model, table, id_lists):
+        _, correct, wanted = fields[k]
+        records[k] = rank_of_correct(scores, table, correct, wanted, item_id=f"{k}:{correct}")
     return summarize(records), records

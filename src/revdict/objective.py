@@ -103,7 +103,7 @@ def _forward(model: DefinitionModel, token_ids: np.ndarray, lengths: np.ndarray,
     if model.mode is EncoderMode.BIDIRECTIONAL:
         inputs.append(reverse_steps(x, lengths))
         directions.append(model.lstm_back)
-    runs = [run_lstm(params, x_dir, record) for params, x_dir in zip(directions, inputs)]
+    runs = [run_lstm(params, x_dir, lengths, record) for params, x_dir in zip(directions, inputs)]
     pre = read_out(model.mode, lengths, *(run.h if record else run for run in runs))
     y = np.tanh(pre @ model.projection.weight + model.projection.bias[..., None, :])
     return y, (pre, inputs, runs)

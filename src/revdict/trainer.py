@@ -25,7 +25,7 @@ from .corpus import DefinitionPair, EncodedPair, MINIBATCH_SIZE, bucket_and_batc
 from .embeddings import PretrainedTable
 from .encoder import DefinitionModel, EncoderMode, LSTMParams
 from .errors import ConfigError, DataError, NonFiniteLossError
-from .evaluator import median_rank, rank_of_correct
+from .evaluator import median_rank, rank_of_correct, score_batches
 from .objective import LossKind, RowGradient, backward, sample_negative
 from .tokenizer import MergeTable, WordVocab, encode_gloss
 
@@ -241,13 +241,9 @@ def encode_pairs(
 
 
 def _dev_median(model: DefinitionModel, dev: list[EncodedPair], pretrained: PretrainedTable) -> float:
-    ranks = []
-    for pair in dev:
-        y = model.encode_ids(
-            np.asarray(pair.gloss_ids, dtype=np.int64), np.array([len(pair.gloss_ids)])
-        )
-        rec = rank_of_correct(y, pretrained, pretrained.words[pair.head_id])
-        ranks.append(rec.rank)
+    ranks = [0] * len(dev)
+    for k, scores in score_batches(model, pretrained, [pair.gloss_ids for pair in dev]):
+        ranks[k] = rank_of_correct(scores, pretrained, pretrained.words[dev[k].head_id]).rank
     return median_rank(ranks)
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from revdict.cli import _gloss_frequencies, run
 from revdict.corpus import load_definitions
+from revdict.embeddings import rank_by_cosine
 from revdict.tokenizer import (
     MergeTable,
     WordVocab,
@@ -361,6 +362,40 @@ class TestTrainEvalQuery:
             argv = ["eval", "--checkpoint", str(broken), "--test", str(workspace / test), "--mode", mode]
             assert run(argv) == 3
             assert capsys.readouterr().err == "numeric error: non-finite query vector\n"
+
+    def test_overflowing_lstm_exits_three(self, workspace, trained, capsys, monkeypatch):
+        # huge input weights and embeddings overflow the gate pre-activations;
+        # query and eval name the error instead of answering from saturated gates
+        checkpoint = load_checkpoint(trained)
+        checkpoint.model.lstm.w[:] = 1e300
+        checkpoint.model.embeddings.matrix[:] = 1e10
+        broken = workspace / "overflow.ckpt"
+        save_checkpoint(broken, checkpoint)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            monkeypatch.setattr("sys.stdin", io.StringIO("small feline\n"))
+            assert run(["query", "--checkpoint", str(broken)]) == 3
+            assert capsys.readouterr().err == "numeric error: non-finite LSTM pre-activation\n"
+            for mode, test in (("definitions", "dev.tsv"), ("crossword", "cw.csv")):
+                argv = ["eval", "--checkpoint", str(broken), "--test", str(workspace / test), "--mode", mode]
+                assert run(argv) == 3
+                assert capsys.readouterr().err == "numeric error: non-finite LSTM pre-activation\n"
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    def test_query_cuts_glosses_at_the_training_length(self, workspace, trained, capsys, monkeypatch):
+        # a 151-token query answers exactly as its first 150 tokens, the cut
+        # training applies; uncut, its last token would move the scores
+        words = ("small domesticated feline large riding animal " * 26).split()[:151]
+        lines = f"{' '.join(words)}\n{' '.join(words[:150])}\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        assert run(["query", "--checkpoint", str(trained), "--topk", "7"]) == 0
+        long_block, cut_block = self.query_blocks(capsys)
+        assert long_block == cut_block
+        checkpoint = load_checkpoint(trained)
+        ids = np.asarray(checkpoint.vocab.encode(words))
+        uncut = checkpoint.model.encode_ids(ids, np.array([ids.size]))
+        assert [f"{w}\t{v!r}" for w, v in rank_by_cosine(uncut, checkpoint.pretrained, topk=7)] != long_block
 
     def query_blocks(self, capsys):
         out = capsys.readouterr().out

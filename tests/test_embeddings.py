@@ -187,6 +187,25 @@ class TestRanking:
         assert scores[table.word_to_row["cat"]] == pytest.approx(1.0)
         assert scores[table.word_to_row["mouse"]] == pytest.approx(0.0)
 
+    def test_batched_queries_score_row_by_row(self, tied_tables):
+        # a (..., D) block of queries scores each row against its own norm,
+        # as one query at a time does, to the last bits of a GEMM row
+        for table, _ in tied_tables:
+            queries = np.random.default_rng(7).normal(size=(2, 3, table.dimension))
+            queries[0, 1] *= 1e3
+            scores = cosine_to_all(queries, table)
+            assert scores.shape == (2, 3, len(table))
+            for row, query in zip(scores.reshape(6, -1), queries.reshape(6, -1)):
+                np.testing.assert_allclose(row, cosine_to_all(query, table), rtol=0, atol=1e-15)
+
+    def test_one_bad_row_fails_the_block(self):
+        queries = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="zero-norm query"):
+            cosine_to_all(queries, toy_table())
+        queries[1, 2] = np.nan
+        with pytest.raises(NonFiniteLossError, match="non-finite query vector"):
+            cosine_to_all(queries, toy_table())
+
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200])
 def test_from_arrays_rejects_non_finite_rows(bad):

@@ -20,6 +20,7 @@ from revdict.encoder import (
     run_lstm_states,
     sigmoid,
 )
+from revdict.errors import NonFiniteLossError
 
 # Hand evaluation of the gate equations for E=H=1, all weights 1, biases 0,
 # x=1, h0=c0=0: every gate pre-activation is 1, so c1 = sigma(1)*tanh(1) and
@@ -94,6 +95,11 @@ def oracle_fold(params, x_seq):
     return np.array(states)
 
 
+def full_lengths(x):
+    """Every row of (..., B, L, E) inputs runs all L steps."""
+    return np.full(x.shape[-3], x.shape[-2])
+
+
 def reverse_within_lengths(x_seq, lengths):
     """Reverse each row's first ``lengths[b]`` positions, leaving the tail (row by row)."""
     out = x_seq.copy()
@@ -102,12 +108,15 @@ def reverse_within_lengths(x_seq, lengths):
     return out
 
 
-def oracle_states(params, x_seq):
+def oracle_states(params, x_seq, lengths):
     """The step loop the inference path ran before the fused core, kept as its bitwise oracle.
 
-    It rebuilds the fused matrices from the per-gate blocks and keeps every
-    state in a list; the per-element arithmetic is the one production must
-    keep, so outputs match to the bit.
+    It rebuilds the fused matrices from the per-gate blocks, projects each
+    row's inputs with a GEMM of its own and keeps every state in a list; the
+    per-element arithmetic is the one production must keep, so outputs
+    match to the bit.  A step updates only the rows still running (a GEMM
+    over a subset of rows gives that subset's rows of the full GEMM, so on
+    full-length rows this is the plain loop), and padded positions hold 0.
     """
     hidden = params.hidden
     w, u, b = (np.concatenate([gate(params, kind, name) for name in GATES], axis=-1) for kind in "wub")
@@ -116,12 +125,15 @@ def oracle_states(params, x_seq):
     c = np.zeros_like(h)
     states = []
     for t in range(x_seq.shape[1]):
-        pre = x_proj[:, t] + h @ u + b
+        rows = [row for row, n in enumerate(lengths) if n > t]
+        pre = x_proj[rows, t] + h[rows] @ u + b
         gates = sigmoid(pre[:, : 3 * hidden])
         g = np.tanh(pre[:, 3 * hidden :])
-        c = gates[:, hidden : 2 * hidden] * c + gates[:, :hidden] * g
-        h = gates[:, 2 * hidden :] * np.tanh(c)
-        states.append(h)
+        c[rows] = gates[:, hidden : 2 * hidden] * c[rows] + gates[:, :hidden] * g
+        h[rows] = gates[:, 2 * hidden :] * np.tanh(c[rows])
+        step = np.zeros_like(h)
+        step[rows] = h[rows]
+        states.append(step)
     return np.stack(states, axis=1)
 
 
@@ -130,13 +142,13 @@ def oracle_encode_ids(model, token_ids, lengths):
     x_seq = model.embeddings.matrix[token_ids]
     rows = np.arange(token_ids.shape[0])
     mask = np.arange(token_ids.shape[1])[None, :] < lengths[:, None]
-    states = oracle_states(model.lstm, x_seq)
+    states = oracle_states(model.lstm, x_seq, lengths)
     if model.mode is EncoderMode.FINAL:
         out = states[rows, lengths - 1]
     elif model.mode is EncoderMode.AVERAGE:
         out = (states * mask[:, :, None]).sum(axis=1) / lengths[:, None]
     else:
-        back = oracle_states(model.lstm_back, reverse_within_lengths(x_seq, lengths))
+        back = oracle_states(model.lstm_back, reverse_within_lengths(x_seq, lengths), lengths)
         out = np.concatenate([states[rows, lengths - 1], back[rows, lengths - 1]], axis=1)
     return np.tanh(out @ model.projection.weight + model.projection.bias)
 
@@ -178,7 +190,7 @@ class TestRunLstm:
             params = init_lstm(e, hdim, rng)
             params.b[:] = rng.uniform(-0.5, 0.5, size=4 * hdim)
             x = rng.normal(size=(n, e))
-            trace = run_lstm_states(params, x[None], record=True)
+            trace = run_lstm_states(params, x[None], np.array([n]), record=True)
             np.testing.assert_allclose(trace.h[0], oracle_fold(params, x), atol=1e-12)
 
     def test_states_only_run_is_bitwise_identical(self):
@@ -190,13 +202,16 @@ class TestRunLstm:
             hdim = int(rng.integers(1, 6))
             params = init_lstm(e, hdim, rng)
             x = rng.normal(size=(int(rng.integers(1, 4)), int(rng.integers(1, 7)), e))
-            np.testing.assert_array_equal(run_lstm_states(params, x), run_lstm_states(params, x, record=True).h)
+            lengths = rng.integers(0, x.shape[1] + 1, size=x.shape[0])
+            np.testing.assert_array_equal(
+                run_lstm_states(params, x, lengths), run_lstm_states(params, x, lengths, record=True).h
+            )
 
     def test_trace_records_gates_and_cells(self):
         rng = np.random.default_rng(33)
         params = init_lstm(3, 4, rng)
         x = rng.normal(size=(2, 5, 3))
-        trace = run_lstm_states(params, x, record=True)
+        trace = run_lstm_states(params, x, full_lengths(x), record=True)
         h, c = np.zeros((2, 4)), np.zeros((2, 4))
         for t in range(5):
             h_prev, c_prev = h, c
@@ -210,34 +225,62 @@ class TestRunLstm:
     def test_trace_flags_overflowing_pre_activations(self):
         params = init_lstm(2, 3, np.random.default_rng(0))
         x = 1.0 + np.random.default_rng(1).uniform(size=(2, 4, 2))
-        assert run_lstm_states(params, x, record=True).finite
+        assert run_lstm_states(params, x, full_lengths(x), record=True).finite
         gate(params, "w", "f")[:] = 1e308  # x @ w overflows; the forget gate saturates to a finite 0 or 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the recorded run reports it through ``finite`` alone
-            trace = run_lstm_states(params, x, record=True)
+            trace = run_lstm_states(params, x, full_lengths(x), record=True)
         assert not trace.finite
         assert np.all(np.isfinite(trace.h))
+        # a states-only run (inference, the replica forward) raises the named error instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteLossError, match="non-finite LSTM pre-activation"):
+                run_lstm_states(params, x, full_lengths(x))
 
     def test_states_only_run_handles_empty_sequence(self):
         params = init_lstm(2, 3, np.random.default_rng(0))
-        assert run_lstm_states(params, np.zeros((2, 0, 2))).shape == (2, 0, 3)
+        assert run_lstm_states(params, np.zeros((2, 0, 2)), np.zeros(2, dtype=int)).shape == (2, 0, 3)
 
     def test_replica_axes_broadcast(self):
         # stacked parameters over shared inputs, and stacked inputs over
-        # shared parameters, each equal the runs one replica at a time
+        # shared parameters, each equal the runs one replica at a time, with
+        # rows finishing at different steps
         rng = np.random.default_rng(34)
         replicas = [init_lstm(3, 2, rng) for _ in range(3)]
         stacked = LSTMParams(*(np.stack([getattr(p, k) for p in replicas]) for k in LSTMParams.FIELDS))
         x = rng.normal(size=(4, 5, 3))
-        got = run_lstm_states(stacked, x[None])
+        lengths = np.array([5, 2, 4, 1])
+        got = run_lstm_states(stacked, x[None], lengths)
         assert got.shape == (3, 4, 5, 2)
         for r, params in enumerate(replicas):
-            np.testing.assert_allclose(got[r], run_lstm_states(params, x), rtol=1e-13)
+            np.testing.assert_allclose(got[r], run_lstm_states(params, x, lengths), rtol=1e-13)
         xs = rng.normal(size=(3, 4, 5, 3))
         shared = LSTMParams(*(getattr(replicas[0], k)[None] for k in LSTMParams.FIELDS))
-        got = run_lstm_states(shared, xs, record=True)
+        got = run_lstm_states(shared, xs, lengths, record=True)
         for r in range(3):
-            np.testing.assert_allclose(got.h[r], run_lstm_states(replicas[0], xs[r]), rtol=1e-13)
+            solo = run_lstm_states(replicas[0], xs[r], lengths, record=True)
+            for name in ("gates", "c", "h"):
+                np.testing.assert_allclose(getattr(got, name)[r], getattr(solo, name), rtol=1e-13)
+
+    def test_padded_positions_stay_zero(self):
+        # a row stops at its length: the recorded gates, cells and states of
+        # its padded positions are exactly 0 (so BPTT's dZ is exactly 0
+        # there), and its true positions equal a run of that row alone
+        rng = np.random.default_rng(35)
+        params = init_lstm(3, 4, rng)
+        params.b[:] = rng.uniform(-0.5, 0.5, size=params.b.shape)
+        x = rng.normal(size=(4, 6, 3))  # pad positions deliberately nonzero
+        lengths = np.array([2, 6, 1, 4])
+        trace = run_lstm_states(params, x, lengths, record=True)
+        pad = np.arange(6)[None, :] >= lengths[:, None]
+        for name in ("gates", "c", "h"):
+            recorded = getattr(trace, name)
+            assert recorded[pad].tobytes() == np.zeros_like(recorded[pad]).tobytes()
+        for row, n in enumerate(lengths):
+            solo = run_lstm_states(params, x[row : row + 1, :n], np.array([n]), record=True)
+            np.testing.assert_allclose(trace.h[row, :n], solo.h[0], rtol=1e-13)
+            np.testing.assert_allclose(trace.c[row, :n], solo.c[0], rtol=1e-13)
 
 
 class TestReadOut:
@@ -400,11 +443,13 @@ class TestDefinitionModel:
     @pytest.mark.parametrize("mode", list(EncoderMode))
     def test_encode_ids_equals_the_oracle_forward_bitwise(self, mode):
         # eval and query ranks hang on these bits: the fused core must keep
-        # the step loop's arithmetic exactly, solo and in mixed-length batches
+        # the step loop's arithmetic exactly, solo and in mixed-length
+        # batches; at batch 1 no row finishes early, so there the oracle
+        # is the plain step loop with no row skipped
         rng = np.random.default_rng(13)
         m = DefinitionModel.create(30, pad_id=29, mode=mode, embed_dim=6, hidden=5, output_dim=4, seed=3)
         m.lstm.b[:] = rng.uniform(-0.5, 0.5, size=m.lstm.b.shape)
-        for batch in (1, 5):
+        for batch in (1, 5, 16):
             lengths = rng.integers(1, 8, size=batch)
             ids = np.full((batch, lengths.max()), 29)
             for b, n in enumerate(lengths):

@@ -9,7 +9,7 @@ import pytest
 
 from revdict.corpus import CrosswordClue, DefinitionPair, clues_to_pairs, length_histogram
 from revdict.embeddings import PretrainedTable, cosine_to_all
-from revdict.encoder import DefinitionModel
+from revdict.encoder import DefinitionModel, EncoderMode
 from revdict.errors import DataError
 from revdict.evaluator import (
     MetricsReport,
@@ -24,7 +24,7 @@ from revdict.evaluator import (
     summarize,
     write_rank_records,
 )
-from revdict.tokenizer import build_word_vocab
+from revdict.tokenizer import build_word_vocab, encode_gloss
 
 
 def angled_table(words, cosines_with_x_axis):
@@ -36,14 +36,14 @@ def angled_table(words, cosines_with_x_axis):
 class TestRankOfCorrect:
     def test_self_vector_ranks_first(self):
         table = angled_table(["a", "b", "c"], [0.9, 0.5, 0.1])
-        rec = rank_of_correct(table.lookup("b").copy(), table, "b")
+        rec = rank_of_correct(cosine_to_all(table.lookup("b").copy(), table), table, "b")
         assert rec.rank == 1
         assert rec.candidate_count == 3
         assert not rec.filtered and not rec.excluded
 
     def test_middle_cosine_ranks_second(self):
         table = angled_table(["a", "b", "c"], [0.9, 0.5, 0.1])
-        rec = rank_of_correct(np.array([1.0, 0.0]), table, "b")
+        rec = rank_of_correct(cosine_to_all(np.array([1.0, 0.0]), table), table, "b")
         assert rec.rank == 2
 
     def test_exact_tie_breaks_lexicographically(self):
@@ -51,14 +51,14 @@ class TestRankOfCorrect:
         table = PretrainedTable.from_arrays(
             ["cat", "abe", "zoo"], np.array([[1.0, 1.0], [2.0, 2.0], [-1.0, 0.0]])
         )
-        rec = rank_of_correct(np.array([1.0, 0.5]), table, "cat")
+        rec = rank_of_correct(cosine_to_all(np.array([1.0, 0.5]), table), table, "cat")
         assert rec.rank == 2  # "abe" wins the tie
-        rec = rank_of_correct(np.array([1.0, 0.5]), table, "abe")
+        rec = rank_of_correct(cosine_to_all(np.array([1.0, 0.5]), table), table, "abe")
         assert rec.rank == 1
 
     def test_filter_excluding_correct_scores_worst_plus_one(self):
         table = angled_table(["cat", "mouse", "horse"], [0.9, 0.5, 0.1])
-        rec = rank_of_correct(np.array([1.0, 0.0]), table, "cat", answer_length=5)
+        rec = rank_of_correct(cosine_to_all(np.array([1.0, 0.0]), table), table, "cat", answer_length=5)
         assert rec.excluded
         assert rec.candidate_count == 2
         assert rec.rank == 3
@@ -67,7 +67,7 @@ class TestRankOfCorrect:
     def test_unknown_correct_word_rejected(self):
         table = angled_table(["a", "b"], [0.9, 0.1])
         with pytest.raises(DataError):
-            rank_of_correct(np.array([1.0, 0.0]), table, "nope")
+            rank_of_correct(cosine_to_all(np.array([1.0, 0.0]), table), table, "nope")
 
 
 def loop_rank_of_correct(y, table, correct, candidate_filter=None, item_id=""):
@@ -99,11 +99,56 @@ def test_rank_count_matches_the_loop(tied_tables):
                 keep = None if length is None else (lambda w, n=length: len(w) == n)
                 for word in table.words:
                     expected = loop_rank_of_correct(y, table, word, keep, item_id=word)
-                    got = rank_of_correct(y, table, word, answer_length=length, item_id=word)
+                    got = rank_of_correct(scores, table, word, answer_length=length, item_id=word)
                     assert got == expected, (word, length)
                     excluded += got.excluded
                     tied += np.count_nonzero(scores == scores[table.word_to_row[word]]) > 1
     assert excluded > 0 and tied > 0
+
+
+# scores this close to the correct one may order differently in a batch row
+# than in a solo encode, which rounds differently in the last bits
+NEAR_TIE = 1e-12
+
+
+def item_fields(item, mode):
+    if mode == "crossword":
+        return item.clue, item.answer, item.answer_length
+    return item.gloss, item.head, None
+
+
+def solo_vectors(checkpoint, items, mode):
+    """Each item's gloss encoded on its own, with no padding."""
+    vectors = []
+    for item in items:
+        tokens, _, _ = item_fields(item, mode)
+        ids = encode_gloss(tokens, checkpoint.vocab, checkpoint.merges, checkpoint.config.segmentation)
+        vectors.append(checkpoint.model.encode_ids(np.asarray(ids, dtype=np.int64), np.array([len(ids)])))
+    return vectors
+
+
+def oracle_evaluate(checkpoint, items, mode="definitions"):
+    """The evaluate loop the batched scorer replaced: one solo encode and one table GEMV per item."""
+    records = []
+    for index, (item, y) in enumerate(zip(items, solo_vectors(checkpoint, items, mode))):
+        _, correct, wanted = item_fields(item, mode)
+        keep = None if wanted is None else (lambda w, n=wanted: len(w) == n)
+        records.append(loop_rank_of_correct(y, checkpoint.pretrained, correct, keep, item_id=f"{index}:{correct}"))
+    return records
+
+
+def near_tie_items(checkpoint, items, mode):
+    """Indices of items whose correct score is within NEAR_TIE of, but not equal to, a competitor's."""
+    near = []
+    for index, (item, y) in enumerate(zip(items, solo_vectors(checkpoint, items, mode))):
+        _, correct, wanted = item_fields(item, mode)
+        table = checkpoint.pretrained
+        scores = cosine_to_all(y, table)
+        gaps = np.abs(scores[table.candidate_rows(wanted)] - scores[table.word_to_row[correct]])
+        if np.any((gaps > 0.0) & (gaps <= NEAR_TIE)):
+            near.append(index)
+    return near
+
 
 
 class TestLengthFilter:
@@ -180,6 +225,78 @@ def stub_checkpoint(words, out_dim=6, seed=0, gloss_tokens=("small", "feline", "
     return SimpleNamespace(
         model=model, vocab=vocab, merges=None, pretrained=table, config=config
     )
+
+
+def ranking_world(table, mode, eval_mode, seed, n_items=40, max_len=12):
+    """A checkpoint of encoder ``mode`` over ``table`` and n_items seeded test items.
+
+    Glosses have 1 to ``max_len`` tokens, the first one token; half the heads
+    are rows with an exact copy in the table, so their scores tie; in
+    crossword mode every seventh clue states a wrong answer length.
+    """
+    rng = np.random.default_rng(seed)
+    tokens = [f"t{i}" for i in range(20)]
+    vocab = build_word_vocab(Counter(tokens), cap=50)
+    model = DefinitionModel.create(
+        len(vocab), vocab.pad_id, mode, embed_dim=6, hidden=5, output_dim=table.dimension, seed=seed
+    )
+    model.lstm.b[:] = rng.uniform(-0.5, 0.5, size=model.lstm.b.shape)
+    ckpt = SimpleNamespace(
+        model=model, vocab=vocab, merges=None, pretrained=table, config=SimpleNamespace(segmentation="word")
+    )
+    directions = table.matrix / table.norms[:, None]
+    _, inverse, counts = np.unique(directions, axis=0, return_inverse=True, return_counts=True)
+    copied = [word for word, k in zip(table.words, inverse.ravel()) if counts[k] > 1]
+    lengths = rng.integers(1, max_len + 1, size=n_items)
+    lengths[0] = 1
+    items = []
+    for k, n in enumerate(lengths):
+        head = str(rng.choice(copied if k % 2 else table.words))
+        gloss = tuple(str(t) for t in rng.choice(tokens, size=n))
+        if eval_mode == "crossword":
+            items.append(CrosswordClue(gloss, head, len(head) + (k % 7 == 3), "short"))
+        else:
+            items.append(DefinitionPair(head=head, gloss=gloss))
+    return ckpt, items
+
+
+@pytest.mark.parametrize("eval_mode", ["definitions", "crossword"])
+@pytest.mark.parametrize("mode", list(EncoderMode))
+def test_batched_scorer_matches_the_per_item_oracle(tied_tables, mode, eval_mode):
+    # 40 items make three length-sorted batches; the records come back in
+    # input order and equal the per-item loop's, exact ties included
+    near = tied = excluded = 0
+    for seed, (table, _) in enumerate(tied_tables):
+        ckpt, items = ranking_world(table, mode, eval_mode, seed)
+        report, records = evaluate(ckpt, items, mode=eval_mode)
+        expected = oracle_evaluate(ckpt, items, eval_mode)
+        skip = set(near_tie_items(ckpt, items, eval_mode))
+        assert [r for k, r in enumerate(records) if k not in skip] == [
+            r for k, r in enumerate(expected) if k not in skip
+        ]
+        assert report == summarize(expected) or skip
+        near += len(skip)
+        excluded += sum(r.excluded for r in records)
+        for item, y in zip(items, solo_vectors(ckpt, items, eval_mode)):
+            scores = cosine_to_all(y, table)
+            correct = scores[table.word_to_row[item_fields(item, eval_mode)[1]]]
+            tied += np.count_nonzero(scores == correct) > 1
+    assert near == 0, f"{near} items within {NEAR_TIE} of a competitor"
+    assert tied > 0
+    assert excluded > 0 or eval_mode == "definitions"
+
+
+def test_glosses_are_cut_at_the_training_length(tied_tables):
+    # eval ranks a 151-token gloss exactly as its first MAX_GLOSS_LEN = 150
+    # tokens, the cut training applies; uncut, the last token moves ranks
+    ckpt, items = ranking_world(tied_tables[0][0], "final", "definitions", seed=5, n_items=20, max_len=1)
+    ckpt.model.embeddings.matrix *= 40.0  # so each token moves the final state
+    rng = np.random.default_rng(6)
+    tokens = [f"t{i}" for i in range(20)]
+    long_items = [DefinitionPair(head=item.head, gloss=tuple(rng.choice(tokens, size=151).tolist())) for item in items]
+    cut_items = [DefinitionPair(head=item.head, gloss=item.gloss[:150]) for item in long_items]
+    assert evaluate(ckpt, long_items) == evaluate(ckpt, cut_items)
+    assert oracle_evaluate(ckpt, long_items) != oracle_evaluate(ckpt, cut_items)
 
 
 class TestEvaluate:

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from revdict import objective, trainer
-from revdict.corpus import DefinitionPair
+from revdict.corpus import DefinitionPair, EncodedPair
 from revdict.encoder import DefinitionModel, EncoderMode
-from revdict.embeddings import PretrainedTable
+from revdict.embeddings import PretrainedTable, cosine_to_all
 from revdict.errors import ConfigError, DataError, NonFiniteLossError
-from revdict.evaluator import evaluate
+from revdict.evaluator import evaluate, median_rank, rank_of_correct
 from revdict.objective import LossKind, RowGradient, backward
 from revdict.tokenizer import build_word_vocab, learn_bpe
 from revdict.trainer import (
@@ -311,6 +311,59 @@ class TestTrainLoop:
         bad = [DefinitionPair(head="nosuch", gloss=("tok1",))]
         with pytest.raises(DataError):
             encode_pairs(bad, vocab, table)
+
+
+def oracle_dev_ranks(model, dev, pretrained):
+    """The per-item dev pass the batched scorer replaced: one solo encode and one table GEMV per pair."""
+    ranks = []
+    for pair in dev:
+        y = model.encode_ids(np.asarray(pair.gloss_ids, dtype=np.int64), np.array([len(pair.gloss_ids)]))
+        ranks.append(rank_of_correct(cosine_to_all(y, pretrained), pretrained, pretrained.words[pair.head_id]).rank)
+    return ranks
+
+
+def dev_ranks(model, dev, pretrained, monkeypatch):
+    """The ranks, in dev order, that ``_dev_median`` takes the median of."""
+    seen = []
+    monkeypatch.setattr(trainer, "median_rank", lambda ranks: seen.append(list(ranks)) or median_rank(ranks))
+    median = trainer._dev_median(model, dev, pretrained)
+    assert median == median_rank(seen[-1])
+    return seen[-1]
+
+
+def dev_world(table, mode, seed, n_pairs=41, max_len=12):
+    """A model of encoder ``mode`` and n_pairs encoded dev pairs over ``table``, the first gloss one token long."""
+    rng = np.random.default_rng(seed)
+    model = DefinitionModel.create(22, 21, mode, embed_dim=6, hidden=5, output_dim=table.dimension, seed=seed)
+    model.lstm.b[:] = rng.uniform(-0.5, 0.5, size=model.lstm.b.shape)
+    lengths = rng.integers(1, max_len + 1, size=n_pairs)
+    lengths[0] = 1
+    dev = [
+        EncodedPair(head_id=int(rng.integers(len(table))), gloss_ids=tuple(rng.integers(0, 21, size=n).tolist()))
+        for n in lengths
+    ]
+    return model, dev
+
+
+class TestDevPass:
+    @pytest.mark.parametrize("mode", list(EncoderMode))
+    def test_batched_dev_pass_matches_the_per_item_oracle(self, tied_tables, mode, monkeypatch):
+        # 41 pairs make three length-sorted batches; no length filter applies
+        for seed, (table, _) in enumerate(tied_tables):
+            model, dev = dev_world(table, mode, seed)
+            assert dev_ranks(model, dev, table, monkeypatch) == oracle_dev_ranks(model, dev, table)
+
+    def test_dev_glosses_are_cut_at_the_training_length(self, tied_tables, monkeypatch):
+        # a 151-token dev gloss ranks exactly as its first 150 tokens, the cut
+        # training applies; uncut, the last token moves ranks
+        table = tied_tables[0][0]
+        model, dev = dev_world(table, "final", seed=4, n_pairs=20, max_len=1)
+        model.embeddings.matrix *= 40.0  # so each token moves the final state
+        rng = np.random.default_rng(8)
+        long_dev = [EncodedPair(p.head_id, tuple(rng.integers(0, 21, size=151).tolist())) for p in dev]
+        cut_dev = [EncodedPair(p.head_id, p.gloss_ids[:150]) for p in long_dev]
+        assert dev_ranks(model, long_dev, table, monkeypatch) == dev_ranks(model, cut_dev, table, monkeypatch)
+        assert oracle_dev_ranks(model, long_dev, table) != oracle_dev_ranks(model, cut_dev, table)
 
 
 class TestCheckpointIO:
