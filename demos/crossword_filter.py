@@ -14,7 +14,7 @@ import numpy as np
 
 from revdict.corpus import clean_crosswords, clues_to_pairs, split_long_short
 from revdict.embeddings import PretrainedTable
-from revdict.evaluator import evaluate, format_summary
+from revdict.evaluator import evaluate, format_summary, length_filter
 from revdict.tokenizer import build_word_vocab
 from revdict.trainer import TrainConfig, train
 
@@ -67,7 +67,7 @@ def main() -> None:
 
     print(f"\ncandidate pool: {len(table)} words; by answer length:")
     for n in sorted({c.answer_length for c in clues}):
-        print(f"  {n} letters: {table.candidate_rows(n).size:3d} candidates")
+        print(f"  {n} letters: {len(length_filter(table, n)):3d} candidates")
 
     pairs = clues_to_pairs(clues, source="crosswords")
     vocab = build_word_vocab(Counter(t for p in pairs for t in p.gloss))

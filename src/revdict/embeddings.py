@@ -5,6 +5,10 @@ The pretrained file format is one word per line followed by its vector:
 fields, unparseable floats, a non-finite norm (an ``inf``/``nan`` entry) or
 zero norm are dropped (counted, not fatal);
 duplicate words keep their first occurrence.
+
+Every table keeps its rows in ascending word length, in file order within a
+length, so the candidates of one answer length are a contiguous span of
+rows: a ``--length`` query scores only that span, a view of the matrix.
 """
 
 from __future__ import annotations
@@ -24,26 +28,41 @@ INIT_SCALE = 0.05
 
 @dataclass
 class PretrainedTable:
-    """Immutable word -> D-vector table with cached row norms and word lengths."""
+    """Immutable word -> D-vector table with cached row norms.
+
+    Rows ascend by word length, in file order within a length, so the words
+    of one length are one contiguous span of rows.
+    """
 
     words: list[str]
     matrix: np.ndarray  # (n, D) float64
     word_to_row: dict[str, int]
     norms: np.ndarray = field(init=False)  # (n,) float64, all finite and > 0
-    word_lengths: np.ndarray = field(init=False)  # (n,) int64 character counts
+    spans: dict[int, slice] = field(init=False)  # each word length present -> its rows, ascending
 
     def __post_init__(self) -> None:
+        lengths = _lengths(self.words)
+        if np.any(lengths[1:] < lengths[:-1]):
+            raise ValueError("table rows are not in word-length order")
         with np.errstate(over="ignore"):  # an overflowing norm reads inf, which from_arrays rejects
             self.norms = np.linalg.norm(self.matrix, axis=1)
-        self.word_lengths = np.fromiter(map(len, self.words), dtype=np.int64, count=len(self.words))
+        lengths, starts, counts = np.unique(lengths, return_index=True, return_counts=True)
+        self.spans = {int(n): slice(int(lo), int(lo + c)) for n, lo, c in zip(lengths, starts, counts)}
 
     @classmethod
     def from_arrays(cls, words: Sequence[str], matrix: np.ndarray) -> "PretrainedTable":
+        """Table of ``words`` and their ``matrix`` rows, stably reordered by word length.
+
+        A matrix whose words are already in that order is used as it is, not copied.
+        """
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != len(words):
             raise ValueError("matrix must be (len(words), D)")
         if len(set(words)) != len(words):
             raise ValueError("duplicate words in table")
+        order = length_order(words)
+        if order is not None:
+            words, matrix = [words[i] for i in order], matrix[order]
         table = cls(words=list(words), matrix=matrix, word_to_row={w: i for i, w in enumerate(words)})
         if not np.all(np.isfinite(table.norms)):
             raise ValueError("non-finite vector in table")
@@ -61,17 +80,23 @@ class PretrainedTable:
     def dimension(self) -> int:
         return int(self.matrix.shape[1])
 
-    def candidate_rows(self, answer_length: int | None) -> np.ndarray:
-        """Ascending rows of the words with ``answer_length`` characters; all rows for None."""
+    def candidate_rows(self, answer_length: int | None) -> slice:
+        """The span of rows whose words have ``answer_length`` characters (empty if none); all rows for None."""
         if answer_length is None:
-            return np.arange(len(self.words))
-        return np.flatnonzero(self.word_lengths == answer_length)
+            return slice(0, len(self.words))
+        return self.spans.get(answer_length, slice(0, 0))
 
-    def lookup(self, word: str) -> np.ndarray | None:
-        row = self.word_to_row.get(word)
-        if row is None:
-            return None
-        return self.matrix[row]
+
+def _lengths(words: Sequence[str]) -> np.ndarray:
+    return np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+
+
+def length_order(words: Sequence[str]) -> np.ndarray | None:
+    """The stable permutation that sorts ``words`` by length, or None if they are in that order."""
+    lengths = _lengths(words)
+    if not np.any(lengths[1:] < lengths[:-1]):
+        return None
+    return np.argsort(lengths, kind="stable")
 
 
 @dataclass
@@ -92,13 +117,14 @@ def load_pretrained(
 ) -> tuple[PretrainedTable, PretrainedLoadStats]:
     """Load a pretrained vector file, skipping malformed rows.
 
-    Returns the table and counts of what was dropped.  Raises DataError if
-    no usable row remains.  With expected_dim=None the first parseable row
-    fixes the width and later rows must agree with it.
+    Returns the table, its rows stacked in word-length order, and counts of
+    what was dropped.  Raises DataError if no usable row remains.  With
+    expected_dim=None the first parseable row fixes the width and later rows
+    must agree with it.
     """
     words: list[str] = []
     rows: list[np.ndarray] = []
-    word_to_row: dict[str, int] = {}
+    seen: set[str] = set()
     stats = PretrainedLoadStats()
     with open(path, encoding="utf-8") as handle, np.errstate(over="ignore"):
         for line in handle:
@@ -126,10 +152,10 @@ def load_pretrained(
             if not norm > 0.0:
                 stats.zero_norm += 1
                 continue
-            if word in word_to_row:
+            if word in seen:
                 stats.duplicates += 1
                 continue
-            word_to_row[word] = len(words)
+            seen.add(word)
             words.append(word)
             rows.append(vector)
     if not rows:
@@ -138,6 +164,10 @@ def load_pretrained(
             f"{stats.non_finite} non-finite, {stats.zero_norm} zero-norm)"
         )
     stats.kept = len(rows)
+    order = length_order(words)
+    if order is not None:
+        words, rows = [words[i] for i in order], [rows[i] for i in order]
+    word_to_row = {w: i for i, w in enumerate(words)}
     return PretrainedTable(words=words, matrix=np.stack(rows), word_to_row=word_to_row), stats
 
 
@@ -171,15 +201,15 @@ def init_learned(
     return LearnedTable(matrix=matrix, pad_id=pad_id)
 
 
-def cosine_to_all(query: np.ndarray, table: PretrainedTable) -> np.ndarray:
-    """Cosine similarity of each (..., D) ``query`` row against every table row: (..., n)."""
+def cosine_to_all(query: np.ndarray, table: PretrainedTable, rows: slice = slice(None)) -> np.ndarray:
+    """Cosine similarity of each (..., D) ``query`` row against the table's ``rows`` (all by default): (..., n)."""
     query = np.asarray(query, dtype=np.float64)
     qnorm = np.sqrt(query[..., None, :] @ query[..., :, None])[..., 0, 0]  # row by row, np.linalg.norm's bits
     if not np.all(np.isfinite(qnorm)):
         raise NonFiniteLossError("non-finite query vector")
     if not np.all(qnorm > 0.0):
         raise ValueError("zero-norm query")
-    return (query @ table.matrix.T) / (qnorm[..., None] * table.norms)
+    return (query @ table.matrix[rows].T) / (qnorm[..., None] * table.norms[rows])
 
 
 def rank_by_cosine(
@@ -190,17 +220,19 @@ def rank_by_cosine(
 ) -> list[tuple[str, float]]:
     """Candidates by cosine, best first, exact ties by word.
 
-    ``answer_length`` keeps only words with that many characters and ``topk``
-    the first k (None: no limit).  Only rows scoring at least the k-th best
-    are sorted, so a tie across the cut is still broken by word.
+    ``answer_length`` keeps only words with that many characters, and only
+    their span of rows is scored; ``topk`` keeps the first k (None: no
+    limit).  Only rows scoring at least the k-th best are sorted, so a tie
+    across the cut is still broken by word.
     """
     if topk is not None and topk < 1:
         raise ValueError("topk must be at least 1")
-    scores = cosine_to_all(query, table)
     rows = table.candidate_rows(answer_length)
-    if topk is not None and topk < rows.size:
-        pool = scores[rows]
-        kth = -np.partition(-pool, topk - 1)[topk - 1]  # a NaN score sorts last here, out of the top k
-        rows = rows[pool >= kth]
-    ranked = sorted(((table.words[i], float(scores[i])) for i in rows), key=lambda ws: (-ws[1], ws[0]))
+    scores = cosine_to_all(query, table, rows)
+    pool = range(scores.size)
+    if topk is not None and topk < scores.size:
+        kth = -np.partition(-scores, topk - 1)[topk - 1]  # a NaN score sorts last here, out of the top k
+        pool = np.flatnonzero(scores >= kth)
+    scored = ((table.words[rows.start + i], float(scores[i])) for i in pool)
+    ranked = sorted(scored, key=lambda ws: (-ws[1], ws[0]))
     return ranked[:topk]

@@ -1,11 +1,13 @@
 """Ranking evaluation: median rank, accuracy@k, rank variance, length filter.
 
 Test glosses are encoded in length-sorted, padded batches of at most
-MINIBATCH_SIZE rows, capped at MAX_GLOSS_LEN tokens as in training, and
-each batch is scored against the whole pretrained table in one GEMM.  The
+MINIBATCH_SIZE rows, capped at MAX_GLOSS_LEN tokens as in training.  The
 correct head is ranked among the candidates by cosine; exact cosine ties
-are broken lexicographically so ranks are deterministic.  Crossword mode
-first restricts candidates to words with the answer's character count.
+are broken lexicographically so ranks are deterministic.  In definitions
+mode every table row is a candidate and each batch is scored in one GEMM.
+Crossword mode keeps only words with the answer's character count, a
+contiguous span of the length-ordered table, so each batch's rows are
+grouped by answer length and each group is scored against its span alone.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def length_filter(table: PretrainedTable, answer_length: int) -> list[str]:
     """Exactly the table words with ``answer_length`` characters."""
     if answer_length < 1:
         raise ValueError("answer length must be at least 1")
-    return [table.words[i] for i in table.candidate_rows(answer_length)]
+    return table.words[table.candidate_rows(answer_length)]
 
 
 def rank_of_correct(
@@ -56,51 +58,56 @@ def rank_of_correct(
     answer_length: int | None = None,
     item_id: str = "",
 ) -> RankRecord:
-    """1-based rank of ``correct`` among the candidates, given the cosine ``scores`` of every table row.
+    """1-based rank of ``correct`` among the candidates, given their cosine ``scores``.
 
-    With ``answer_length`` only words of that many characters compete.  A
-    correct word that the length rules out is scored one past the worst
-    candidate and flagged, keeping set-level metrics defined.
+    The candidates are the rows ``table.candidate_rows(answer_length)``:
+    every row for None, else the words of that many characters, and
+    ``scores`` holds one cosine per candidate.  A correct word that the
+    length rules out is scored one past the worst candidate and flagged,
+    keeping set-level metrics defined.
     """
     if correct not in table:
         raise DataError(f"correct word {correct!r} not in the candidate table")
     rows = table.candidate_rows(answer_length)
+    count = rows.stop - rows.start
+    if scores.shape != (count,):
+        raise ValueError(f"{scores.shape} scores for {count} candidates")
     filtered = answer_length is not None
     if filtered and len(correct) != answer_length:
-        return RankRecord(
-            item_id=item_id,
-            rank=rows.size + 1,
-            candidate_count=rows.size,
-            filtered=filtered,
-            excluded=True,
-        )
-    pool_scores = scores[rows]
-    correct_score = scores[table.word_to_row[correct]]
-    greater = int(np.count_nonzero(pool_scores > correct_score))
-    tied = rows[pool_scores == correct_score]
+        return RankRecord(item_id, rank=count + 1, candidate_count=count, filtered=filtered, excluded=True)
+    correct_score = scores[table.word_to_row[correct] - rows.start]
+    greater = int(np.count_nonzero(scores > correct_score))
+    tied = rows.start + np.flatnonzero(scores == correct_score)
     tied_before = sum(1 for i in tied if table.words[i] < correct)
-    return RankRecord(
-        item_id=item_id,
-        rank=1 + greater + tied_before,
-        candidate_count=rows.size,
-        filtered=filtered,
-    )
+    return RankRecord(item_id, rank=1 + greater + tied_before, candidate_count=count, filtered=filtered)
 
 
 def score_batches(
-    model, table: PretrainedTable, id_lists: Sequence[Sequence[int]]
+    model,
+    table: PretrainedTable,
+    id_lists: Sequence[Sequence[int]],
+    answer_lengths: Sequence[int | None] | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """(k, cosines of gloss ``id_lists[k]``'s encoding to every table row), shortest gloss first.
+    """(k, cosines of gloss ``id_lists[k]``'s encoding to its candidate rows), shortest gloss first.
 
-    Glosses are ordered by length (ties by index) and cut into batches of
-    at most MINIBATCH_SIZE rows that ``pad_minibatch`` pads and cuts as
-    training does; each batch is one ``encode_ids`` call and one score GEMM.
+    Gloss k's candidates are ``table.candidate_rows(answer_lengths[k])``,
+    every row when ``answer_lengths`` is None.  Glosses are ordered by
+    length (ties by index) and cut into batches of at most MINIBATCH_SIZE
+    rows that ``pad_minibatch`` pads and cuts as training does; each batch
+    is one ``encode_ids`` call and one score GEMM per answer length in it.
     """
+    wanted = [None] * len(id_lists) if answer_lengths is None else answer_lengths
     order = sorted(range(len(id_lists)), key=lambda k: len(id_lists[k]))
     for start in range(0, len(order), MINIBATCH_SIZE):
         chunk = order[start : start + MINIBATCH_SIZE]
         batch = pad_minibatch([id_lists[k] for k in chunk], model.embeddings.pad_id)
-        yield from zip(chunk, cosine_to_all(model.encode_ids(batch.token_ids, batch.lengths), table))
+        vectors = model.encode_ids(batch.token_ids, batch.lengths)
+        groups: dict[int | None, list[int]] = {}
+        for j, k in enumerate(chunk):
+            groups.setdefault(wanted[k], []).append(j)
+        for length, members in groups.items():
+            scores = cosine_to_all(vectors[members], table, table.candidate_rows(length))
+            yield from zip((chunk[j] for j in members), scores)
 
 
 def median_rank(ranks: Sequence[float]) -> float:
@@ -180,7 +187,7 @@ def evaluate(
     vocab, merges, segmentation = checkpoint.vocab, checkpoint.merges, checkpoint.config.segmentation
     id_lists = [encode_gloss(tokens, vocab, merges, segmentation) for tokens, _, _ in fields]
     records: list[RankRecord] = [None] * len(fields)
-    for k, scores in score_batches(checkpoint.model, table, id_lists):
+    for k, scores in score_batches(checkpoint.model, table, id_lists, [wanted for _, _, wanted in fields]):
         _, correct, wanted = fields[k]
         records[k] = rank_of_correct(scores, table, correct, wanted, item_id=f"{k}:{correct}")
     return summarize(records), records

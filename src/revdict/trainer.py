@@ -6,7 +6,9 @@ measures median rank on the dev set.  The checkpoint kept is the earliest
 epoch with the lowest dev median rank, which guards against overtraining.
 
 Checkpoints are zip archives with zeroed timestamps so that identical runs
-produce bitwise-identical files.
+produce bitwise-identical files.  They store the pretrained table in its
+word-length row order, and loading refuses a table in any other order
+rather than copy it to sort it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import DefinitionPair, EncodedPair, MINIBATCH_SIZE, bucket_and_batch
-from .embeddings import PretrainedTable
+from .embeddings import PretrainedTable, length_order
 from .encoder import DefinitionModel, EncoderMode, LSTMParams
 from .errors import ConfigError, DataError, NonFiniteLossError
 from .evaluator import median_rank, rank_of_correct, score_batches
@@ -38,7 +40,7 @@ EPSILON = 1e-8
 ADAM_BLOCK = 1 << 15
 
 CHECKPOINT_FORMAT = "revdict-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # config-file keys that name input files rather than hyperparameters
 CONFIG_PATH_KEYS = ("train", "dev", "embeddings", "merges", "crosswords")
@@ -422,6 +424,8 @@ def _checkpoint_from(meta: dict, arrays: dict[str, np.ndarray]) -> Checkpoint:
         raise DataError(f"pad/unk ids {pad_id}/{unk_id} outside the {vocab_size}-token vocabulary")
     if "pretrained" not in arrays or arrays["pretrained"].ndim != 2:
         raise DataError("checkpoint has no 2-D array 'pretrained'")
+    if length_order(meta["pretrained_words"]) is not None:  # from_arrays would copy the table to sort it
+        raise DataError("array 'pretrained' rows are not in word-length order")
     out_dim = arrays["pretrained"].shape[1]
     prefixes = ("fwd", "bwd") if mode is EncoderMode.BIDIRECTIONAL else ("fwd",)
     embed, hidden = config.embed_dim, config.hidden_size

@@ -8,8 +8,8 @@ from revdict.embeddings import PretrainedTable
 LETTERS = np.array(list("abcdefghij"))
 
 
-def tied_table(seed: int, base_rows: int = 40, copies: int = 24, dim: int = 5) -> PretrainedTable:
-    """Random words of 1-6 letters; some rows are 1x, 2x or 4x copies of earlier rows.
+def tied_arrays(seed: int, base_rows: int = 40, copies: int = 24, dim: int = 5) -> tuple[list[str], np.ndarray]:
+    """Random words of 1-6 letters in no length order; some rows are 1x, 2x or 4x copies of earlier rows.
 
     A power-of-two multiple of a row has exactly the same cosine to any query,
     so the copies force exact ties, broken by word, between different words
@@ -25,19 +25,25 @@ def tied_table(seed: int, base_rows: int = 40, copies: int = 24, dim: int = 5) -
     sources = rng.integers(0, base_rows, size=copies)
     matrix[base_rows:] = matrix[sources] * rng.choice([1.0, 2.0, 4.0], size=copies)[:, None]
     order = rng.permutation(len(words))  # scatter the copies among the originals
-    return PretrainedTable.from_arrays([words[i] for i in order], matrix[order])
+    return [words[i] for i in order], matrix[order]
 
 
 @pytest.fixture
-def tied_tables():
+def tied_sources():
+    """The words and rows of the three tied tables, in the shuffled order ``from_arrays`` is given them."""
+    return [tied_arrays(seed) for seed in (0, 1, 2)]
+
+
+@pytest.fixture
+def tied_tables(tied_sources):
     """Three seeded tables with forced ties, each with queries that hit them.
 
     The queries are one random direction and two table rows that have copies,
     so the best scores are themselves tied.
     """
     cases = []
-    for seed in (0, 1, 2):
-        table = tied_table(seed)
+    for seed, (words, matrix) in enumerate(tied_sources):
+        table = PretrainedTable.from_arrays(words, matrix)
         rng = np.random.default_rng(100 + seed)
         directions = table.matrix / table.norms[:, None]
         _, first, counts = np.unique(directions, axis=0, return_index=True, return_counts=True)

@@ -28,6 +28,7 @@ from revdict.trainer import load_checkpoint, save_checkpoint
 SUMMARY = re.compile(r"^median_rank=\S+ acc@10=\S+ acc@100=\S+ rank_variance=\S+$")
 
 HEADS = ["cat", "dog", "bee", "ox", "mouse", "horse", "liner"]
+IN_LENGTH_ORDER = sorted(HEADS, key=len)  # the order a checkpoint stores them in
 
 DEFS = """\
 cat\tsmall domesticated feline
@@ -320,8 +321,8 @@ class TestTrainEvalQuery:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (dict(meta={"version": 99}), "checkpoint version 99 is not 2"),
-            (dict(meta={"version": None}), "checkpoint version None is not 2"),
+            (dict(meta={"version": 99}), "checkpoint version 99 is not 3"),
+            (dict(meta={"version": None}), "checkpoint version None is not 3"),
             (dict(drop_meta="config"), "checkpoint meta has no 'config'"),
             (dict(drop="param/fwd.u.npy"), "checkpoint has no array 'param/fwd.u'"),
             (dict(arrays={"param/emb": lambda a: a[:-1]}), "array 'param/emb' is float64 (14, 6), expected float64 (15, 6)"),
@@ -333,8 +334,17 @@ class TestTrainEvalQuery:
             (dict(meta={"pad_id": 15}), "pad/unk ids 15/13 outside the 15-token vocabulary"),
             # one gate's (E, H) block where the fused (E, 4H) matrix belongs, as a version-1 array
             (dict(arrays={"param/fwd.w": lambda a: a[:, :5]}), "array 'param/fwd.w' is float64 (6, 5), expected float64 (6, 20)"),
+            # version 2 stored the pretrained rows in file order
+            (dict(meta={"version": 2}), "checkpoint version 2 is not 3"),
+            (
+                dict(meta={"pretrained_words": IN_LENGTH_ORDER[::-1]}, arrays={"pretrained": lambda a: a[::-1]}),
+                "array 'pretrained' rows are not in word-length order",
+            ),
         ],
-        ids=["version", "no-version", "meta-key", "param-array", "emb-shape", "emb-dtype", "mode", "pad-id", "gate-shape"],
+        ids=[
+            "version", "no-version", "meta-key", "param-array", "emb-shape", "emb-dtype", "mode", "pad-id",
+            "gate-shape", "version-2", "table-order",
+        ],
     )
     def test_malformed_checkpoint_is_a_data_error(self, workspace, trained, capsys, monkeypatch, edit, message):
         broken = workspace / "broken.ckpt"
@@ -362,6 +372,17 @@ class TestTrainEvalQuery:
             argv = ["eval", "--checkpoint", str(broken), "--test", str(workspace / test), "--mode", mode]
             assert run(argv) == 3
             assert capsys.readouterr().err == "numeric error: non-finite query vector\n"
+
+    def test_non_finite_query_with_an_absent_length_exits_three(self, workspace, trained, capsys, monkeypatch):
+        # no word has 4 letters, but the query vector is still checked
+        checkpoint = load_checkpoint(trained)
+        checkpoint.model.projection.bias[0] = np.nan
+        broken = workspace / "nan.ckpt"
+        save_checkpoint(broken, checkpoint)
+        capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO("small feline --length 4\n"))
+        assert run(["query", "--checkpoint", str(broken)]) == 3
+        assert capsys.readouterr().err == "numeric error: non-finite query vector\n"
 
     def test_overflowing_lstm_exits_three(self, workspace, trained, capsys, monkeypatch):
         # huge input weights and embeddings overflow the gate pre-activations;
@@ -420,6 +441,26 @@ class TestTrainEvalQuery:
         assert len(blocks) == 2  # the malformed line is skipped
         assert {line.split("\t")[0] for line in blocks[0]} == {"cat", "dog", "bee"}
         assert {line.split("\t")[0] for line in blocks[1]} == {"mouse", "horse", "liner"}
+
+    @pytest.mark.parametrize("length", [1, 4, 6], ids=["below", "between", "above"])
+    def test_query_absent_length_has_no_candidates(self, workspace, trained, capsys, monkeypatch, length):
+        # the table's words have 2, 3 and 5 letters
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"small feline --length {length}\nsmall feline --length 3\n"))
+        assert run(["query", "--checkpoint", str(trained)]) == 0
+        captured = capsys.readouterr()
+        empty_block, answered = captured.out.split("\n", 1)
+        assert empty_block == ""
+        assert {line.split("\t")[0] for line in answered.splitlines() if line} == {"cat", "dog", "bee"}
+        assert captured.err == "no candidates of that length\n"
+
+    def test_checkpoint_stores_the_table_in_length_order(self, trained):
+        with zipfile.ZipFile(trained) as zf:
+            meta = json.loads(zf.read("meta.json"))
+            stored = np.load(io.BytesIO(zf.read("pretrained.npy")))
+        assert meta["version"] == 3
+        assert meta["pretrained_words"] == IN_LENGTH_ORDER
+        checkpoint = load_checkpoint(trained)
+        np.testing.assert_array_equal(stored, checkpoint.pretrained.matrix)
 
     def test_query_global_length_flag(self, workspace, trained, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("small feline\n"))

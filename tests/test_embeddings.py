@@ -41,8 +41,8 @@ class TestLoadPretrained:
         assert stats.zero_norm == 1
         assert stats.duplicates == 1
         assert stats.rejected == 3
-        np.testing.assert_array_equal(table.lookup("cat"), [0.1, 0.2, 0.3])
-        assert table.lookup("emu") is None
+        np.testing.assert_array_equal(table.matrix[table.word_to_row["cat"]], [0.1, 0.2, 0.3])
+        assert "emu" not in table
         assert "dog" in table and len(table) == 2
 
     def test_unparseable_floats_rejected(self, tmp_path):
@@ -105,7 +105,7 @@ def toy_table():
 class TestRanking:
     def test_self_similarity_ranks_first(self):
         table = toy_table()
-        ranked = rank_by_cosine(table.lookup("cat"), table)
+        ranked = rank_by_cosine(table.matrix[table.word_to_row["cat"]], table)
         assert ranked[0][0] == "cat"
         assert ranked[0][1] == pytest.approx(1.0)
 
@@ -123,6 +123,18 @@ class TestRanking:
         for bad in (np.nan, np.inf):
             with pytest.raises(NonFiniteLossError):
                 rank_by_cosine(np.array([1.0, bad, 0.0]), toy_table())
+
+    @pytest.mark.parametrize("length", [2, 4, 6])  # below, between and above the lengths 3 and 5
+    def test_bad_query_fails_with_an_absent_length(self, length):
+        # an empty span is still scored through cosine_to_all, so the query checks hold
+        table = PretrainedTable.from_arrays(["alpha", "cat", "mouse"], np.eye(3))
+        assert table.candidate_rows(length) == slice(0, 0)
+        assert rank_by_cosine(np.ones(3), table, answer_length=length) == []
+        with pytest.raises(ValueError, match="zero-norm query"):
+            rank_by_cosine(np.zeros(3), table, answer_length=length)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteLossError, match="non-finite query vector"):
+                rank_by_cosine(np.array([1.0, bad, 0.0]), table, answer_length=length)
 
     def test_ordering_invariant_under_query_scaling(self):
         table = toy_table()
@@ -245,14 +257,14 @@ def test_tied_tables_have_exact_ties(tied_tables):
 def test_partial_selection_matches_the_full_sort(tied_tables):
     cut_inside_a_tie = 0
     for table, queries in tied_tables:
-        present = sorted(set(table.word_lengths.tolist()))
+        present = list(table.spans)
         absent = max(present) + 1
         for q in queries:
             for length in [None, *present, absent]:
                 keep = None if length is None else (lambda w, n=length: len(w) == n)
                 expected = sort_everything(q, table, keep)
                 pool = len(expected)
-                assert table.candidate_rows(length).size == pool
+                assert len(table.words[table.candidate_rows(length)]) == pool
                 # every k that cuts a group of exactly equal scores in two
                 inside = [k for k in range(1, pool) if expected[k - 1][1] == expected[k][1]]
                 cut_inside_a_tie += len(inside)
@@ -260,3 +272,80 @@ def test_partial_selection_matches_the_full_sort(tied_tables):
                     got = rank_by_cosine(q, table, answer_length=length, topk=topk)
                     assert got == expected[:topk], (length, topk)
     assert cut_inside_a_tie > 0
+
+
+def full_table_rank_by_cosine(query, words, matrix, answer_length=None, topk=None):
+    """``rank_by_cosine`` before rows were kept in length order: every row of ``matrix``, in any
+    order, is scored, and then a ``flatnonzero`` over the word lengths picks the candidates."""
+    qnorm = np.sqrt(query[..., None, :] @ query[..., :, None])[..., 0, 0]
+    scores = (query @ matrix.T) / (qnorm[..., None] * np.linalg.norm(matrix, axis=1))
+    rows = np.arange(len(words))
+    if answer_length is not None:
+        rows = np.flatnonzero(np.array([len(w) for w in words]) == answer_length)
+    if topk is not None and topk < rows.size:
+        pool = scores[rows]
+        kth = -np.partition(-pool, topk - 1)[topk - 1]
+        rows = rows[pool >= kth]
+    ranked = sorted(((words[i], float(scores[i])) for i in rows), key=lambda ws: (-ws[1], ws[0]))
+    return ranked[:topk]
+
+
+def test_span_ranking_matches_the_full_table_oracle(tied_sources, tied_tables):
+    # from_arrays sorts the shuffled input by length and rank_by_cosine scores one
+    # length's span; the oracle scores the shuffled input whole and filters after.
+    # Each table is also tried without its 3-letter words, so a length is missing
+    # between two present ones.
+    cut_inside_a_tie = 0
+    for (words, matrix), (_, queries) in zip(tied_sources, tied_tables):
+        no_threes = [i for i, w in enumerate(words) if len(w) != 3]
+        for words, matrix in ((words, matrix), ([words[i] for i in no_threes], matrix[no_threes])):
+            table = PretrainedTable.from_arrays(words, matrix)
+            longest = max(map(len, words))
+            for q in queries:
+                for length in [None, *range(longest + 2)]:  # 0 and longest + 1 are absent
+                    expected = full_table_rank_by_cosine(q, words, matrix, length)
+                    inside = [k for k in range(1, len(expected)) if expected[k - 1][1] == expected[k][1]]
+                    cut_inside_a_tie += len(inside)
+                    for topk in [None, 1, *inside, max(len(expected), 1), len(expected) + 3]:
+                        got = rank_by_cosine(q, table, answer_length=length, topk=topk)
+                        assert got == full_table_rank_by_cosine(q, words, matrix, length, topk), (length, topk)
+    assert cut_inside_a_tie > 0
+
+
+def test_from_arrays_orders_rows_by_length_in_input_order(tied_sources):
+    for words, matrix in tied_sources:
+        table = PretrainedTable.from_arrays(words, matrix)
+        assert table.words == sorted(words, key=len)  # a stable sort keeps the input order within a length
+        assert table.word_to_row == {w: i for i, w in enumerate(table.words)}
+        np.testing.assert_array_equal(table.matrix, matrix[[words.index(w) for w in table.words]])
+        np.testing.assert_array_equal(table.norms, np.linalg.norm(table.matrix, axis=1))
+        for length in range(max(map(len, words)) + 2):
+            rows = table.candidate_rows(length)
+            assert table.words[rows] == [w for w in words if len(w) == length]
+            assert np.shares_memory(table.matrix[rows], table.matrix) or rows.start == rows.stop
+
+
+def test_from_arrays_keeps_an_ordered_matrix_in_place(tied_sources):
+    words, matrix = tied_sources[0]
+    ordered = PretrainedTable.from_arrays(words, matrix)
+    again = PretrainedTable.from_arrays(ordered.words, ordered.matrix)
+    assert again.matrix is ordered.matrix
+    assert np.shares_memory(again.matrix, ordered.matrix)
+    assert not np.shares_memory(ordered.matrix, matrix)  # the shuffled input had to be copied
+
+
+def test_rows_out_of_length_order_are_refused():
+    with pytest.raises(ValueError, match="not in word-length order"):
+        PretrainedTable(words=["bee", "ox"], matrix=np.eye(2), word_to_row={"bee": 0, "ox": 1})
+
+
+def test_load_pretrained_stacks_rows_in_length_order(tmp_path):
+    path = tmp_path / "vecs.txt"
+    path.write_text("mouse 1 0\ncat 0 1\nox 1 1\ndog 2 1\nbee 1 2\nhorse 3 1\n")
+    table, _ = load_pretrained(path, expected_dim=2)
+    assert table.words == ["ox", "cat", "dog", "bee", "mouse", "horse"]
+    np.testing.assert_array_equal(table.matrix, [[1, 1], [0, 1], [2, 1], [1, 2], [1, 0], [3, 1]])
+    assert table.word_to_row["bee"] == 3
+    assert [table.candidate_rows(n) for n in (1, 2, 3, 4, 5, 6)] == [
+        slice(0, 0), slice(0, 1), slice(1, 4), slice(0, 0), slice(4, 6), slice(0, 0)
+    ]

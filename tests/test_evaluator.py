@@ -36,7 +36,7 @@ def angled_table(words, cosines_with_x_axis):
 class TestRankOfCorrect:
     def test_self_vector_ranks_first(self):
         table = angled_table(["a", "b", "c"], [0.9, 0.5, 0.1])
-        rec = rank_of_correct(cosine_to_all(table.lookup("b").copy(), table), table, "b")
+        rec = rank_of_correct(cosine_to_all(table.matrix[table.word_to_row["b"]].copy(), table), table, "b")
         assert rec.rank == 1
         assert rec.candidate_count == 3
         assert not rec.filtered and not rec.excluded
@@ -58,7 +58,8 @@ class TestRankOfCorrect:
 
     def test_filter_excluding_correct_scores_worst_plus_one(self):
         table = angled_table(["cat", "mouse", "horse"], [0.9, 0.5, 0.1])
-        rec = rank_of_correct(cosine_to_all(np.array([1.0, 0.0]), table), table, "cat", answer_length=5)
+        scores = cosine_to_all(np.array([1.0, 0.0]), table, table.candidate_rows(5))
+        rec = rank_of_correct(scores, table, "cat", answer_length=5)
         assert rec.excluded
         assert rec.candidate_count == 2
         assert rec.rank == 3
@@ -68,6 +69,12 @@ class TestRankOfCorrect:
         table = angled_table(["a", "b"], [0.9, 0.1])
         with pytest.raises(DataError):
             rank_of_correct(cosine_to_all(np.array([1.0, 0.0]), table), table, "nope")
+
+    def test_scores_must_cover_the_candidates(self):
+        # with a length, the scores are those of its span, not of every row
+        table = angled_table(["cat", "mouse", "horse"], [0.9, 0.5, 0.1])
+        with pytest.raises(ValueError, match=r"\(3,\) scores for 2 candidates"):
+            rank_of_correct(cosine_to_all(np.array([1.0, 0.0]), table), table, "mouse", answer_length=5)
 
 
 def loop_rank_of_correct(y, table, correct, candidate_filter=None, item_id=""):
@@ -92,18 +99,58 @@ def loop_rank_of_correct(y, table, correct, candidate_filter=None, item_id=""):
 def test_rank_count_matches_the_loop(tied_tables):
     excluded = tied = 0
     for table, queries in tied_tables:
-        present = sorted(set(table.word_lengths.tolist()))
+        present = list(table.spans)
         for y in queries:
             scores = cosine_to_all(y, table)
             for length in [None, *present, max(present) + 1]:
                 keep = None if length is None else (lambda w, n=length: len(w) == n)
+                span_scores = cosine_to_all(y, table, table.candidate_rows(length))
                 for word in table.words:
                     expected = loop_rank_of_correct(y, table, word, keep, item_id=word)
-                    got = rank_of_correct(scores, table, word, answer_length=length, item_id=word)
+                    got = rank_of_correct(span_scores, table, word, answer_length=length, item_id=word)
                     assert got == expected, (word, length)
                     excluded += got.excluded
                     tied += np.count_nonzero(scores == scores[table.word_to_row[word]]) > 1
     assert excluded > 0 and tied > 0
+
+
+def full_table_rank_of_correct(y, words, matrix, correct, answer_length=None):
+    """``rank_of_correct`` before rows were kept in length order: the cosines of every row of
+    ``matrix``, in any order, and a ``flatnonzero`` over the word lengths for the candidates."""
+    qnorm = np.sqrt(y[..., None, :] @ y[..., :, None])[..., 0, 0]
+    scores = (y @ matrix.T) / (qnorm[..., None] * np.linalg.norm(matrix, axis=1))
+    rows = np.arange(len(words))
+    if answer_length is not None:
+        rows = np.flatnonzero(np.array([len(w) for w in words]) == answer_length)
+    filtered = answer_length is not None
+    if filtered and len(correct) != answer_length:
+        return RankRecord(correct, rows.size + 1, rows.size, filtered=filtered, excluded=True)
+    pool_scores = scores[rows]
+    correct_score = scores[words.index(correct)]
+    greater = int(np.count_nonzero(pool_scores > correct_score))
+    tied_before = sum(1 for i in rows[pool_scores == correct_score] if words[i] < correct)
+    return RankRecord(correct, 1 + greater + tied_before, rows.size, filtered=filtered)
+
+
+def test_span_rank_matches_the_full_table_oracle(tied_sources, tied_tables):
+    # the shuffled input sorted by from_arrays and scored one span at a time ranks
+    # every word as the whole unsorted input scored at once did; each table is also
+    # tried without its 3-letter words, so a length is missing between two others
+    tied = 0
+    for (words, matrix), (_, queries) in zip(tied_sources, tied_tables):
+        no_threes = [i for i, w in enumerate(words) if len(w) != 3]
+        for words, matrix in ((words, matrix), ([words[i] for i in no_threes], matrix[no_threes])):
+            table = PretrainedTable.from_arrays(words, matrix)
+            for y in queries:
+                for length in [None, *range(max(map(len, words)) + 2)]:
+                    rows = table.candidate_rows(length)
+                    scores = cosine_to_all(y, table, rows)
+                    for word in words:
+                        expected = full_table_rank_of_correct(y, words, matrix, word, length)
+                        assert rank_of_correct(scores, table, word, length, item_id=word) == expected, (word, length)
+                        if not expected.excluded:
+                            tied += np.count_nonzero(scores == scores[table.word_to_row[word] - rows.start]) > 1
+    assert tied > 0
 
 
 # scores this close to the correct one may order differently in a batch row
