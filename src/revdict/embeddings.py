@@ -178,14 +178,6 @@ class LearnedTable:
     matrix: np.ndarray  # (vocab, E) float64
     pad_id: int
 
-    @property
-    def vocab_size(self) -> int:
-        return int(self.matrix.shape[0])
-
-    @property
-    def dimension(self) -> int:
-        return int(self.matrix.shape[1])
-
 
 def init_learned(
     vocab_size: int, dim: int = LEARNED_DIM, seed: int | np.random.Generator = 0, pad_id: int = -1

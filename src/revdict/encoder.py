@@ -9,11 +9,12 @@ A gloss is embedded token by token and folded into one vector:
 
 The result is projected through a tanh layer into the pretrained embedding
 space.  Training, inference and the gradient check share one recurrence
-(``run_lstm_states``) and one read-out (``read_out``, with its adjoint).
-The recurrence takes each row's length and steps only the rows that are
-still running, so padded positions cost nothing and hold zeros.  All
-arithmetic is float64 and batch-first; ``encode_ids`` and ``project`` also
-take a single sequence and return an unbatched vector.
+(``run_lstm_states``), one read-out (``read_out``, with its adjoint) and
+one forward (``forward``) that strings them together.  The recurrence
+takes each row's length and steps only the rows that are still running,
+so padded positions cost nothing and hold zeros.  All arithmetic is
+float64 and batch-first; ``encode_ids`` also takes a single sequence and
+returns an unbatched vector.
 """
 
 from __future__ import annotations
@@ -82,14 +83,6 @@ class Projection:
 
     weight: np.ndarray
     bias: np.ndarray
-
-    @property
-    def input_width(self) -> int:
-        return int(self.weight.shape[0])
-
-    @property
-    def output_dim(self) -> int:
-        return int(self.weight.shape[1])
 
 
 def init_projection(input_width: int, output_dim: int, rng: np.random.Generator) -> Projection:
@@ -210,34 +203,23 @@ def read_out_adjoint(mode: EncoderMode, lengths: np.ndarray, length: int, d_pre:
     return grads
 
 
-def encode(
-    mode: EncoderMode,
-    params: LSTMParams,
-    x_seq: np.ndarray,
-    lengths: np.ndarray,
-    params_back: LSTMParams | None = None,
-) -> np.ndarray:
-    """Compose embedded (B, L, E) tokens into pre-projection vectors (B, H or 2H).
+def forward(model: DefinitionModel, token_ids: np.ndarray, lengths: np.ndarray, run, record: bool = False):
+    """Projected outputs (..., B, D) plus what backward needs: pre, each direction's inputs and run.
 
-    Row b holds ``lengths[b]`` true positions followed by padding.
+    ``run`` is the recurrence, ``run_lstm_states`` under the name its caller
+    looks it up by.  The model's arrays may carry leading replica axes (see
+    ``objective._replica_losses``); without ``record`` each run is its
+    states, not an LSTMTrace.
     """
-    mode = EncoderMode(mode)
-    states = run_lstm_states(params, x_seq, lengths)
-    back_states = None
-    if mode is EncoderMode.BIDIRECTIONAL:
-        if params_back is None:
-            raise ValueError("bidirectional mode needs backward-direction parameters")
-        back_states = run_lstm_states(params_back, reverse_steps(x_seq, lengths), lengths)
-    return read_out(mode, lengths, states, back_states)
-
-
-def project(v: np.ndarray, projection: Projection) -> np.ndarray:
-    """tanh-projected output, every entry strictly inside (-1, 1)."""
-    if v.shape[-1] != projection.input_width:
-        raise ValueError(
-            f"projection expects width {projection.input_width}, got {v.shape[-1]}"
-        )
-    return np.tanh(v @ projection.weight + projection.bias)
+    x = np.take(model.embeddings.matrix, token_ids, axis=-2)
+    inputs, directions = [x], [model.lstm]
+    if model.mode is EncoderMode.BIDIRECTIONAL:
+        inputs.append(reverse_steps(x, lengths))
+        directions.append(model.lstm_back)
+    runs = [run(params, x_dir, lengths, record) for params, x_dir in zip(directions, inputs)]
+    pre = read_out(model.mode, lengths, *(r.h if record else r for r in runs))
+    y = np.tanh(pre @ model.projection.weight + model.projection.bias[..., None, :])
+    return y, (pre, inputs, runs)
 
 
 @dataclass
@@ -277,10 +259,6 @@ class DefinitionModel:
             mode=mode,
         )
 
-    @property
-    def output_dim(self) -> int:
-        return self.projection.output_dim
-
     @classmethod
     def from_params(cls, mode: EncoderMode, pad_id: int, params: dict[str, np.ndarray]) -> "DefinitionModel":
         """The model over the arrays ``param_dict`` names, as views."""
@@ -310,9 +288,6 @@ class DefinitionModel:
         """Encode id matrices straight to projected vectors (inference path)."""
         token_ids = np.asarray(token_ids)
         single = token_ids.ndim == 1
-        token_ids = np.atleast_2d(token_ids)
         lengths = np.atleast_1d(np.asarray(lengths))
-        x_seq = self.embeddings.matrix[token_ids]
-        pre = encode(self.mode, self.lstm, x_seq, lengths, self.lstm_back)
-        y = project(pre, self.projection)
+        y, _ = forward(self, np.atleast_2d(token_ids), lengths, run_lstm_states)
         return y[0] if single else y

@@ -8,8 +8,9 @@ Two losses over the projected gloss vector y and the pretrained target v_c:
           target than to the confounder.
 
 ``backward`` runs backpropagation through the projection, the encoder mode,
-and time, by hand; ``finite_diff_check`` is the central-difference harness
-that keeps it honest.
+and time, by hand, over the outputs of ``encoder.forward`` (the same
+forward ``encode_ids`` and so ``batch_loss`` run); ``finite_diff_check`` is
+the central-difference harness that keeps it honest.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from enum import Enum
 
 import numpy as np
 
-from .encoder import DefinitionModel, EncoderMode, LSTMParams, read_out, read_out_adjoint, reverse_steps
-# bound under this name because the benchmark's tracer (perfbench/tracing.SITES) wraps it here
+from .encoder import DefinitionModel, LSTMParams, forward, read_out_adjoint, reverse_steps
+# bound under this name because the benchmark's tracer (perfbench/tracing.SITES) wraps it
+# here; every forward in this module passes it in, so the training recurrence is timed apart
 from .encoder import run_lstm_states as run_lstm
 from .errors import NonFiniteLossError
 
@@ -74,39 +76,18 @@ class GradientSet:
     proj_weight: np.ndarray
     proj_bias: np.ndarray
 
-    @property
-    def embeddings(self) -> np.ndarray:
-        return self.embedding_rows.dense()
-
     def as_dict(self, sparse: bool = False) -> dict[str, np.ndarray | RowGradient]:
         """Gradients by parameter name, shaped like the parameters.
 
         With ``sparse`` the embedding gradient stays a RowGradient, which
         ``trainer.adam_update`` applies without a dense table-sized array.
         """
-        grads = {"emb": self.embedding_rows if sparse else self.embeddings, **self.lstm.named("fwd")}
+        grads = {"emb": self.embedding_rows if sparse else self.embedding_rows.dense(), **self.lstm.named("fwd")}
         if self.lstm_back is not None:
             grads.update(self.lstm_back.named("bwd"))
         grads["proj.w"] = self.proj_weight
         grads["proj.b"] = self.proj_bias
         return grads
-
-
-def _forward(model: DefinitionModel, token_ids: np.ndarray, lengths: np.ndarray, record: bool = True):
-    """Projected outputs (..., B, D) plus what backward needs: pre, each direction's inputs and run.
-
-    The model's arrays may carry leading replica axes (see _replica_losses);
-    without ``record`` each run is its states, not an LSTMTrace.
-    """
-    x = np.take(model.embeddings.matrix, token_ids, axis=-2)
-    inputs, directions = [x], [model.lstm]
-    if model.mode is EncoderMode.BIDIRECTIONAL:
-        inputs.append(reverse_steps(x, lengths))
-        directions.append(model.lstm_back)
-    runs = [run_lstm(params, x_dir, lengths, record) for params, x_dir in zip(directions, inputs)]
-    pre = read_out(model.mode, lengths, *(run.h if record else run for run in runs))
-    y = np.tanh(pre @ model.projection.weight + model.projection.bias[..., None, :])
-    return y, (pre, inputs, runs)
 
 
 def _row_cosines(y: np.ndarray, other: np.ndarray, with_grad: bool = True):
@@ -167,8 +148,8 @@ def batch_loss(
 ) -> float:
     """Mean loss over the batch (forward only).
 
-    Runs the trace-free inference path; a unit test pins it to the exact
-    outputs of the backward pass's forward.
+    Runs ``encode_ids``, the forward without a trace; a unit test pins it
+    to the exact outputs of the backward pass's recorded forward.
     """
     y = model.encode_ids(np.asarray(token_ids), np.asarray(lengths))
     loss, _ = _loss_and_dy(y, targets, LossKind(loss_kind), negatives, margin, with_grad=False)
@@ -250,7 +231,7 @@ def backward(
     """
     token_ids = np.asarray(token_ids)
     lengths = np.asarray(lengths)
-    y, (pre, inputs, traces) = _forward(model, token_ids, lengths)
+    y, (pre, inputs, traces) = forward(model, token_ids, lengths, run_lstm, record=True)
     loss, dy = _loss_and_dy(y, targets, LossKind(loss_kind), negatives, margin)
     if not all(trace.finite for trace in traces):
         # a finite loss can still come from inf pre-activations saturating the gates
@@ -308,7 +289,7 @@ def _replica_losses(
     )
     params[name] = stacked
     replicas = DefinitionModel.from_params(model.mode, model.embeddings.pad_id, params)
-    y, _ = _forward(replicas, token_ids, lengths, record=False)
+    y, _ = forward(replicas, token_ids, lengths, run_lstm)
     losses, _ = _loss_and_dy(y, targets, loss_kind, negatives, margin, with_grad=False)
     return losses
 

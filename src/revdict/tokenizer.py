@@ -55,9 +55,6 @@ class WordVocab:
         """Map tokens to ids, sending out-of-vocabulary tokens to UNK."""
         return [self.token_to_id.get(tok, self.unk_id) for tok in tokens]
 
-    def decode(self, ids: Iterable[int]) -> list[str]:
-        return [self.id_to_token[i] for i in ids]
-
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             for idx, token in enumerate(self.id_to_token):

@@ -388,7 +388,10 @@ META_KEYS = (
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint archive; a malformed or foreign one is a DataError."""
+    """Read a checkpoint archive; a malformed or foreign one is a DataError.
+
+    A parameter holding an inf or nan is a NonFiniteLossError.
+    """
     try:
         with zipfile.ZipFile(path) as zf:
             meta = json.loads(zf.read("meta.json"))
@@ -408,14 +411,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                         io.BytesIO(zf.read(name)), allow_pickle=False
                     )
         return _checkpoint_from(meta, arrays)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    except (DataError, NonFiniteLossError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     except (zipfile.BadZipFile, KeyError, TypeError, ValueError, OSError) as exc:
         raise DataError(f"{path}: unreadable checkpoint ({exc})") from exc
 
 
 def _checkpoint_from(meta: dict, arrays: dict[str, np.ndarray]) -> Checkpoint:
-    """Build a Checkpoint from its meta and arrays after checking every array's shape."""
+    """Build a Checkpoint from its meta and arrays, checking every array's shape and that the parameters are finite."""
     config = TrainConfig(**meta["config"]).validate()
     mode = EncoderMode(meta["mode"])
     vocab_size = len(meta["vocab"])
@@ -442,6 +445,9 @@ def _checkpoint_from(meta: dict, arrays: dict[str, np.ndarray]) -> Checkpoint:
         found = arrays[name]
         if found.shape != shape or found.dtype != np.float64:
             raise DataError(f"array {name!r} is {found.dtype} {found.shape}, expected float64 {shape}")
+        # tanh would hide an inf parameter and answer from the saturated output
+        if name.startswith("param/") and not np.isfinite(found).all():
+            raise NonFiniteLossError(f"array {name!r} has a non-finite entry")
 
     params = {k[len("param/") :]: v for k, v in arrays.items() if k.startswith("param/")}
     model = DefinitionModel.from_params(mode, pad_id, params)

@@ -87,6 +87,17 @@ def rewrite_checkpoint(source, target, meta=None, drop_meta=None, drop=None, arr
             dst.writestr(name, data)
 
 
+def first_entry(value):
+    """A ``rewrite_checkpoint`` array edit that sets the array's first entry to ``value``."""
+
+    def edit(array):
+        array = array.copy()
+        array.flat[0] = value
+        return array
+
+    return edit
+
+
 def write_config(tmp_path, **overrides):
     entries = {
         "train": tmp_path / "defs.tsv",
@@ -334,6 +345,8 @@ class TestTrainEvalQuery:
             (dict(meta={"pad_id": 15}), "pad/unk ids 15/13 outside the 15-token vocabulary"),
             # one gate's (E, H) block where the fused (E, 4H) matrix belongs, as a version-1 array
             (dict(arrays={"param/fwd.w": lambda a: a[:, :5]}), "array 'param/fwd.w' is float64 (6, 5), expected float64 (6, 20)"),
+            # one row short of the average mode's (H, D) projection
+            (dict(arrays={"param/proj.w": lambda a: a[:-1]}), "array 'param/proj.w' is float64 (4, 6), expected float64 (5, 6)"),
             # version 2 stored the pretrained rows in file order
             (dict(meta={"version": 2}), "checkpoint version 2 is not 3"),
             (
@@ -343,7 +356,7 @@ class TestTrainEvalQuery:
         ],
         ids=[
             "version", "no-version", "meta-key", "param-array", "emb-shape", "emb-dtype", "mode", "pad-id",
-            "gate-shape", "version-2", "table-order",
+            "gate-shape", "proj-shape", "version-2", "table-order",
         ],
     )
     def test_malformed_checkpoint_is_a_data_error(self, workspace, trained, capsys, monkeypatch, edit, message):
@@ -358,23 +371,24 @@ class TestTrainEvalQuery:
         assert capsys.readouterr().err == f"data error: {broken}: {message}\n"
 
     def test_non_finite_model_output_exits_three(self, workspace, trained, capsys, monkeypatch):
-        # a nan projection bias makes every encoded vector nan; query and eval
-        # report a numeric error instead of a traceback
+        # a nan projection bias would make every encoded vector nan; query and
+        # eval refuse the checkpoint with a numeric error instead of a traceback
         checkpoint = load_checkpoint(trained)
         checkpoint.model.projection.bias[0] = np.nan
         broken = workspace / "nan.ckpt"
         save_checkpoint(broken, checkpoint)
+        message = f"numeric error: {broken}: array 'param/proj.b' has a non-finite entry\n"
         capsys.readouterr()
         monkeypatch.setattr("sys.stdin", io.StringIO("small feline\n"))
         assert run(["query", "--checkpoint", str(broken)]) == 3
-        assert capsys.readouterr().err == "numeric error: non-finite query vector\n"
+        assert capsys.readouterr().err == message
         for mode, test in (("definitions", "dev.tsv"), ("crossword", "cw.csv")):
             argv = ["eval", "--checkpoint", str(broken), "--test", str(workspace / test), "--mode", mode]
             assert run(argv) == 3
-            assert capsys.readouterr().err == "numeric error: non-finite query vector\n"
+            assert capsys.readouterr().err == message
 
     def test_non_finite_query_with_an_absent_length_exits_three(self, workspace, trained, capsys, monkeypatch):
-        # no word has 4 letters, but the query vector is still checked
+        # no word has 4 letters, but the model is still checked
         checkpoint = load_checkpoint(trained)
         checkpoint.model.projection.bias[0] = np.nan
         broken = workspace / "nan.ckpt"
@@ -382,7 +396,28 @@ class TestTrainEvalQuery:
         capsys.readouterr()
         monkeypatch.setattr("sys.stdin", io.StringIO("small feline --length 4\n"))
         assert run(["query", "--checkpoint", str(broken)]) == 3
-        assert capsys.readouterr().err == "numeric error: non-finite query vector\n"
+        assert capsys.readouterr().err == f"numeric error: {broken}: array 'param/proj.b' has a non-finite entry\n"
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("param/proj.b", np.inf), ("param/proj.b", -np.inf), ("param/proj.w", np.inf), ("param/fwd.u", np.nan)],
+        ids=["proj.b-inf", "proj.b-minus-inf", "proj.w-inf", "fwd.u-nan"],
+    )
+    def test_non_finite_parameter_exits_three(self, workspace, trained, capsys, monkeypatch, name, value):
+        # tanh saturates an inf to a finite output that ranks like any other,
+        # so query and eval refuse the checkpoint before answering anything
+        broken = workspace / "broken.ckpt"
+        rewrite_checkpoint(trained, broken, arrays={name: first_entry(value)})
+        message = f"numeric error: {broken}: array {name!r} has a non-finite entry\n"
+        capsys.readouterr()
+        for line in ("small feline\n", "small feline --length 4\n"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(line))
+            assert run(["query", "--checkpoint", str(broken)]) == 3
+            assert tuple(capsys.readouterr()) == ("", message)
+        for mode, test in (("definitions", "dev.tsv"), ("crossword", "cw.csv")):
+            argv = ["eval", "--checkpoint", str(broken), "--test", str(workspace / test), "--mode", mode]
+            assert run(argv) == 3
+            assert tuple(capsys.readouterr()) == ("", message)
 
     def test_overflowing_lstm_exits_three(self, workspace, trained, capsys, monkeypatch):
         # huge input weights and embeddings overflow the gate pre-activations;

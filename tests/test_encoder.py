@@ -1,4 +1,4 @@
-"""LSTM step/encode/projection tests against hand-derived and fold oracles."""
+"""LSTM step/forward/projection tests against hand-derived and fold oracles."""
 
 import math
 import warnings
@@ -11,9 +11,8 @@ from revdict.encoder import (
     LSTMParams,
     Projection,
     DefinitionModel,
-    encode,
+    forward,
     init_lstm,
-    project,
     read_out,
     read_out_adjoint,
     reverse_steps,
@@ -151,6 +150,30 @@ def oracle_encode_ids(model, token_ids, lengths):
         back = oracle_states(model.lstm_back, reverse_within_lengths(x_seq, lengths), lengths)
         out = np.concatenate([states[rows, lengths - 1], back[rows, lengths - 1]], axis=1)
     return np.tanh(out @ model.projection.weight + model.projection.bias)
+
+
+def embedded_model(mode, x, params, back=None, projection=None):
+    """A model whose embedding rows are the (B, L, E) inputs ``x``, and the (B, L) ids that gather them.
+
+    Its pad row is one more, all-zero row; ``projection`` defaults to a
+    zero one of width 1.
+    """
+    batch, length, embed = x.shape
+    width = params.hidden * (2 if EncoderMode(mode) is EncoderMode.BIDIRECTIONAL else 1)
+    projection = projection or Projection(weight=np.zeros((width, 1)), bias=np.zeros(1))
+    arrays = {"emb": np.vstack([x.reshape(-1, embed), np.zeros(embed)]), **params.named("fwd")}
+    if back is not None:
+        arrays.update(back.named("bwd"))
+    arrays.update({"proj.w": projection.weight, "proj.b": projection.bias})
+    model = DefinitionModel.from_params(mode, batch * length, arrays)
+    return model, np.arange(batch * length).reshape(batch, length)
+
+
+def encode(mode, params, x, lengths, back=None):
+    """The pre-projection vectors (B, H or 2H) that ``forward`` reads out of embedded (B, L, E) inputs."""
+    model, ids = embedded_model(mode, x, params, back)
+    _, (pre, _, _) = forward(model, ids, lengths, run_lstm_states)
+    return pre
 
 
 class TestLstmStep:
@@ -381,20 +404,20 @@ class TestEncode:
 class TestProject:
     def test_zero_weights_zero_output(self):
         proj = Projection(weight=np.zeros((4, 6)), bias=np.zeros(6))
-        out = project(np.ones(4), proj)
+        params = init_lstm(3, 4, np.random.default_rng(3))
+        model, ids = embedded_model(EncoderMode.FINAL, np.ones((1, 2, 3)), params, projection=proj)
+        out = model.encode_ids(ids[0], np.array([2]))
         np.testing.assert_array_equal(out, 0.0)
         assert out.shape == (6,)
 
     def test_output_strictly_bounded(self):
         rng = np.random.default_rng(3)
         proj = Projection(weight=rng.normal(size=(4, 6)), bias=rng.normal(size=6))
-        out = project(rng.normal(size=(7, 4)), proj)
+        x = rng.normal(size=(7, 2, 3))
+        model, ids = embedded_model(EncoderMode.AVERAGE, x, init_lstm(3, 4, rng), projection=proj)
+        out = model.encode_ids(ids, np.array([2, 1, 2, 2, 1, 1, 2]))
+        assert out.shape == (7, 6)
         assert np.all(np.abs(out) < 1.0)
-
-    def test_width_mismatch_rejected(self):
-        proj = Projection(weight=np.zeros((4, 6)), bias=np.zeros(6))
-        with pytest.raises(ValueError):
-            project(np.ones(5), proj)
 
 
 class TestDefinitionModel:
@@ -421,7 +444,7 @@ class TestDefinitionModel:
     def test_bidirectional_widths(self):
         m = DefinitionModel.create(10, pad_id=9, mode="bidirectional", embed_dim=4, hidden=3, output_dim=5, seed=1)
         assert m.lstm_back is not None
-        assert m.projection.input_width == 6
+        assert m.projection.weight.shape[0] == 6
         assert set(m.param_dict()) == {"emb", "fwd.w", "fwd.u", "fwd.b", "bwd.w", "bwd.u", "bwd.b", "proj.w", "proj.b"}
 
     def test_param_dict_views_are_live(self):

@@ -5,8 +5,8 @@ import copy
 import numpy as np
 import pytest
 
-from revdict import objective
-from revdict.encoder import DefinitionModel, EncoderMode, sigmoid
+from revdict import encoder, objective
+from revdict.encoder import DefinitionModel, EncoderMode, forward, sigmoid
 from revdict.errors import NonFiniteLossError
 from revdict.objective import (
     LossKind,
@@ -16,7 +16,6 @@ from revdict.objective import (
     cosine,
     finite_diff_check,
     sample_negative,
-    _forward,
     _replica_losses,
 )
 
@@ -309,7 +308,7 @@ class TestBackward:
 
     def test_inactive_hinge_gives_zero_gradients(self):
         model, ids, lengths, _, _ = toy_setup("average", seed=2)
-        y, _ = _forward(model, ids, lengths)
+        y = model.encode_ids(ids, lengths)
         loss, grads = backward(model, ids, lengths, y.copy(), LossKind.RANK, -y.copy())
         assert loss == 0.0
         for name, g in grads.as_dict().items():
@@ -318,7 +317,7 @@ class TestBackward:
     def test_pad_row_and_untouched_rows_get_zero_gradient(self):
         model, ids, lengths, targets, _ = toy_setup("average", seed=3, vocab=12)
         _, grads = backward(model, ids, lengths, targets, LossKind.COSINE)
-        emb = grads.embeddings
+        emb = grads.as_dict()["emb"]
         assert np.all(emb[model.embeddings.pad_id] == 0.0)
         untouched = set(range(12)) - set(ids.ravel().tolist())
         for row in untouched:
@@ -342,12 +341,45 @@ class TestBackward:
             np.testing.assert_allclose(g, grads_b.as_dict()[name], atol=1e-12, err_msg=name)
 
     def test_forward_agrees_with_encoder_inference(self):
-        # batch_loss probes the inference path while backward differentiates
-        # the traced one; they must compute the very same function
+        # batch_loss probes the forward without a trace (encode_ids) while
+        # backward differentiates the recorded one; they must agree bitwise
         for mode in EncoderMode:
             model, ids, lengths, _, _ = toy_setup(mode, seed=11)
-            y, _ = _forward(model, ids, lengths)
-            np.testing.assert_array_equal(y, model.encode_ids(ids, lengths))
+            y, _ = forward(model, ids, lengths, objective.run_lstm, record=True)
+            assert y.tobytes() == model.encode_ids(ids, lengths).tobytes()
+            assert y.tobytes() == forward(model, ids, lengths, objective.run_lstm)[0].tobytes()
+
+    @pytest.mark.parametrize("mode", list(EncoderMode))
+    def test_each_path_runs_the_recurrence_under_its_own_name(self, mode, monkeypatch):
+        # the benchmark's tracer times training at objective.run_lstm and
+        # inference at encoder.run_lstm_states, replacing each name when the
+        # run starts: every path must look its recurrence up there, at call time
+        model, ids, lengths, targets, _ = toy_setup(mode, seed=5)
+        calls = {}
+
+        def counting(site, run):
+            def wrapper(*args, **kwargs):
+                calls[site] += 1
+                return run(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(objective, "run_lstm", counting("training", objective.run_lstm))
+        monkeypatch.setattr(encoder, "run_lstm_states", counting("inference", encoder.run_lstm_states))
+
+        def counted(call):
+            calls.update(training=0, inference=0)
+            call()
+            return calls["training"], calls["inference"]
+
+        directions = 2 if mode is EncoderMode.BIDIRECTIONAL else 1
+        replicas = ("proj.b", np.array([0, 0]), np.array([1e-4, -1e-4]))
+        assert counted(lambda: backward(model, ids, lengths, targets, LossKind.COSINE)) == (directions, 0)
+        assert counted(lambda: _replica_losses(model, *replicas, ids, lengths, targets, LossKind.COSINE)) == (
+            directions, 0
+        )
+        assert counted(lambda: model.encode_ids(ids, lengths)) == (0, directions)
+        assert counted(lambda: batch_loss(model, ids, lengths, targets, LossKind.COSINE)) == (0, directions)
 
     @pytest.mark.parametrize("mode", list(EncoderMode))
     @pytest.mark.parametrize("loss_kind", list(LossKind))

@@ -169,7 +169,6 @@ class TestWordVocab:
     def test_encode_maps_unknown_to_unk(self):
         vocab = build_word_vocab({"cat": 4, "dog": 2}, cap=10)
         assert vocab.encode(["dog", "emu", "cat"]) == [1, vocab.unk_id, 0]
-        assert vocab.decode([0, 1]) == ["cat", "dog"]
 
     def test_save_load_round_trip(self, tmp_path):
         vocab = build_word_vocab({"cat": 4, "dog": 2, "emu": 1}, cap=2)
