@@ -24,6 +24,9 @@ from .errors import DataError, NonFiniteLossError
 PRETRAINED_DIM = 500
 LEARNED_DIM = 500
 INIT_SCALE = 0.05
+# rows per np.linalg.norm call, so its squared-entries temporary is a block, not the table
+# (each row's sum is its own, so the bits are the whole-table call's)
+NORM_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -44,8 +47,11 @@ class PretrainedTable:
         lengths = _lengths(self.words)
         if np.any(lengths[1:] < lengths[:-1]):
             raise ValueError("table rows are not in word-length order")
+        self.norms = np.empty(len(self.matrix))
         with np.errstate(over="ignore"):  # an overflowing norm reads inf, which from_arrays rejects
-            self.norms = np.linalg.norm(self.matrix, axis=1)
+            for lo in range(0, len(self.matrix), NORM_BLOCK_ROWS):
+                block = slice(lo, lo + NORM_BLOCK_ROWS)
+                self.norms[block] = np.linalg.norm(self.matrix[block], axis=1)
         lengths, starts, counts = np.unique(lengths, return_index=True, return_counts=True)
         self.spans = {int(n): slice(int(lo), int(lo + c)) for n, lo, c in zip(lengths, starts, counts)}
 

@@ -25,7 +25,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
 
@@ -102,21 +102,35 @@ def build_word_vocab(frequencies: Mapping[str, int], cap: int = WORD_VOCAB_CAP) 
     )
 
 
-@dataclass
-class MergeTable:
-    """Ordered list of learned BPE merges plus the word-final marker.
+class MergeSequence(tuple):
+    """A table's merges: a tuple that also compares equal to a list of the same pairs,
+    as merge lists built elsewhere (a learner's or an oracle's) are lists."""
 
-    ``ranks`` maps each pair to the ascending ranks (list positions) it has
-    in ``merges``; it is built once here, so ``merges`` is not to be edited
-    after construction.
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, list) else other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+@dataclass(frozen=True)
+class MergeTable:
+    """Ordered sequence of learned BPE merges plus the word-final marker.
+
+    ``ranks`` maps each pair to the ascending ranks (positions) it has in
+    ``merges``.  The table is frozen and ``merges`` is a tuple, so the index
+    cannot go stale.
     """
 
-    merges: list[tuple[str, str]] = field(default_factory=list)
+    merges: Sequence[tuple[str, str]] = ()
     end_marker: str = END_MARKER
     ranks: dict[tuple[str, str], list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.ranks = {}
+        object.__setattr__(self, "merges", MergeSequence(self.merges))
+        object.__setattr__(self, "ranks", {})
         for rank, pair in enumerate(self.merges):
             self.ranks.setdefault(pair, []).append(rank)
 

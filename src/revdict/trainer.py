@@ -6,9 +6,12 @@ measures median rank on the dev set.  The checkpoint kept is the earliest
 epoch with the lowest dev median rank, which guards against overtraining.
 
 Checkpoints are zip archives with zeroed timestamps so that identical runs
-produce bitwise-identical files.  They store the pretrained table in its
-word-length row order, and loading refuses a table in any other order
-rather than copy it to sort it.
+produce bitwise-identical files.  Each array is a stored (uncompressed)
+``.npy`` member: saving streams it into the archive, and loading reads it
+once, from its checked offset straight into the array it ends up in, and
+checks its CRC-32.  They store the pretrained table in its word-length row
+order, and loading refuses a table in any other order rather than copy it
+to sort it.
 """
 
 from __future__ import annotations
@@ -16,10 +19,14 @@ from __future__ import annotations
 import copy
 import io
 import json
+import math
 import os
+import struct
 import zipfile
+import zlib
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -334,17 +341,27 @@ def train(
     return best, curve
 
 
-def _npy_bytes(array: np.ndarray) -> bytes:
-    buffer = io.BytesIO()
-    np.save(buffer, array, allow_pickle=False)
-    return buffer.getvalue()
+def _write_npy(zf: zipfile.ZipFile, info: zipfile.ZipInfo, array: np.ndarray) -> None:
+    """Stream ``array`` into member ``info`` as the bytes ``np.save`` writes, with no copy of a contiguous array."""
+    header = io.BytesIO()
+    fields = np.lib.format.header_data_from_array_1_0(array)
+    # np.save picks version 1.0 for every header under 64 KiB, which is any non-structured dtype
+    np.lib.format.write_array_header_1_0(header, fields)
+    data = array.T if fields["fortran_order"] else np.ascontiguousarray(array)
+    # the size zipfile decides zip64 from, as writestr would set it
+    info.file_size = header.tell() + data.nbytes
+    with zf.open(info, "w") as member:
+        member.write(header.getvalue())
+        member.write(data.reshape(-1).view(np.uint8))
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     """Write a checkpoint archive whose bytes depend only on its contents.
 
-    The archive is written to a temporary file beside ``path`` and renamed
-    over it, so a failed write leaves any previous file at ``path`` whole.
+    Each array is streamed into its stored member, so no copy of the table is
+    made.  The archive is written to a temporary file beside ``path`` and
+    renamed over it, so a failed write leaves any previous file at ``path``
+    whole.
     """
     meta = {
         "format": CHECKPOINT_FORMAT,
@@ -364,16 +381,19 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     arrays["pretrained"] = ckpt.pretrained.matrix
     path = Path(path)
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+    def member_info(name: str) -> zipfile.ZipInfo:
+        # fixed timestamp: identical runs must yield identical bytes
+        info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+        info.compress_type = zipfile.ZIP_STORED
+        info.external_attr = 0o644 << 16
+        return info
+
     try:
         with zipfile.ZipFile(partial, "w", compression=zipfile.ZIP_STORED) as zf:
-            members = [("meta.json", json.dumps(meta, sort_keys=True).encode("utf-8"))]
-            members += [(f"{name}.npy", _npy_bytes(arr)) for name, arr in sorted(arrays.items())]
-            for name, data in members:
-                # fixed timestamp: identical runs must yield identical bytes
-                info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
-                info.compress_type = zipfile.ZIP_STORED
-                info.external_attr = 0o644 << 16
-                zf.writestr(info, data)
+            zf.writestr(member_info("meta.json"), json.dumps(meta, sort_keys=True).encode("utf-8"))
+            for name, array in sorted(arrays.items()):
+                _write_npy(zf, member_info(f"{name}.npy"), array)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -393,7 +413,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     A parameter holding an inf or nan is a NonFiniteLossError.
     """
     try:
-        with zipfile.ZipFile(path) as zf:
+        with open(path, "rb") as handle, zipfile.ZipFile(handle) as zf:
             meta = json.loads(zf.read("meta.json"))
             if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
                 raise DataError("not a checkpoint archive")
@@ -404,17 +424,64 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             missing = [key for key in META_KEYS if key not in meta]
             if missing:
                 raise DataError(f"checkpoint meta has no {missing[0]!r}")
+            file_size = os.fstat(handle.fileno()).st_size
             arrays = {}
-            for name in zf.namelist():
-                if name.endswith(".npy"):
-                    arrays[name[: -len(".npy")]] = np.load(
-                        io.BytesIO(zf.read(name)), allow_pickle=False
-                    )
+            for info in zf.infolist():
+                if info.filename.endswith(".npy"):
+                    arrays[info.filename[: -len(".npy")]] = _read_npy(handle, info, file_size)
         return _checkpoint_from(meta, arrays)
     except (DataError, NonFiniteLossError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
     except (zipfile.BadZipFile, KeyError, TypeError, ValueError, OSError) as exc:
         raise DataError(f"{path}: unreadable checkpoint ({exc})") from exc
+
+
+NPY_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def _read_npy(handle: BinaryIO, info: zipfile.ZipInfo, file_size: int) -> np.ndarray:
+    """Read stored ``.npy`` member ``info`` of the open archive straight into a new array.
+
+    The data is read once, into the array it ends up in, and its CRC-32 is
+    checked as zipfile would.  The member's local header, its bounds, its npy
+    header and its size are checked before anything is allocated.
+    """
+    name = info.filename
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise DataError(f"member {name!r} is compressed; checkpoint members are stored")
+    handle.seek(info.header_offset)
+    local = handle.read(zipfile.sizeFileHeader)
+    if len(local) != zipfile.sizeFileHeader or not local.startswith(zipfile.stringFileHeader):
+        raise DataError(f"member {name!r} has no local file header")
+    *_, name_length, extra_length = struct.unpack(zipfile.structFileHeader, local)
+    start = info.header_offset + zipfile.sizeFileHeader + name_length + extra_length
+    if start + info.file_size > file_size:
+        raise DataError(f"member {name!r} runs past the end of the file")
+    handle.seek(start)
+    read_header = NPY_HEADER_READERS.get(np.lib.format.read_magic(handle))
+    if read_header is None:
+        raise DataError(f"member {name!r} is not in npy format 1.0 or 2.0")
+    shape, fortran_order, dtype = read_header(handle)
+    if dtype.hasobject:
+        raise DataError(f"member {name!r} holds Python objects")
+    header_size = handle.tell() - start
+    data_size = math.prod(shape) * dtype.itemsize
+    if header_size + data_size != info.file_size:
+        raise DataError(
+            f"member {name!r} is {info.file_size} bytes, but its npy header describes {header_size + data_size}"
+        )
+    array = np.empty(shape[::-1] if fortran_order else shape, dtype)
+    data = array.reshape(-1).view(np.uint8)
+    handle.seek(start)
+    crc = zlib.crc32(handle.read(header_size))
+    if handle.readinto(data) != data_size:
+        raise DataError(f"member {name!r} runs past the end of the file")
+    if zlib.crc32(data, crc) != info.CRC:
+        raise DataError(f"member {name!r} fails its CRC-32 check")
+    return array.T if fortran_order else array
 
 
 def _checkpoint_from(meta: dict, arrays: dict[str, np.ndarray]) -> Checkpoint:
@@ -445,8 +512,9 @@ def _checkpoint_from(meta: dict, arrays: dict[str, np.ndarray]) -> Checkpoint:
         found = arrays[name]
         if found.shape != shape or found.dtype != np.float64:
             raise DataError(f"array {name!r} is {found.dtype} {found.shape}, expected float64 {shape}")
-        # tanh would hide an inf parameter and answer from the saturated output
-        if name.startswith("param/") and not np.isfinite(found).all():
+        # tanh would hide an inf parameter and answer from the saturated output; min and
+        # max carry any nan and any inf is one of them, so no array-sized temporary is made
+        if name.startswith("param/") and not np.isfinite([found.min(initial=0.0), found.max(initial=0.0)]).all():
             raise NonFiniteLossError(f"array {name!r} has a non-finite entry")
 
     params = {k[len("param/") :]: v for k, v in arrays.items() if k.startswith("param/")}

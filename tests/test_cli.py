@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -67,8 +68,12 @@ def workspace(tmp_path):
     return tmp_path
 
 
-def rewrite_checkpoint(source, target, meta=None, drop_meta=None, drop=None, arrays=None):
-    """Copy a checkpoint archive with its meta updated, a member dropped, or ``arrays[name]`` applied to array ``name``."""
+def rewrite_checkpoint(
+    source, target, meta=None, drop_meta=None, drop=None, arrays=None, raw=None, deflate=None, patch=None
+):
+    """Copy a checkpoint archive with its meta updated, a member dropped, ``arrays[name]`` applied to array
+    ``name``, ``raw[member]`` applied to a member's bytes, or member ``deflate`` compressed; then ``patch``
+    the written file's bytes."""
     with zipfile.ZipFile(source) as src, zipfile.ZipFile(target, "w") as dst:
         for name in src.namelist():
             data = src.read(name)
@@ -84,7 +89,33 @@ def rewrite_checkpoint(source, target, meta=None, drop_meta=None, drop=None, arr
                 buffer = io.BytesIO()
                 np.save(buffer, edit(np.load(io.BytesIO(data))))
                 data = buffer.getvalue()
-            dst.writestr(name, data)
+            data = (raw or {}).get(name, bytes)(data)
+            dst.writestr(name, data, compress_type=zipfile.ZIP_DEFLATED if name == deflate else None)
+    if patch is not None:
+        target.write_bytes(patch(target.read_bytes()))
+
+
+def flip_last_data_byte(member):
+    """A ``rewrite_checkpoint`` patch that flips one bit in the last byte of ``member``'s data, leaving its CRC."""
+
+    def patch(archive):
+        info = zipfile.ZipFile(io.BytesIO(archive)).getinfo(member)
+        name_length, extra_length = struct.unpack_from("<HH", archive, info.header_offset + 26)
+        end = info.header_offset + 30 + name_length + extra_length + info.file_size
+        return archive[: end - 1] + bytes([archive[end - 1] ^ 1]) + archive[end:]
+
+    return patch
+
+
+def oversize_member(member, size):
+    """A ``rewrite_checkpoint`` patch that records ``member`` as ``size`` bytes in the central directory only."""
+
+    def patch(archive):
+        entry = archive.rindex(member.encode()) - 46  # the central directory names it last
+        assert archive[entry : entry + 4] == b"PK\x01\x02"
+        return archive[: entry + 20] + struct.pack("<LL", size, size) + archive[entry + 28 :]
+
+    return patch
 
 
 def first_entry(value):
@@ -353,10 +384,21 @@ class TestTrainEvalQuery:
                 dict(meta={"pretrained_words": IN_LENGTH_ORDER[::-1]}, arrays={"pretrained": lambda a: a[::-1]}),
                 "array 'pretrained' rows are not in word-length order",
             ),
+            (dict(deflate="pretrained.npy"), "member 'pretrained.npy' is compressed; checkpoint members are stored"),
+            (dict(patch=flip_last_data_byte("pretrained.npy")), "member 'pretrained.npy' fails its CRC-32 check"),
+            # the central directory still parses; only the member's recorded size is wrong
+            (dict(patch=oversize_member("pretrained.npy", 1 << 31)), "member 'pretrained.npy' runs past the end of the file"),
+            (dict(arrays={"param/emb": lambda a: a.astype(object)}), "member 'param/emb.npy' holds Python objects"),
+            # 720 data bytes under a header that describes a (16, 6) float64 array
+            (
+                dict(raw={"param/emb.npy": lambda data: data.replace(b"(15, 6)", b"(16, 6)", 1)}),
+                "member 'param/emb.npy' is 848 bytes, but its npy header describes 896",
+            ),
         ],
         ids=[
             "version", "no-version", "meta-key", "param-array", "emb-shape", "emb-dtype", "mode", "pad-id",
-            "gate-shape", "proj-shape", "version-2", "table-order",
+            "gate-shape", "proj-shape", "version-2", "table-order", "deflated", "crc", "past-eof",
+            "object-dtype", "header-shape",
         ],
     )
     def test_malformed_checkpoint_is_a_data_error(self, workspace, trained, capsys, monkeypatch, edit, message):

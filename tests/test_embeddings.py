@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from revdict.embeddings import (
+    NORM_BLOCK_ROWS,
     PretrainedTable,
     cosine_to_all,
     init_learned,
@@ -332,6 +333,17 @@ def test_from_arrays_keeps_an_ordered_matrix_in_place(tied_sources):
     assert again.matrix is ordered.matrix
     assert np.shares_memory(again.matrix, ordered.matrix)
     assert not np.shares_memory(ordered.matrix, matrix)  # the shuffled input had to be copied
+
+
+@pytest.mark.parametrize(
+    "rows", [1, NORM_BLOCK_ROWS, 2 * NORM_BLOCK_ROWS + 37], ids=["one-row", "one-block", "partial-last-block"]
+)
+def test_blocked_norms_equal_the_whole_table_norm_bitwise(rows):
+    # entries over many magnitudes, and rows wide enough for pairwise summation
+    rng = np.random.default_rng(rows)
+    matrix = rng.normal(size=(rows, 300)) * np.exp(rng.uniform(-20, 20, size=(rows, 1)))
+    table = PretrainedTable.from_arrays([f"w{i:05d}" for i in range(rows)], matrix)
+    assert table.norms.tobytes() == np.linalg.norm(matrix, axis=1).tobytes()
 
 
 def test_rows_out_of_length_order_are_refused():

@@ -1,5 +1,6 @@
 """Tokenizer tests: vocab construction and BPE against brute-force and replay oracles."""
 
+import dataclasses
 import heapq
 import itertools
 from collections import Counter
@@ -192,30 +193,30 @@ class TestLearnBpe:
     def test_worked_example(self):
         # abc x3, abd x2: (a,b)=5 wins, then (ab,c#)=3, then (ab,d#)=2
         table = learn_bpe({"abc": 3, "abd": 2}, num_merges=10)
-        assert table.merges == [("a", "b"), ("ab", "c#"), ("ab", "d#")]
+        assert table.merges == (("a", "b"), ("ab", "c#"), ("ab", "d#"))
 
     def test_tie_breaks_toward_earliest_pair(self):
         table = learn_bpe({"ab": 2, "xy": 2}, num_merges=1)
-        assert table.merges == [("a", "b#")]
+        assert table.merges == (("a", "b#"),)
 
     def test_stops_below_count_two(self):
         table = learn_bpe({"ab": 1, "cd": 1}, num_merges=10)
-        assert table.merges == []
+        assert table.merges == ()
 
     def test_num_merges_limits_table(self):
         table = learn_bpe({"abc": 3, "abd": 2}, num_merges=1)
-        assert table.merges == [("a", "b")]
+        assert table.merges == (("a", "b"),)
 
     def test_single_character_words(self):
         table = learn_bpe({"a": 5}, num_merges=10)
-        assert table.merges == []
+        assert table.merges == ()
         assert apply_bpe("a", table) == ["a#"]
 
     def test_repeated_letters_count_every_position(self):
         # "aaaa" = (a, a, a, a#) has two (a,a) positions, so a single
         # occurrence already reaches count 2; per-word counting would not
         table = learn_bpe({"aaaa": 1}, num_merges=1)
-        assert table.merges == [("a", "a")]
+        assert table.merges == (("a", "a"),)
 
     def test_word_with_marker_rejected(self):
         with pytest.raises(ValueError):
@@ -285,6 +286,20 @@ class TestSkipReplay:
         assert HAND_TABLE.ranks[("abc", "c#")] == [5]
         assert len(HAND_TABLE.ranks) == 5
         assert HAND_TABLE == MergeTable(merges=list(HAND_TABLE.merges))
+
+    def test_table_cannot_be_edited_after_its_index_is_built(self):
+        # an appended merge would be missing from ranks, and apply_bpe would skip it
+        table = MergeTable(merges=[("a", "b#")])
+        with pytest.raises(AttributeError):
+            table.merges.append(("x", "y"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.merges = [("a", "b#"), ("x", "y")]
+        assert isinstance(table.merges, tuple)
+        # merges read as a list elsewhere still compare equal, either way round
+        assert table.merges == [("a", "b#")] and [("a", "b#")] == table.merges
+        assert not table.merges != [("a", "b#")]
+        assert table.merges != [("a", "b")] and table.merges != [("a", "b#"), ("x", "y")]
+        assert apply_bpe("ab", table) == ["ab#"]
 
     def test_hand_table_equals_replay_on_every_short_string(self):
         # (ab,c) and (a,bc) both emit abc, and (a,b) comes twice: tables a

@@ -1,6 +1,9 @@
 """Config parsing, Adam, training-loop, and checkpoint round-trip tests."""
 
 import copy
+import io
+import json
+import tracemalloc
 import zipfile
 from collections import Counter
 
@@ -366,6 +369,37 @@ class TestDevPass:
         assert oracle_dev_ranks(model, long_dev, table) != oracle_dev_ranks(model, cut_dev, table)
 
 
+def writestr_checkpoint(path, ckpt, meta_bytes):
+    """The archive save_checkpoint wrote when it built each member's bytes in memory: the oracle for its streaming."""
+    arrays = {f"param/{k}": v for k, v in ckpt.model.param_dict().items()}
+    arrays["pretrained"] = ckpt.pretrained.matrix
+    members = [("meta.json", meta_bytes)]
+    for name, array in sorted(arrays.items()):
+        buffer = io.BytesIO()
+        np.save(buffer, array, allow_pickle=False)
+        members.append((f"{name}.npy", buffer.getvalue()))
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
+        for name, data in members:
+            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+            info.compress_type = zipfile.ZIP_STORED
+            info.external_attr = 0o644 << 16
+            zf.writestr(info, data)
+
+
+def large_checkpoint(rows, dim, vocab_size=10, embed_dim=6):
+    """An untrained checkpoint over a ``rows`` x ``dim`` table of same-length words."""
+    rng = np.random.default_rng(21)
+    table = PretrainedTable.from_arrays([f"w{i:06d}" for i in range(rows)], rng.normal(size=(rows, dim)))
+    vocab = build_word_vocab(Counter({f"tok{i}": 1 for i in range(vocab_size - 2)}), cap=vocab_size)
+    config = TrainConfig(embed_dim=embed_dim, hidden_size=2, encoder_mode="final")
+    model = DefinitionModel.create(
+        vocab_size=len(vocab), pad_id=vocab.pad_id, mode="final", embed_dim=embed_dim, hidden=2, output_dim=dim
+    )
+    return trainer.Checkpoint(
+        model=model, config=config, vocab=vocab, merges=None, pretrained=table, epoch=1, dev_median_rank=1.0
+    )
+
+
 class TestCheckpointIO:
     def make_checkpoint(self, segmentation="word"):
         merges = None
@@ -433,15 +467,17 @@ class TestCheckpointIO:
         save_checkpoint(path, ckpt)
         before = path.read_bytes()
         written = []
-        real_writestr = zipfile.ZipFile.writestr
+        real_open = zipfile.ZipFile.open
 
-        def failing(self, info, data):
-            if len(written) == 3:
-                raise OSError("disk full")
-            written.append(info)
-            real_writestr(self, info, data)
+        def failing(self, info, mode="r", **kwargs):
+            # every member is written through ZipFile.open(info, "w"), writestr's too
+            if mode == "w":
+                if len(written) == 3:
+                    raise OSError("disk full")
+                written.append(info)
+            return real_open(self, info, mode, **kwargs)
 
-        monkeypatch.setattr(zipfile.ZipFile, "writestr", failing)
+        monkeypatch.setattr(zipfile.ZipFile, "open", failing)
         ckpt.epoch += 1
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, ckpt)
@@ -452,6 +488,64 @@ class TestCheckpointIO:
         save_checkpoint(path, ckpt)
         assert load_checkpoint(path).epoch == ckpt.epoch
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    @pytest.mark.parametrize("layout", ["word", "bpe", "strided"])
+    def test_streamed_members_equal_the_writestr_archive(self, tmp_path, layout):
+        ckpt, _ = self.make_checkpoint(segmentation="bpe" if layout == "bpe" else "word")
+        if layout == "strided":
+            # np.save writes an F-ordered array in F order and a strided one in C order
+            ckpt.model.projection.weight = np.asfortranarray(ckpt.model.projection.weight)
+            ckpt.model.embeddings.matrix = np.repeat(ckpt.model.embeddings.matrix, 2, axis=1)[:, ::2]
+        path, oracle = tmp_path / "model.ckpt", tmp_path / "oracle.ckpt"
+        save_checkpoint(path, ckpt)
+        with zipfile.ZipFile(path) as zf:
+            writestr_checkpoint(oracle, ckpt, zf.read("meta.json"))
+        assert path.read_bytes() == oracle.read_bytes()
+        loaded = load_checkpoint(path)
+        for name, array in ckpt.model.param_dict().items():
+            assert loaded.model.param_dict()[name].tobytes("A") == array.tobytes("A")
+
+    def test_load_peak_memory_is_one_copy_of_the_arrays(self, tmp_path):
+        ckpt = large_checkpoint(rows=16_384, dim=256)
+        assert ckpt.pretrained.matrix.nbytes >= 16 * 2**20
+        path = tmp_path / "large.ckpt"
+        save_checkpoint(path, ckpt)
+        del ckpt
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = [*loaded.model.param_dict().values(), loaded.pretrained.matrix]
+        assert peak <= 1.2 * sum(a.nbytes for a in arrays)
+
+    def test_save_peak_memory_is_below_one_table(self, tmp_path):
+        ckpt = large_checkpoint(rows=16_384, dim=256)
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "large.ckpt", ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ckpt.pretrained.matrix.nbytes
+
+    def test_finite_check_makes_no_array_sized_temporary(self, tmp_path):
+        ckpt = large_checkpoint(rows=4, dim=4, vocab_size=100, embed_dim=20_000)
+        path = tmp_path / "wide.ckpt"
+        save_checkpoint(path, ckpt)
+        with zipfile.ZipFile(path) as zf:
+            meta = json.loads(zf.read("meta.json"))
+        arrays = {f"param/{k}": v for k, v in ckpt.model.param_dict().items()}
+        arrays["pretrained"] = ckpt.pretrained.matrix
+        emb = arrays["param/emb"]
+        tracemalloc.start()
+        try:
+            trainer._checkpoint_from(meta, arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < emb.size // 4  # a boolean mask of emb would take emb.size bytes
 
     def test_non_checkpoint_zip_rejected(self, tmp_path):
         import zipfile
