@@ -23,7 +23,7 @@ from .corpus import (
     tokenize,
 )
 from .embeddings import PretrainedTable, load_pretrained, rank_by_cosine
-from .errors import ConfigError, DataError, NonFiniteLossError
+from .errors import ConfigError, DataError, NonFiniteLossError, decoding
 from .evaluator import evaluate, format_summary, write_rank_records
 from .tokenizer import (
     BPE_MERGES,
@@ -234,29 +234,30 @@ def _split_query(line: str) -> tuple[str | None, int | None]:
 
 def _cmd_query(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
-    for raw in sys.stdin:
-        line = raw.strip()
-        if not line:
-            continue
-        text, wanted = _split_query(line)
-        if text is None:
-            _note("bad --length value, skipping line")
-            continue
-        if wanted is None:
-            wanted = args.length
-        tokens = tokenize(text)
-        if not tokens:
-            _note("empty query, skipping line")
-            continue
-        ids = encode_gloss(tokens, checkpoint.vocab, checkpoint.merges, checkpoint.config.segmentation)
-        batch = pad_minibatch([ids], checkpoint.model.embeddings.pad_id)  # the training length cap
-        vector = checkpoint.model.encode_ids(batch.token_ids, batch.lengths)[0]
-        ranked = rank_by_cosine(vector, checkpoint.pretrained, answer_length=wanted, topk=args.topk)
-        if not ranked:
-            _note("no candidates of that length")
-        for word, score in ranked:
-            print(f"{word}\t{score!r}")
-        print()
+    with decoding("standard input"):
+        for raw in sys.stdin:
+            line = raw.strip()
+            if not line:
+                continue
+            text, wanted = _split_query(line)
+            if text is None:
+                _note("bad --length value, skipping line")
+                continue
+            if wanted is None:
+                wanted = args.length
+            tokens = tokenize(text)
+            if not tokens:
+                _note("empty query, skipping line")
+                continue
+            ids = encode_gloss(tokens, checkpoint.vocab, checkpoint.merges, checkpoint.config.segmentation)
+            batch = pad_minibatch([ids], checkpoint.model.embeddings.pad_id)  # the training length cap
+            vector = checkpoint.model.encode_ids(batch.token_ids, batch.lengths)[0]
+            ranked = rank_by_cosine(vector, checkpoint.pretrained, answer_length=wanted, topk=args.topk)
+            if not ranked:
+                _note("no candidates of that length")
+            for word, score in ranked:
+                print(f"{word}\t{score!r}")
+            print()
     return EXIT_OK
 
 
@@ -297,7 +298,7 @@ def build_parser() -> _Parser:
     p.add_argument("--encoder", choices=("final", "average", "bidirectional"), help="override encoder_mode")
     p.add_argument("--segmentation", choices=("word", "bpe"), help="override segmentation")
     p.add_argument("--epochs", type=_nonnegative, help="override epochs")
-    p.add_argument("--seed", type=int, help="override seed (config default 42)")
+    p.add_argument("--seed", type=_nonnegative, help="override seed (config default 42)")
     p.add_argument("--cap", type=_positive, default=WORD_VOCAB_CAP, help="max vocabulary size")
     p.set_defaults(handler=_cmd_train)
 

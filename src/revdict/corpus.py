@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, decoding
 
 BUCKET_SIZE = 4096
 MINIBATCH_SIZE = 16
@@ -73,14 +73,13 @@ class EncodedPair:
 class PaddedBatch:
     """A rectangular minibatch of encoded glosses.
 
-    ``token_ids`` is B x L with ``pad_id`` in every position at or beyond the
+    ``token_ids`` is B x L with the pad id in every position at or beyond the
     row's true length; ``lengths`` holds the true (post-truncation) lengths.
     """
 
     token_ids: np.ndarray
     lengths: np.ndarray
     head_ids: np.ndarray
-    pad_id: int
 
     def __len__(self) -> int:
         return self.token_ids.shape[0]
@@ -107,7 +106,7 @@ def load_definitions(path: str | Path) -> tuple[list[DefinitionPair], int]:
     """
     pairs: list[DefinitionPair] = []
     rejected = 0
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle, decoding(path):
         for line in handle:
             line = line.rstrip("\n")
             if not line:
@@ -133,7 +132,7 @@ def save_definitions(path: str | Path, pairs: list[DefinitionPair]) -> None:
 
 def load_crossword_csv(path: str | Path) -> list[tuple[str, str]]:
     """Read raw (clue, answer) rows from a CSV with a ``clue,answer`` header."""
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8", newline="") as handle, decoding(path):
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["clue", "answer"]:
@@ -219,7 +218,6 @@ def pad_minibatch(
         token_ids=token_ids,
         lengths=lengths,
         head_ids=np.asarray(head_ids, dtype=np.int64),
-        pad_id=pad_id,
     )
 
 

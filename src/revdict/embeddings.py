@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, NonFiniteLossError
+from .errors import DataError, NonFiniteLossError, decoding
 
 PRETRAINED_DIM = 500
 LEARNED_DIM = 500
@@ -34,24 +34,37 @@ class PretrainedTable:
     """Immutable word -> D-vector table with cached row norms.
 
     Rows ascend by word length, in file order within a length, so the words
-    of one length are one contiguous span of rows.
+    of one length are one contiguous span of rows.  The constructor derives
+    ``word_to_row``, the norms and the spans, and raises ValueError unless
+    the matrix is (len(words), D), the words are unique and in that order,
+    and every row has a finite nonzero norm.
     """
 
     words: list[str]
     matrix: np.ndarray  # (n, D) float64
-    word_to_row: dict[str, int]
+    word_to_row: dict[str, int] = field(init=False, repr=False)
     norms: np.ndarray = field(init=False)  # (n,) float64, all finite and > 0
     spans: dict[int, slice] = field(init=False)  # each word length present -> its rows, ascending
 
     def __post_init__(self) -> None:
+        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.words):
+            raise ValueError("matrix must be (len(words), D)")
+        self.word_to_row = {w: i for i, w in enumerate(self.words)}
+        if len(self.word_to_row) != len(self.words):
+            raise ValueError("duplicate words in table")
         lengths = _lengths(self.words)
         if np.any(lengths[1:] < lengths[:-1]):
             raise ValueError("table rows are not in word-length order")
         self.norms = np.empty(len(self.matrix))
-        with np.errstate(over="ignore"):  # an overflowing norm reads inf, which from_arrays rejects
+        with np.errstate(over="ignore"):  # an overflowing norm reads inf, which is refused below
             for lo in range(0, len(self.matrix), NORM_BLOCK_ROWS):
                 block = slice(lo, lo + NORM_BLOCK_ROWS)
                 self.norms[block] = np.linalg.norm(self.matrix[block], axis=1)
+        if not np.all(np.isfinite(self.norms)):
+            raise ValueError("non-finite vector in table")
+        if np.any(self.norms == 0.0):
+            raise ValueError("zero-norm vector in table")
         lengths, starts, counts = np.unique(lengths, return_index=True, return_counts=True)
         self.spans = {int(n): slice(int(lo), int(lo + c)) for n, lo, c in zip(lengths, starts, counts)}
 
@@ -62,19 +75,10 @@ class PretrainedTable:
         A matrix whose words are already in that order is used as it is, not copied.
         """
         matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != len(words):
-            raise ValueError("matrix must be (len(words), D)")
-        if len(set(words)) != len(words):
-            raise ValueError("duplicate words in table")
         order = length_order(words)
-        if order is not None:
+        if order is not None and matrix.shape[:1] == (len(words),):  # the constructor refuses other shapes
             words, matrix = [words[i] for i in order], matrix[order]
-        table = cls(words=list(words), matrix=matrix, word_to_row={w: i for i, w in enumerate(words)})
-        if not np.all(np.isfinite(table.norms)):
-            raise ValueError("non-finite vector in table")
-        if np.any(table.norms == 0.0):
-            raise ValueError("zero-norm vector in table")
-        return table
+        return cls(list(words), matrix)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -132,7 +136,7 @@ def load_pretrained(
     rows: list[np.ndarray] = []
     seen: set[str] = set()
     stats = PretrainedLoadStats()
-    with open(path, encoding="utf-8") as handle, np.errstate(over="ignore"):
+    with open(path, encoding="utf-8") as handle, decoding(path), np.errstate(over="ignore"):
         for line in handle:
             fields = line.split()
             if not fields:
@@ -173,8 +177,7 @@ def load_pretrained(
     order = length_order(words)
     if order is not None:
         words, rows = [words[i] for i in order], [rows[i] for i in order]
-    word_to_row = {w: i for i, w in enumerate(words)}
-    return PretrainedTable(words=words, matrix=np.stack(rows), word_to_row=word_to_row), stats
+    return PretrainedTable(words, np.stack(rows)), stats
 
 
 @dataclass

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DataError
+from .errors import DataError, decoding
 
 UNK_TOKEN = "<unk>"
 PAD_TOKEN = "<pad>"
@@ -40,13 +40,22 @@ BPE_MERGES = 10_000
 
 @dataclass
 class WordVocab:
-    """Dense token<->id maps over the ``cap`` most frequent tokens plus UNK/PAD."""
+    """Dense token<->id maps; ``token_to_id`` and the UNK and PAD ids are derived from ``id_to_token``."""
 
-    token_to_id: dict[str, int]
     id_to_token: list[str]
-    unk_id: int
-    pad_id: int
-    cap: int
+    token_to_id: dict[str, int] = field(init=False, repr=False)
+    unk_id: int = field(init=False)
+    pad_id: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
+        if len(self.token_to_id) != len(self.id_to_token):
+            raise DataError("vocabulary lists a token twice")
+        for token in (UNK_TOKEN, PAD_TOKEN):
+            if token not in self.token_to_id:
+                raise DataError(f"vocabulary has no {token}")
+        self.unk_id = self.token_to_id[UNK_TOKEN]
+        self.pad_id = self.token_to_id[PAD_TOKEN]
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -63,7 +72,7 @@ class WordVocab:
     @classmethod
     def load(cls, path: str | Path) -> "WordVocab":
         id_to_token: list[str] = []
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle, decoding(path):
             for line in handle:
                 line = line.rstrip("\n")
                 if not line:
@@ -75,31 +84,15 @@ class WordVocab:
                     raise DataError(f"{path}: vocab ids must be dense from 0")
                 id_to_token.append(token)
         try:
-            unk_id = id_to_token.index(UNK_TOKEN)
-            pad_id = id_to_token.index(PAD_TOKEN)
-        except ValueError as exc:
-            raise DataError(f"{path}: vocab file lacks {UNK_TOKEN}/{PAD_TOKEN}") from exc
-        return cls(
-            token_to_id={tok: i for i, tok in enumerate(id_to_token)},
-            id_to_token=id_to_token,
-            unk_id=unk_id,
-            pad_id=pad_id,
-            cap=len(id_to_token) - 2,
-        )
+            return cls(id_to_token)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def build_word_vocab(frequencies: Mapping[str, int], cap: int = WORD_VOCAB_CAP) -> WordVocab:
     """Keep the ``cap`` most frequent tokens (ties lexicographic), add UNK and PAD."""
     ranked = sorted(frequencies.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept = [token for token, _ in ranked[:cap]]
-    id_to_token = kept + [UNK_TOKEN, PAD_TOKEN]
-    return WordVocab(
-        token_to_id={tok: i for i, tok in enumerate(id_to_token)},
-        id_to_token=id_to_token,
-        unk_id=len(kept),
-        pad_id=len(kept) + 1,
-        cap=cap,
-    )
+    return WordVocab([token for token, _ in ranked[:cap]] + [UNK_TOKEN, PAD_TOKEN])
 
 
 class MergeSequence(tuple):
@@ -117,7 +110,7 @@ class MergeSequence(tuple):
 
 @dataclass(frozen=True)
 class MergeTable:
-    """Ordered sequence of learned BPE merges plus the word-final marker.
+    """Ordered sequence of learned BPE merges.
 
     ``ranks`` maps each pair to the ascending ranks (positions) it has in
     ``merges``.  The table is frozen and ``merges`` is a tuple, so the index
@@ -125,7 +118,6 @@ class MergeTable:
     """
 
     merges: Sequence[tuple[str, str]] = ()
-    end_marker: str = END_MARKER
     ranks: dict[tuple[str, str], list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -145,7 +137,7 @@ class MergeTable:
     @classmethod
     def load(cls, path: str | Path) -> "MergeTable":
         merges: list[tuple[str, str]] = []
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle, decoding(path):
             for line in handle:
                 line = line.rstrip("\n")
                 if not line:
@@ -157,12 +149,12 @@ class MergeTable:
         return cls(merges=merges)
 
 
-def _initial_symbols(word: str, end_marker: str) -> tuple[str, ...]:
+def _initial_symbols(word: str) -> tuple[str, ...]:
     if not word:
         raise ValueError("cannot segment an empty word")
-    if end_marker in word:
-        raise ValueError(f"word {word!r} contains the end marker {end_marker!r}")
-    return tuple(word[:-1]) + (word[-1] + end_marker,)
+    if END_MARKER in word:
+        raise ValueError(f"word {word!r} contains the end marker {END_MARKER!r}")
+    return tuple(word[:-1]) + (word[-1] + END_MARKER,)
 
 
 def _merge_symbols(symbols: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
@@ -187,7 +179,7 @@ def learn_bpe(word_frequencies: Mapping[str, int], num_merges: int = BPE_MERGES)
     stops after ``num_merges`` merges or once the best pair occurs fewer
     than twice.
     """
-    words = [_initial_symbols(w, END_MARKER) for w in word_frequencies]
+    words = [_initial_symbols(w) for w in word_frequencies]
     freqs = [int(word_frequencies[w]) for w in word_frequencies]
 
     pair_counts: Counter[tuple[str, str]] = Counter()
@@ -248,7 +240,7 @@ def apply_bpe(word: str, table: MergeTable) -> list[str]:
     next one is the lowest rank above ``done`` among the current adjacent
     pairs.
     """
-    symbols = _initial_symbols(word, table.end_marker)
+    symbols = _initial_symbols(word)
     done = -1
     while len(symbols) > 1:
         rank = len(table.merges)
@@ -265,21 +257,21 @@ def apply_bpe(word: str, table: MergeTable) -> list[str]:
     return list(symbols)
 
 
-def render_subwords(subwords: list[str], end_marker: str = END_MARKER) -> list[str]:
+def render_subwords(subwords: list[str]) -> list[str]:
     """Serialize subwords: "@@" on non-final pieces, marker stripped from the last."""
     if not subwords:
         return []
     rendered = [s + CONTINUATION for s in subwords[:-1]]
     last = subwords[-1]
-    if last.endswith(end_marker):
-        last = last[: -len(end_marker)]
+    if last.endswith(END_MARKER):
+        last = last[: -len(END_MARKER)]
     rendered.append(last)
     return rendered
 
 
 def segment_word(word: str, table: MergeTable) -> list[str]:
     """Segment and serialize a word, e.g. "abd" -> ["ab@@", "d"]."""
-    return render_subwords(apply_bpe(word, table), table.end_marker)
+    return render_subwords(apply_bpe(word, table))
 
 
 def segment_tokens(tokens: Iterable[str], table: MergeTable) -> list[str]:

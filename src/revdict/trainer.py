@@ -11,7 +11,7 @@ produce bitwise-identical files.  Each array is a stored (uncompressed)
 once, from its checked offset straight into the array it ends up in, and
 checks its CRC-32.  They store the pretrained table in its word-length row
 order, and loading refuses a table in any other order rather than copy it
-to sort it.
+to sort it.  The meta repeats no fact that its config or vocabulary fixes.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from typing import BinaryIO
 import numpy as np
 
 from .corpus import DefinitionPair, EncodedPair, MINIBATCH_SIZE, bucket_and_batch
-from .embeddings import PretrainedTable, length_order
+from .embeddings import PretrainedTable
 from .encoder import DefinitionModel, EncoderMode, LSTMParams
-from .errors import ConfigError, DataError, NonFiniteLossError
+from .errors import ConfigError, DataError, NonFiniteLossError, decoding
 from .evaluator import median_rank, rank_of_correct, score_batches
 from .objective import LossKind, RowGradient, backward, sample_negative
 from .tokenizer import MergeTable, WordVocab, encode_gloss
@@ -47,7 +47,7 @@ EPSILON = 1e-8
 ADAM_BLOCK = 1 << 15
 
 CHECKPOINT_FORMAT = "revdict-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # config-file keys that name input files rather than hyperparameters
 CONFIG_PATH_KEYS = ("train", "dev", "embeddings", "merges", "crosswords")
@@ -75,6 +75,8 @@ class TrainConfig:
             raise ConfigError(f"unsupported optimizer {self.optimizer!r}")
         if self.epochs < 0:
             raise ConfigError("epochs must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not 1 <= self.minibatch <= MINIBATCH_SIZE:
             raise ConfigError(f"minibatch must be in [1, {MINIBATCH_SIZE}]")
         if self.bucket < 1 or self.bucket % self.minibatch != 0:
@@ -107,7 +109,7 @@ def read_config(path: str | Path) -> tuple[TrainConfig, dict[str, str]]:
     field_types = {f.name: f.type for f in fields(TrainConfig)}
     values: dict = {}
     paths: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle, decoding(path, ConfigError):
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -361,23 +363,25 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     Each array is streamed into its stored member, so no copy of the table is
     made.  The archive is written to a temporary file beside ``path`` and
     renamed over it, so a failed write leaves any previous file at ``path``
-    whole.
+    whole.  A model whose mode or PAD id disagrees with the config or the
+    vocabulary, which a load derives them from, is a ValueError; nothing is written.
     """
+    model, mode = ckpt.model, ckpt.config.encoder_mode
+    if model.mode.value != mode:
+        raise ValueError(f"model mode {model.mode.value!r} is not the config's encoder_mode {mode!r}")
+    if model.embeddings.pad_id != ckpt.vocab.pad_id:
+        raise ValueError(f"model pad id {model.embeddings.pad_id} is not the vocabulary's {ckpt.vocab.pad_id}")
     meta = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": asdict(ckpt.config),
         "epoch": ckpt.epoch,
         "dev_median_rank": ckpt.dev_median_rank,
-        "mode": ckpt.model.mode.value,
-        "pad_id": ckpt.model.embeddings.pad_id,
         "vocab": ckpt.vocab.id_to_token,
-        "vocab_cap": ckpt.vocab.cap,
-        "unk_id": ckpt.vocab.unk_id,
         "merges": [list(m) for m in ckpt.merges.merges] if ckpt.merges else None,
         "pretrained_words": ckpt.pretrained.words,
     }
-    arrays = {f"param/{k}": v for k, v in ckpt.model.param_dict().items()}
+    arrays = {f"param/{k}": v for k, v in model.param_dict().items()}
     arrays["pretrained"] = ckpt.pretrained.matrix
     path = Path(path)
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -402,8 +406,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 
 # meta.json keys that save_checkpoint writes
 META_KEYS = (
-    "format", "version", "config", "epoch", "dev_median_rank", "mode", "pad_id",
-    "vocab", "vocab_cap", "unk_id", "merges", "pretrained_words",
+    "format", "version", "config", "epoch", "dev_median_rank", "vocab", "merges", "pretrained_words",
 )
 
 
@@ -487,20 +490,15 @@ def _read_npy(handle: BinaryIO, info: zipfile.ZipInfo, file_size: int) -> np.nda
 def _checkpoint_from(meta: dict, arrays: dict[str, np.ndarray]) -> Checkpoint:
     """Build a Checkpoint from its meta and arrays, checking every array's shape and that the parameters are finite."""
     config = TrainConfig(**meta["config"]).validate()
-    mode = EncoderMode(meta["mode"])
-    vocab_size = len(meta["vocab"])
-    pad_id, unk_id = int(meta["pad_id"]), int(meta["unk_id"])
-    if not (0 <= pad_id < vocab_size and 0 <= unk_id < vocab_size):
-        raise DataError(f"pad/unk ids {pad_id}/{unk_id} outside the {vocab_size}-token vocabulary")
+    mode = EncoderMode(config.encoder_mode)
+    vocab = WordVocab(list(meta["vocab"]))
     if "pretrained" not in arrays or arrays["pretrained"].ndim != 2:
         raise DataError("checkpoint has no 2-D array 'pretrained'")
-    if length_order(meta["pretrained_words"]) is not None:  # from_arrays would copy the table to sort it
-        raise DataError("array 'pretrained' rows are not in word-length order")
     out_dim = arrays["pretrained"].shape[1]
     prefixes = ("fwd", "bwd") if mode is EncoderMode.BIDIRECTIONAL else ("fwd",)
     embed, hidden = config.embed_dim, config.hidden_size
     gate_shapes = {"w": (embed, 4 * hidden), "u": (hidden, 4 * hidden), "b": (4 * hidden,)}
-    expected = {"pretrained": (len(meta["pretrained_words"]), out_dim), "param/emb": (vocab_size, embed)}
+    expected = {"pretrained": (len(meta["pretrained_words"]), out_dim), "param/emb": (len(vocab), embed)}
     for prefix in prefixes:
         for name in LSTMParams.FIELDS:
             expected[f"param/{prefix}.{name}"] = gate_shapes[name]
@@ -516,21 +514,16 @@ def _checkpoint_from(meta: dict, arrays: dict[str, np.ndarray]) -> Checkpoint:
         # max carry any nan and any inf is one of them, so no array-sized temporary is made
         if name.startswith("param/") and not np.isfinite([found.min(initial=0.0), found.max(initial=0.0)]).all():
             raise NonFiniteLossError(f"array {name!r} has a non-finite entry")
+    try:  # a table out of word-length order is refused, not copied to sort it
+        pretrained = PretrainedTable(list(meta["pretrained_words"]), arrays["pretrained"])
+    except ValueError as exc:
+        raise DataError(f"array 'pretrained': {exc}") from exc
 
     params = {k[len("param/") :]: v for k, v in arrays.items() if k.startswith("param/")}
-    model = DefinitionModel.from_params(mode, pad_id, params)
-    id_to_token = list(meta["vocab"])
-    vocab = WordVocab(
-        token_to_id={tok: i for i, tok in enumerate(id_to_token)},
-        id_to_token=id_to_token,
-        unk_id=unk_id,
-        pad_id=pad_id,
-        cap=int(meta["vocab_cap"]),
-    )
+    model = DefinitionModel.from_params(mode, vocab.pad_id, params)
     merges = None
     if meta["merges"] is not None:
         merges = MergeTable(merges=[tuple(m) for m in meta["merges"]])
-    pretrained = PretrainedTable.from_arrays(meta["pretrained_words"], arrays["pretrained"])
     return Checkpoint(
         model=model,
         config=config,

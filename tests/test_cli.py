@@ -71,9 +71,9 @@ def workspace(tmp_path):
 def rewrite_checkpoint(
     source, target, meta=None, drop_meta=None, drop=None, arrays=None, raw=None, deflate=None, patch=None
 ):
-    """Copy a checkpoint archive with its meta updated, a member dropped, ``arrays[name]`` applied to array
-    ``name``, ``raw[member]`` applied to a member's bytes, or member ``deflate`` compressed; then ``patch``
-    the written file's bytes."""
+    """Copy a checkpoint archive with its meta updated (a callable value is applied to the old one), a member
+    dropped, ``arrays[name]`` applied to array ``name``, ``raw[member]`` applied to a member's bytes, or member
+    ``deflate`` compressed; then ``patch`` the written file's bytes."""
     with zipfile.ZipFile(source) as src, zipfile.ZipFile(target, "w") as dst:
         for name in src.namelist():
             data = src.read(name)
@@ -81,7 +81,8 @@ def rewrite_checkpoint(
                 continue
             if name == "meta.json":
                 content = json.loads(data)
-                content.update(meta or {})
+                for key, value in (meta or {}).items():
+                    content[key] = value(content[key]) if callable(value) else value
                 content.pop(drop_meta, None)
                 data = json.dumps(content).encode("utf-8")
             edit = (arrays or {}).get(name[: -len(".npy")])
@@ -276,6 +277,58 @@ class TestTrainEvalQuery:
             assert f"config error: learning_rate must be positive and finite, got {value}" in capsys.readouterr().err
         assert not (workspace / "m.ckpt").exists()
 
+    def test_negative_seed_is_refused(self, workspace, capsys):
+        config = write_config(workspace)
+        assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt"), "--seed", "-1"]) == 1
+        assert "usage error: argument --seed: must be >= 0" in capsys.readouterr().err
+        config = write_config(workspace, seed=-1)
+        assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 1
+        assert capsys.readouterr().err == "config error: seed must be nonnegative, got -1\n"
+        assert not (workspace / "m.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "case",
+        ["learn-bpe", "train-definitions", "train-dev", "train-crosswords", "train-vectors", "apply-bpe-merges",
+         "eval-crosswords", "config", "query-stdin"],
+    )
+    def test_undecodable_input_is_named(self, workspace, trained, capsys, monkeypatch, case):
+        # each file is a valid one with a line holding byte 0xe9, which no UTF-8 text has alone
+        bad = workspace / "bad.txt"
+        out = str(workspace / "out.txt")
+        train = ["train", "--output", str(workspace / "m.ckpt"), "--config"]
+        cases = {  # the text the bad file extends, and the command that reads it
+            "learn-bpe": (DEFS, lambda: ["learn-bpe", "--input", str(bad), "--output", out]),
+            "train-definitions": (DEFS, lambda: train + [str(write_config(workspace, train=bad))]),
+            "train-dev": (DEV, lambda: train + [str(write_config(workspace, dev=bad))]),
+            "train-crosswords": (
+                CROSSWORDS, lambda: train + [str(write_config(workspace, dataset="full", crosswords=bad))]
+            ),
+            "train-vectors": (
+                (workspace / "vecs.txt").read_text(), lambda: train + [str(write_config(workspace, embeddings=bad))]
+            ),
+            "apply-bpe-merges": (
+                "a b\n", lambda: ["apply-bpe", "--input", str(workspace / "defs.tsv"), "--merges", str(bad), "--output", out]
+            ),
+            "eval-crosswords": (
+                CROSSWORDS, lambda: ["eval", "--checkpoint", str(trained), "--test", str(bad), "--mode", "crossword"]
+            ),
+            "config": (write_config(workspace).read_text(), lambda: train + [str(bad)]),
+            "query-stdin": ("", lambda: ["query", "--checkpoint", str(trained)]),
+        }
+        valid, command = cases[case]
+        bad.write_bytes(valid.encode() + b"caf\xe9 feline\n")
+        argv = command()
+        source = bad
+        if case == "query-stdin":
+            source = "standard input"
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"small feline\ncaf\xe9\n"), encoding="utf-8"))
+        capsys.readouterr()
+        expected = 1 if case == "config" else 2
+        assert run(argv) == expected
+        kind = "config error" if case == "config" else "data error"
+        assert capsys.readouterr().err == f"{kind}: {source}: not UTF-8 text (byte 0xe9 does not decode)\n"
+        assert not (workspace / "m.ckpt").exists()
+
     def test_train_missing_data_file(self, workspace):
         config = write_config(workspace, train=workspace / "absent.tsv")
         assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 2
@@ -363,8 +416,8 @@ class TestTrainEvalQuery:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (dict(meta={"version": 99}), "checkpoint version 99 is not 3"),
-            (dict(meta={"version": None}), "checkpoint version None is not 3"),
+            (dict(meta={"version": 99}), "checkpoint version 99 is not 4"),
+            (dict(meta={"version": None}), "checkpoint version None is not 4"),
             (dict(drop_meta="config"), "checkpoint meta has no 'config'"),
             (dict(drop="param/fwd.u.npy"), "checkpoint has no array 'param/fwd.u'"),
             (dict(arrays={"param/emb": lambda a: a[:-1]}), "array 'param/emb' is float64 (14, 6), expected float64 (15, 6)"),
@@ -372,17 +425,21 @@ class TestTrainEvalQuery:
                 dict(arrays={"param/emb": lambda a: a.astype(np.float32)}),
                 "array 'param/emb' is float32 (15, 6), expected float64 (15, 6)",
             ),
-            (dict(meta={"mode": "bidirectional"}), "checkpoint has no array 'param/bwd.w'"),
-            (dict(meta={"pad_id": 15}), "pad/unk ids 15/13 outside the 15-token vocabulary"),
+            # the encoder mode is the config's, so the second direction's arrays are missing
+            (dict(meta={"config": lambda c: {**c, "encoder_mode": "bidirectional"}}), "checkpoint has no array 'param/bwd.w'"),
+            # the PAD id is the vocabulary's
+            (dict(meta={"vocab": lambda v: [t for t in v if t != "<pad>"]}), "vocabulary has no <pad>"),
             # one gate's (E, H) block where the fused (E, 4H) matrix belongs, as a version-1 array
             (dict(arrays={"param/fwd.w": lambda a: a[:, :5]}), "array 'param/fwd.w' is float64 (6, 5), expected float64 (6, 20)"),
             # one row short of the average mode's (H, D) projection
             (dict(arrays={"param/proj.w": lambda a: a[:-1]}), "array 'param/proj.w' is float64 (4, 6), expected float64 (5, 6)"),
             # version 2 stored the pretrained rows in file order
-            (dict(meta={"version": 2}), "checkpoint version 2 is not 3"),
+            (dict(meta={"version": 2}), "checkpoint version 2 is not 4"),
+            # version 3 stored the mode, the PAD and UNK ids and the vocabulary cap in its meta
+            (dict(meta={"version": 3}), "checkpoint version 3 is not 4"),
             (
                 dict(meta={"pretrained_words": IN_LENGTH_ORDER[::-1]}, arrays={"pretrained": lambda a: a[::-1]}),
-                "array 'pretrained' rows are not in word-length order",
+                "array 'pretrained': table rows are not in word-length order",
             ),
             (dict(deflate="pretrained.npy"), "member 'pretrained.npy' is compressed; checkpoint members are stored"),
             (dict(patch=flip_last_data_byte("pretrained.npy")), "member 'pretrained.npy' fails its CRC-32 check"),
@@ -397,7 +454,7 @@ class TestTrainEvalQuery:
         ],
         ids=[
             "version", "no-version", "meta-key", "param-array", "emb-shape", "emb-dtype", "mode", "pad-id",
-            "gate-shape", "proj-shape", "version-2", "table-order", "deflated", "crc", "past-eof",
+            "gate-shape", "proj-shape", "version-2", "version-3", "table-order", "deflated", "crc", "past-eof",
             "object-dtype", "header-shape",
         ],
     )
@@ -534,7 +591,7 @@ class TestTrainEvalQuery:
         with zipfile.ZipFile(trained) as zf:
             meta = json.loads(zf.read("meta.json"))
             stored = np.load(io.BytesIO(zf.read("pretrained.npy")))
-        assert meta["version"] == 3
+        assert meta["version"] == 4
         assert meta["pretrained_words"] == IN_LENGTH_ORDER
         checkpoint = load_checkpoint(trained)
         np.testing.assert_array_equal(stored, checkpoint.pretrained.matrix)

@@ -185,14 +185,11 @@ class TestRanking:
         with pytest.raises(ValueError):
             rank_by_cosine(q, table, topk=0)
 
-    def test_non_finite_row_never_displaces_a_finite_candidate(self):
-        # an inf vector scores nan against every query; from_arrays and
-        # load_pretrained reject one, so the table is built around them
+    def test_constructor_refuses_a_non_finite_row(self):
+        # an inf vector would score nan against every query, so no table can hold one
         matrix = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [np.inf, 0.0]])
-        words = ["a", "b", "c", "d"]
-        table = PretrainedTable(words=words, matrix=matrix, word_to_row={w: i for i, w in enumerate(words)})
-        with np.errstate(invalid="ignore"):
-            assert [w for w, _ in rank_by_cosine(np.array([1.0, 0.2]), table, topk=2)] == ["a", "c"]
+        with pytest.raises(ValueError, match="non-finite vector in table"):
+            PretrainedTable(["a", "b", "c", "d"], matrix)
 
     def test_cosine_to_all_matches_lookup_geometry(self):
         table = toy_table()
@@ -348,7 +345,28 @@ def test_blocked_norms_equal_the_whole_table_norm_bitwise(rows):
 
 def test_rows_out_of_length_order_are_refused():
     with pytest.raises(ValueError, match="not in word-length order"):
-        PretrainedTable(words=["bee", "ox"], matrix=np.eye(2), word_to_row={"bee": 0, "ox": 1})
+        PretrainedTable(["bee", "ox"], np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "words, matrix, message",
+    [
+        (["ox", "bee"], np.eye(3), r"matrix must be \(len\(words\), D\)"),
+        (["ox", "bee"], np.ones(2), r"matrix must be \(len\(words\), D\)"),
+        (["ox", "ox"], np.eye(2), "duplicate words in table"),
+        (["ox", "bee"], np.array([[1.0, 0.0], [0.0, 0.0]]), "zero-norm vector in table"),
+    ],
+    ids=["rows", "one-dimensional", "duplicate", "zero-norm"],
+)
+def test_constructor_refuses_a_broken_table(words, matrix, message):
+    with pytest.raises(ValueError, match=message):
+        PretrainedTable(words, matrix)
+
+
+def test_constructor_derives_the_row_index():
+    table = PretrainedTable(["ox", "bee", "cat"], np.eye(3))
+    assert table.word_to_row == {"ox": 0, "bee": 1, "cat": 2}
+    assert table.spans == {2: slice(0, 1), 3: slice(1, 3)}
 
 
 def test_load_pretrained_stacks_rows_in_length_order(tmp_path):

@@ -65,7 +65,7 @@ def oracle_learn_bpe(word_freqs, num_merges):
 def scan_learn_bpe(word_frequencies, num_merges):
     """Reference learner: the library's incremental pair counts, but each merge
     picked by a scan over every pair count (highest count, then smallest pair)."""
-    words = [_initial_symbols(w, END_MARKER) for w in word_frequencies]
+    words = [_initial_symbols(w) for w in word_frequencies]
     freqs = [int(word_frequencies[w]) for w in word_frequencies]
 
     pair_counts = Counter()
@@ -108,7 +108,7 @@ def scan_learn_bpe(word_frequencies, num_merges):
 
 def replay_apply_bpe(word, table):
     """Segment by replaying every merge of the table in order."""
-    symbols = _initial_symbols(word, table.end_marker)
+    symbols = _initial_symbols(word)
     for pair in table.merges:
         if len(symbols) == 1:
             break
@@ -186,6 +186,36 @@ class TestWordVocab:
         path = tmp_path / "vocab.tsv"
         path.write_text("cat\t0\ndog\t2\n")
         with pytest.raises(DataError):
+            WordVocab.load(path)
+
+    def test_ids_are_derived_from_the_token_list(self):
+        vocab = WordVocab(["<pad>", "cat", "<unk>"])
+        assert vocab.token_to_id == {"<pad>": 0, "cat": 1, "<unk>": 2}
+        assert (vocab.pad_id, vocab.unk_id) == (0, 2)
+
+    @pytest.mark.parametrize(
+        "tokens, message",
+        [
+            (["cat", "<unk>"], "vocabulary has no <pad>"),
+            (["cat", "<pad>"], "vocabulary has no <unk>"),
+            (["cat", "<unk>", "cat", "<pad>"], "vocabulary lists a token twice"),
+        ],
+        ids=["no-pad", "no-unk", "repeat"],
+    )
+    def test_constructor_refuses_a_broken_token_list(self, tmp_path, tokens, message):
+        with pytest.raises(DataError) as built:
+            WordVocab(tokens)
+        assert str(built.value) == message
+        path = tmp_path / "vocab.tsv"
+        path.write_text("".join(f"{token}\t{i}\n" for i, token in enumerate(tokens)))
+        with pytest.raises(DataError) as loaded:
+            WordVocab.load(path)
+        assert str(loaded.value) == f"{path}: {message}"
+
+    def test_load_rejects_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_bytes(b"caf\xe9\t0\n<unk>\t1\n<pad>\t2\n")
+        with pytest.raises(DataError, match="not UTF-8 text"):
             WordVocab.load(path)
 
 

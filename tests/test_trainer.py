@@ -71,6 +71,7 @@ class TestTrainConfig:
             dict(learning_rate=0.0),
             dict(optimizer="sgd"),
             dict(epochs=-1),
+            dict(seed=-1),
             dict(minibatch=0),
             dict(minibatch=17),
             dict(bucket=10, minibatch=3),
@@ -546,6 +547,29 @@ class TestCheckpointIO:
         finally:
             tracemalloc.stop()
         assert peak < emb.size // 4  # a boolean mask of emb would take emb.size bytes
+
+    def test_meta_holds_exactly_the_meta_keys(self, tmp_path):
+        ckpt, _ = self.make_checkpoint(segmentation="bpe")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        with zipfile.ZipFile(path) as zf:
+            assert sorted(json.loads(zf.read("meta.json"))) == sorted(trainer.META_KEYS)
+
+    @pytest.mark.parametrize("fact", ["mode", "pad-id"])
+    def test_inconsistent_checkpoint_is_refused_and_writes_nothing(self, tmp_path, fact):
+        # a load derives the mode from the config and the PAD id from the vocabulary,
+        # so a model that disagrees with either would not come back as it was saved
+        ckpt, _ = self.make_checkpoint()
+        if fact == "mode":
+            ckpt.config = ckpt.config.override(encoder_mode="final")
+            message = "model mode 'average' is not the config's encoder_mode 'final'"
+        else:
+            ckpt.model.embeddings.pad_id = 0
+            message = f"model pad id 0 is not the vocabulary's {ckpt.vocab.pad_id}"
+        with pytest.raises(ValueError) as refused:
+            save_checkpoint(tmp_path / "model.ckpt", ckpt)
+        assert str(refused.value) == message
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_checkpoint_zip_rejected(self, tmp_path):
         import zipfile
