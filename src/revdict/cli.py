@@ -236,7 +236,8 @@ def _cmd_query(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     with decoding("standard input"):
         for raw in sys.stdin:
-            line = raw.strip()
+            # surrogateescape stdin (C locale, UTF-8 mode) escapes a bad byte; decoding again refuses it
+            line = raw.encode("utf-8", "surrogateescape").decode("utf-8").strip()
             if not line:
                 continue
             text, wanted = _split_query(line)

@@ -10,11 +10,14 @@ A gloss is embedded token by token and folded into one vector:
 The result is projected through a tanh layer into the pretrained embedding
 space.  Training, inference and the gradient check share one recurrence
 (``run_lstm_states``), one read-out (``read_out``, with its adjoint) and
-one forward (``forward``) that strings them together.  The recurrence
-takes each row's length and steps only the rows that are still running,
-so padded positions cost nothing and hold zeros.  All arithmetic is
-float64 and batch-first; ``encode_ids`` also takes a single sequence and
-returns an unbatched vector.
+one forward (``forward``) that strings them together.  The parameter
+layout is stated once: ``directions`` names a mode's LSTM runs,
+``named_params`` names the arrays in ``param_dict`` order (the parameters,
+their gradients and their shapes alike) and ``param_shapes`` gives each
+array's shape.  The recurrence takes each row's length and steps only the
+rows that are still running, so padded positions cost nothing and hold
+zeros.  All arithmetic is float64 and batch-first; ``encode_ids`` also
+takes a single sequence and returns an unbatched vector.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .errors import NonFiniteLossError
 
 HIDDEN_SIZE = 512
 OUTPUT_DIM = 500
+DIRECTIONS = ("fwd", "bwd")  # the gloss read forward, and reversed
 
 
 class EncoderMode(str, Enum):
@@ -70,6 +74,28 @@ class LSTMParams:
         return {f"{prefix}.{name}": getattr(self, name) for name in self.FIELDS}
 
 
+def directions(mode: EncoderMode) -> tuple[str, ...]:
+    """The names of ``mode``'s LSTM runs: forward, and for ``bidirectional`` the reversed gloss too."""
+    return DIRECTIONS if EncoderMode(mode) is EncoderMode.BIDIRECTIONAL else DIRECTIONS[:1]
+
+
+def named_params(emb, lstms, proj_w, proj_b) -> dict:
+    """The parameter layout by name: ``emb``, each direction's gates, the projection (arrays, gradients or shapes)."""
+    named = {"emb": emb}
+    for prefix, lstm in zip(DIRECTIONS, lstms):
+        named.update(lstm.named(prefix))
+    return {**named, "proj.w": proj_w, "proj.b": proj_b}
+
+
+def param_shapes(
+    mode: EncoderMode, vocab_size: int, embed_dim: int, hidden: int, output_dim: int
+) -> dict[str, tuple[int, ...]]:
+    """Each parameter array's name and shape for a model of ``mode``, in ``param_dict`` order."""
+    count = len(directions(mode))
+    gates = LSTMParams(w=(embed_dim, 4 * hidden), u=(hidden, 4 * hidden), b=(4 * hidden,))
+    return named_params((vocab_size, embed_dim), [gates] * count, (count * hidden, output_dim), (output_dim,))
+
+
 def init_lstm(embed_dim: int, hidden: int, rng: np.random.Generator) -> LSTMParams:
     """Uniform [-0.05, 0.05] gate matrices, drawn gate by gate; biases start at zero."""
     w = [rng.uniform(-INIT_SCALE, INIT_SCALE, size=(embed_dim, hidden)) for _ in range(4)]
@@ -83,13 +109,6 @@ class Projection:
 
     weight: np.ndarray
     bias: np.ndarray
-
-
-def init_projection(input_width: int, output_dim: int, rng: np.random.Generator) -> Projection:
-    return Projection(
-        weight=rng.uniform(-INIT_SCALE, INIT_SCALE, size=(input_width, output_dim)),
-        bias=np.zeros(output_dim),
-    )
 
 
 @dataclass
@@ -212,11 +231,8 @@ def forward(model: DefinitionModel, token_ids: np.ndarray, lengths: np.ndarray, 
     states, not an LSTMTrace.
     """
     x = np.take(model.embeddings.matrix, token_ids, axis=-2)
-    inputs, directions = [x], [model.lstm]
-    if model.mode is EncoderMode.BIDIRECTIONAL:
-        inputs.append(reverse_steps(x, lengths))
-        directions.append(model.lstm_back)
-    runs = [run(params, x_dir, lengths, record) for params, x_dir in zip(directions, inputs)]
+    inputs = [x, reverse_steps(x, lengths)] if len(model.lstms) > 1 else [x]
+    runs = [run(params, x_dir, lengths, record) for params, x_dir in zip(model.lstms, inputs)]
     pre = read_out(model.mode, lengths, *(r.h if record else r for r in runs))
     y = np.tanh(pre @ model.projection.weight + model.projection.bias[..., None, :])
     return y, (pre, inputs, runs)
@@ -227,8 +243,7 @@ class DefinitionModel:
     """All trainable state for one gloss-to-embedding model."""
 
     embeddings: LearnedTable
-    lstm: LSTMParams
-    lstm_back: LSTMParams | None
+    lstms: tuple[LSTMParams, ...]  # one per name in ``directions(mode)``
     projection: Projection
     mode: EncoderMode
 
@@ -245,16 +260,13 @@ class DefinitionModel:
     ) -> "DefinitionModel":
         mode = EncoderMode(mode)
         seq = np.random.SeedSequence(seed)
-        emb_rng, fwd_rng, bwd_rng, proj_rng = (
-            np.random.default_rng(s) for s in seq.spawn(4)
-        )
-        bidirectional = mode is EncoderMode.BIDIRECTIONAL
+        emb_rng, *lstm_rngs, proj_rng = (np.random.default_rng(s) for s in seq.spawn(4))
+        proj_shape = param_shapes(mode, vocab_size, embed_dim, hidden, output_dim)["proj.w"]
         return cls(
             embeddings=init_learned(vocab_size, dim=embed_dim, seed=emb_rng, pad_id=pad_id),
-            lstm=init_lstm(embed_dim, hidden, fwd_rng),
-            lstm_back=init_lstm(embed_dim, hidden, bwd_rng) if bidirectional else None,
-            projection=init_projection(
-                2 * hidden if bidirectional else hidden, output_dim, proj_rng
+            lstms=tuple(init_lstm(embed_dim, hidden, rng) for rng in lstm_rngs[: len(directions(mode))]),
+            projection=Projection(
+                weight=proj_rng.uniform(-INIT_SCALE, INIT_SCALE, size=proj_shape), bias=np.zeros(output_dim)
             ),
             mode=mode,
         )
@@ -263,26 +275,18 @@ class DefinitionModel:
     def from_params(cls, mode: EncoderMode, pad_id: int, params: dict[str, np.ndarray]) -> "DefinitionModel":
         """The model over the arrays ``param_dict`` names, as views."""
         mode = EncoderMode(mode)
-
-        def lstm(prefix: str) -> LSTMParams:
-            return LSTMParams(*(params[f"{prefix}.{name}"] for name in LSTMParams.FIELDS))
-
         return cls(
             embeddings=LearnedTable(matrix=params["emb"], pad_id=pad_id),
-            lstm=lstm("fwd"),
-            lstm_back=lstm("bwd") if mode is EncoderMode.BIDIRECTIONAL else None,
+            lstms=tuple(
+                LSTMParams(*(params[f"{prefix}.{name}"] for name in LSTMParams.FIELDS)) for prefix in directions(mode)
+            ),
             projection=Projection(weight=params["proj.w"], bias=params["proj.b"]),
             mode=mode,
         )
 
     def param_dict(self) -> dict[str, np.ndarray]:
         """Named views of every trainable array (PAD row handled by the trainer)."""
-        params = {"emb": self.embeddings.matrix, **self.lstm.named("fwd")}
-        if self.lstm_back is not None:
-            params.update(self.lstm_back.named("bwd"))
-        params["proj.w"] = self.projection.weight
-        params["proj.b"] = self.projection.bias
-        return params
+        return named_params(self.embeddings.matrix, self.lstms, self.projection.weight, self.projection.bias)
 
     def encode_ids(self, token_ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Encode id matrices straight to projected vectors (inference path)."""

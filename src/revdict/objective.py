@@ -9,7 +9,8 @@ Two losses over the projected gloss vector y and the pretrained target v_c:
 
 ``backward`` runs backpropagation through the projection, the encoder mode,
 and time, by hand, over the outputs of ``encoder.forward`` (the same
-forward ``encode_ids`` and so ``batch_loss`` run); ``finite_diff_check`` is
+forward ``encode_ids`` and so ``batch_loss`` run), and returns the
+gradients under the model's ``param_dict`` names; ``finite_diff_check`` is
 the central-difference harness that keeps it honest.
 """
 
@@ -20,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .encoder import DefinitionModel, LSTMParams, forward, read_out_adjoint, reverse_steps
+from .encoder import DefinitionModel, LSTMParams, forward, named_params, read_out_adjoint, reverse_steps
 # bound under this name because the benchmark's tracer (perfbench/tracing.SITES) wraps it
 # here; every forward in this module passes it in, so the training recurrence is timed apart
 from .encoder import run_lstm_states as run_lstm
@@ -66,15 +67,8 @@ class RowGradient:
         return full
 
 
-@dataclass
-class GradientSet:
-    """Gradients of every model parameter; the embedding's holds only its touched rows."""
-
-    embedding_rows: RowGradient
-    lstm: LSTMParams
-    lstm_back: LSTMParams | None
-    proj_weight: np.ndarray
-    proj_bias: np.ndarray
+class GradientSet(dict):
+    """Each parameter's gradient under its ``param_dict`` name; ``emb``'s is a RowGradient of its touched rows."""
 
     def as_dict(self, sparse: bool = False) -> dict[str, np.ndarray | RowGradient]:
         """Gradients by parameter name, shaped like the parameters.
@@ -82,12 +76,7 @@ class GradientSet:
         With ``sparse`` the embedding gradient stays a RowGradient, which
         ``trainer.adam_update`` applies without a dense table-sized array.
         """
-        grads = {"emb": self.embedding_rows if sparse else self.embedding_rows.dense(), **self.lstm.named("fwd")}
-        if self.lstm_back is not None:
-            grads.update(self.lstm_back.named("bwd"))
-        grads["proj.w"] = self.proj_weight
-        grads["proj.b"] = self.proj_bias
-        return grads
+        return dict(self) if sparse else {**self, "emb": self["emb"].dense()}
 
 
 def _row_cosines(y: np.ndarray, other: np.ndarray, with_grad: bool = True):
@@ -244,19 +233,10 @@ def backward(
     d_pre = dp @ model.projection.weight.T
 
     dh_injects = read_out_adjoint(model.mode, lengths, token_ids.shape[1], d_pre)
-    directions = [model.lstm, model.lstm_back][: len(traces)]
-    dxs, lstm_grads = zip(*map(_lstm_backward, directions, inputs, traces, dh_injects))
+    dxs, lstm_grads = zip(*map(_lstm_backward, model.lstms, inputs, traces, dh_injects))
     dx = dxs[0] if len(dxs) == 1 else dxs[0] + reverse_steps(dxs[1], lengths)
-
-    return float(loss), GradientSet(
-        embedding_rows=_embedding_gradient(
-            token_ids, dx, model.embeddings.matrix.shape, model.embeddings.pad_id
-        ),
-        lstm=lstm_grads[0],
-        lstm_back=lstm_grads[1] if len(lstm_grads) > 1 else None,
-        proj_weight=d_proj_w,
-        proj_bias=d_proj_b,
-    )
+    d_emb = _embedding_gradient(token_ids, dx, model.embeddings.matrix.shape, model.embeddings.pad_id)
+    return float(loss), GradientSet(named_params(d_emb, lstm_grads, d_proj_w, d_proj_b))
 
 
 # float64 elements one stacked pass of finite_diff_check may hold per array
@@ -317,8 +297,8 @@ def finite_diff_check(
     grad_dict = grads.as_dict()
     # what one replica holds besides its copy of the array: per direction,
     # the embedded inputs, the gate pre-activations and the states
-    directions = 1 if model.lstm_back is None else 2
-    activations = directions * token_ids.size * (model.lstm.embed_dim + 5 * model.lstm.hidden)
+    lstm = model.lstms[0]
+    activations = len(model.lstms) * token_ids.size * (lstm.embed_dim + 5 * lstm.hidden)
 
     worst = 0.0
     for name, param in model.param_dict().items():

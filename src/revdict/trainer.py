@@ -11,7 +11,8 @@ produce bitwise-identical files.  Each array is a stored (uncompressed)
 once, from its checked offset straight into the array it ends up in, and
 checks its CRC-32.  They store the pretrained table in its word-length row
 order, and loading refuses a table in any other order rather than copy it
-to sort it.  The meta repeats no fact that its config or vocabulary fixes.
+to sort it.  The meta repeats no fact that its config or vocabulary fixes,
+and a save runs the load's checks first, so it writes nothing a load refuses.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .corpus import DefinitionPair, EncodedPair, MINIBATCH_SIZE, bucket_and_batch
 from .embeddings import PretrainedTable
-from .encoder import DefinitionModel, EncoderMode, LSTMParams
+from .encoder import DefinitionModel, EncoderMode, param_shapes
 from .errors import ConfigError, DataError, NonFiniteLossError, decoding
 from .evaluator import median_rank, rank_of_correct, score_batches
 from .objective import LossKind, RowGradient, backward, sample_negative
@@ -279,6 +280,9 @@ def train(
         raise DataError("dev set is empty")
     if config.segmentation == "bpe" and merges is None:
         raise ConfigError("segmentation=bpe needs a merge table")
+    loss_kind = LossKind(config.loss_kind)
+    if loss_kind is LossKind.RANK and len(pretrained) < 2:
+        raise DataError(f"rank loss needs at least two pretrained vectors to draw negatives, got {len(pretrained)}")
 
     encoded_train = encode_pairs(train_pairs, vocab, pretrained, merges, config.segmentation)
     encoded_dev = encode_pairs(dev_pairs, vocab, pretrained, merges, config.segmentation)
@@ -294,7 +298,6 @@ def train(
     )
     params = model.param_dict()
     adam = AdamState.for_params(params)
-    loss_kind = LossKind(config.loss_kind)
 
     def snapshot(epoch: int, dev_median: float) -> Checkpoint:
         return Checkpoint(
@@ -363,8 +366,10 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     Each array is streamed into its stored member, so no copy of the table is
     made.  The archive is written to a temporary file beside ``path`` and
     renamed over it, so a failed write leaves any previous file at ``path``
-    whole.  A model whose mode or PAD id disagrees with the config or the
-    vocabulary, which a load derives them from, is a ValueError; nothing is written.
+    whole.  The load's checks run first on the meta and arrays to be written,
+    so what a load would refuse is refused here with the same error and
+    nothing is written; so is a model whose mode or PAD id disagrees with the
+    config or the vocabulary, which a load derives them from (a ValueError).
     """
     model, mode = ckpt.model, ckpt.config.encoder_mode
     if model.mode.value != mode:
@@ -383,6 +388,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     }
     arrays = {f"param/{k}": v for k, v in model.param_dict().items()}
     arrays["pretrained"] = ckpt.pretrained.matrix
+    _checkpoint_from(meta, arrays)
     path = Path(path)
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
 
@@ -495,15 +501,9 @@ def _checkpoint_from(meta: dict, arrays: dict[str, np.ndarray]) -> Checkpoint:
     if "pretrained" not in arrays or arrays["pretrained"].ndim != 2:
         raise DataError("checkpoint has no 2-D array 'pretrained'")
     out_dim = arrays["pretrained"].shape[1]
-    prefixes = ("fwd", "bwd") if mode is EncoderMode.BIDIRECTIONAL else ("fwd",)
-    embed, hidden = config.embed_dim, config.hidden_size
-    gate_shapes = {"w": (embed, 4 * hidden), "u": (hidden, 4 * hidden), "b": (4 * hidden,)}
-    expected = {"pretrained": (len(meta["pretrained_words"]), out_dim), "param/emb": (len(vocab), embed)}
-    for prefix in prefixes:
-        for name in LSTMParams.FIELDS:
-            expected[f"param/{prefix}.{name}"] = gate_shapes[name]
-    expected["param/proj.w"] = (len(prefixes) * hidden, out_dim)
-    expected["param/proj.b"] = (out_dim,)
+    shapes = param_shapes(mode, len(vocab), config.embed_dim, config.hidden_size, out_dim)
+    expected = {"pretrained": (len(meta["pretrained_words"]), out_dim)}
+    expected.update({f"param/{name}": shape for name, shape in shapes.items()})
     for name, shape in expected.items():
         if name not in arrays:
             raise DataError(f"checkpoint has no array {name!r}")
@@ -519,8 +519,7 @@ def _checkpoint_from(meta: dict, arrays: dict[str, np.ndarray]) -> Checkpoint:
     except ValueError as exc:
         raise DataError(f"array 'pretrained': {exc}") from exc
 
-    params = {k[len("param/") :]: v for k, v in arrays.items() if k.startswith("param/")}
-    model = DefinitionModel.from_params(mode, vocab.pad_id, params)
+    model = DefinitionModel.from_params(mode, vocab.pad_id, {name: arrays[f"param/{name}"] for name in shapes})
     merges = None
     if meta["merges"] is not None:
         merges = MergeTable(merges=[tuple(m) for m in meta["merges"]])

@@ -289,7 +289,7 @@ class TestTrainEvalQuery:
     @pytest.mark.parametrize(
         "case",
         ["learn-bpe", "train-definitions", "train-dev", "train-crosswords", "train-vectors", "apply-bpe-merges",
-         "eval-crosswords", "config", "query-stdin"],
+         "eval-crosswords", "config", "query-stdin", "query-stdin-escaped"],
     )
     def test_undecodable_input_is_named(self, workspace, trained, capsys, monkeypatch, case):
         # each file is a valid one with a line holding byte 0xe9, which no UTF-8 text has alone
@@ -314,6 +314,7 @@ class TestTrainEvalQuery:
             ),
             "config": (write_config(workspace).read_text(), lambda: train + [str(bad)]),
             "query-stdin": ("", lambda: ["query", "--checkpoint", str(trained)]),
+            "query-stdin-escaped": ("", lambda: ["query", "--checkpoint", str(trained)]),
         }
         valid, command = cases[case]
         bad.write_bytes(valid.encode() + b"caf\xe9 feline\n")
@@ -322,6 +323,10 @@ class TestTrainEvalQuery:
         if case == "query-stdin":
             source = "standard input"
             monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"small feline\ncaf\xe9\n"), encoding="utf-8"))
+        if case == "query-stdin-escaped":
+            # a stdin decoded with surrogateescape (C locale, UTF-8 mode) hands byte 0xe9 over as U+DCE9
+            source = "standard input"
+            monkeypatch.setattr("sys.stdin", io.StringIO("caf\udce9 small\n"))
         capsys.readouterr()
         expected = 1 if case == "config" else 2
         assert run(argv) == expected
@@ -332,6 +337,16 @@ class TestTrainEvalQuery:
     def test_train_missing_data_file(self, workspace):
         config = write_config(workspace, train=workspace / "absent.tsv")
         assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 2
+
+    def test_rank_loss_on_a_one_row_table_is_refused(self, workspace, capsys):
+        # a negative is drawn from the rows other than the target, so one vector leaves none
+        vectors = workspace / "vecs.txt"
+        vectors.write_text(vectors.read_text().splitlines()[0] + "\n")
+        config = write_config(workspace, loss_kind="rank")
+        assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 2
+        message = "data error: rank loss needs at least two pretrained vectors to draw negatives, got 1"
+        assert capsys.readouterr().err.splitlines()[-1] == message
+        assert list(workspace.glob("*m.ckpt*")) == []
 
     def test_non_finite_loss_exits_three(self, workspace, capsys):
         # a finite learning rate so large that the first Adam step overflows
@@ -472,10 +487,8 @@ class TestTrainEvalQuery:
     def test_non_finite_model_output_exits_three(self, workspace, trained, capsys, monkeypatch):
         # a nan projection bias would make every encoded vector nan; query and
         # eval refuse the checkpoint with a numeric error instead of a traceback
-        checkpoint = load_checkpoint(trained)
-        checkpoint.model.projection.bias[0] = np.nan
         broken = workspace / "nan.ckpt"
-        save_checkpoint(broken, checkpoint)
+        rewrite_checkpoint(trained, broken, arrays={"param/proj.b": first_entry(np.nan)})  # save refuses it
         message = f"numeric error: {broken}: array 'param/proj.b' has a non-finite entry\n"
         capsys.readouterr()
         monkeypatch.setattr("sys.stdin", io.StringIO("small feline\n"))
@@ -488,10 +501,8 @@ class TestTrainEvalQuery:
 
     def test_non_finite_query_with_an_absent_length_exits_three(self, workspace, trained, capsys, monkeypatch):
         # no word has 4 letters, but the model is still checked
-        checkpoint = load_checkpoint(trained)
-        checkpoint.model.projection.bias[0] = np.nan
         broken = workspace / "nan.ckpt"
-        save_checkpoint(broken, checkpoint)
+        rewrite_checkpoint(trained, broken, arrays={"param/proj.b": first_entry(np.nan)})  # save refuses it
         capsys.readouterr()
         monkeypatch.setattr("sys.stdin", io.StringIO("small feline --length 4\n"))
         assert run(["query", "--checkpoint", str(broken)]) == 3
@@ -522,7 +533,7 @@ class TestTrainEvalQuery:
         # huge input weights and embeddings overflow the gate pre-activations;
         # query and eval name the error instead of answering from saturated gates
         checkpoint = load_checkpoint(trained)
-        checkpoint.model.lstm.w[:] = 1e300
+        checkpoint.model.lstms[0].w[:] = 1e300
         checkpoint.model.embeddings.matrix[:] = 1e10
         broken = workspace / "overflow.ckpt"
         save_checkpoint(broken, checkpoint)

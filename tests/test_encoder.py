@@ -11,8 +11,11 @@ from revdict.encoder import (
     LSTMParams,
     Projection,
     DefinitionModel,
+    directions,
     forward,
     init_lstm,
+    named_params,
+    param_shapes,
     read_out,
     read_out_adjoint,
     reverse_steps,
@@ -141,13 +144,13 @@ def oracle_encode_ids(model, token_ids, lengths):
     x_seq = model.embeddings.matrix[token_ids]
     rows = np.arange(token_ids.shape[0])
     mask = np.arange(token_ids.shape[1])[None, :] < lengths[:, None]
-    states = oracle_states(model.lstm, x_seq, lengths)
+    states = oracle_states(model.lstms[0], x_seq, lengths)
     if model.mode is EncoderMode.FINAL:
         out = states[rows, lengths - 1]
     elif model.mode is EncoderMode.AVERAGE:
         out = (states * mask[:, :, None]).sum(axis=1) / lengths[:, None]
     else:
-        back = oracle_states(model.lstm_back, reverse_within_lengths(x_seq, lengths), lengths)
+        back = oracle_states(model.lstms[1], reverse_within_lengths(x_seq, lengths), lengths)
         out = np.concatenate([states[rows, lengths - 1], back[rows, lengths - 1]], axis=1)
     return np.tanh(out @ model.projection.weight + model.projection.bias)
 
@@ -161,10 +164,8 @@ def embedded_model(mode, x, params, back=None, projection=None):
     batch, length, embed = x.shape
     width = params.hidden * (2 if EncoderMode(mode) is EncoderMode.BIDIRECTIONAL else 1)
     projection = projection or Projection(weight=np.zeros((width, 1)), bias=np.zeros(1))
-    arrays = {"emb": np.vstack([x.reshape(-1, embed), np.zeros(embed)]), **params.named("fwd")}
-    if back is not None:
-        arrays.update(back.named("bwd"))
-    arrays.update({"proj.w": projection.weight, "proj.b": projection.bias})
+    emb = np.vstack([x.reshape(-1, embed), np.zeros(embed)])
+    arrays = named_params(emb, [params] if back is None else [params, back], projection.weight, projection.bias)
     model = DefinitionModel.from_params(mode, batch * length, arrays)
     return model, np.arange(batch * length).reshape(batch, length)
 
@@ -426,7 +427,7 @@ class TestDefinitionModel:
         b = DefinitionModel.create(10, pad_id=9, mode="average", embed_dim=4, hidden=3, output_dim=5, seed=11)
         for name, arr in a.param_dict().items():
             np.testing.assert_array_equal(arr, b.param_dict()[name])
-        assert a.lstm_back is None
+        assert len(a.lstms) == 1
         assert np.all(a.embeddings.matrix[9] == 0.0)
 
     def test_fused_init_keeps_the_per_gate_draws(self):
@@ -443,9 +444,16 @@ class TestDefinitionModel:
 
     def test_bidirectional_widths(self):
         m = DefinitionModel.create(10, pad_id=9, mode="bidirectional", embed_dim=4, hidden=3, output_dim=5, seed=1)
-        assert m.lstm_back is not None
+        assert len(m.lstms) == 2
         assert m.projection.weight.shape[0] == 6
         assert set(m.param_dict()) == {"emb", "fwd.w", "fwd.u", "fwd.b", "bwd.w", "bwd.u", "bwd.b", "proj.w", "proj.b"}
+
+    @pytest.mark.parametrize("mode", list(EncoderMode))
+    def test_param_shapes_are_the_created_layout(self, mode):
+        m = DefinitionModel.create(10, pad_id=9, mode=mode, embed_dim=4, hidden=3, output_dim=5, seed=1)
+        expected = [(name, array.shape) for name, array in m.param_dict().items()]
+        assert list(param_shapes(mode, 10, 4, 3, 5).items()) == expected
+        assert len(m.lstms) == len(directions(mode)) == (2 if mode == "bidirectional" else 1)
 
     def test_param_dict_views_are_live(self):
         m = DefinitionModel.create(10, pad_id=9, mode="final", embed_dim=4, hidden=3, output_dim=5, seed=1)
@@ -471,7 +479,7 @@ class TestDefinitionModel:
         # is the plain step loop with no row skipped
         rng = np.random.default_rng(13)
         m = DefinitionModel.create(30, pad_id=29, mode=mode, embed_dim=6, hidden=5, output_dim=4, seed=3)
-        m.lstm.b[:] = rng.uniform(-0.5, 0.5, size=m.lstm.b.shape)
+        m.lstms[0].b[:] = rng.uniform(-0.5, 0.5, size=m.lstms[0].b.shape)
         for batch in (1, 5, 16):
             lengths = rng.integers(1, 8, size=batch)
             ids = np.full((batch, lengths.max()), 29)

@@ -287,7 +287,7 @@ def ranking_world(table, mode, eval_mode, seed, n_items=40, max_len=12):
     model = DefinitionModel.create(
         len(vocab), vocab.pad_id, mode, embed_dim=6, hidden=5, output_dim=table.dimension, seed=seed
     )
-    model.lstm.b[:] = rng.uniform(-0.5, 0.5, size=model.lstm.b.shape)
+    model.lstms[0].b[:] = rng.uniform(-0.5, 0.5, size=model.lstms[0].b.shape)
     ckpt = SimpleNamespace(
         model=model, vocab=vocab, merges=None, pretrained=table, config=SimpleNamespace(segmentation="word")
     )

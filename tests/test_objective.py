@@ -11,6 +11,7 @@ from revdict.errors import NonFiniteLossError
 from revdict.objective import (
     LossKind,
     MARGIN,
+    RowGradient,
     backward,
     batch_loss,
     cosine,
@@ -197,7 +198,7 @@ def oracle_gradients(model, token_ids, lengths, targets, loss_kind, negatives):
     mask = np.arange(token_ids.shape[1])[None, :] < lengths[:, None]
     bidirectional = model.mode is EncoderMode.BIDIRECTIONAL
     inputs = [x_seq, reverse_within_lengths(x_seq, lengths)] if bidirectional else [x_seq]
-    directions = [("fwd", model.lstm), ("bwd", model.lstm_back)][: len(inputs)]
+    directions = list(zip(("fwd", "bwd"), model.lstms))
     traces = [oracle_trace(params, x) for (_, params), x in zip(directions, inputs)]
     if model.mode is EncoderMode.AVERAGE:
         pre = (traces[0]["h"] * mask[:, :, None]).sum(axis=1) / lengths[:, None]
@@ -208,7 +209,7 @@ def oracle_gradients(model, token_ids, lengths, targets, loss_kind, negatives):
     dp = dy * (1.0 - y**2)
     grads = {"proj.w": pre.T @ dp, "proj.b": dp.sum(axis=0)}
     d_pre = dp @ model.projection.weight.T
-    hidden = model.lstm.hidden
+    hidden = model.lstms[0].hidden
     dx = np.zeros_like(x_seq)
     for k, ((prefix, params), x, trace) in enumerate(zip(directions, inputs, traces)):
         dh_inject = np.zeros(trace["h"].shape)
@@ -245,10 +246,11 @@ class TestBackward:
 
         def halved_forget_gate(*args, **kwargs):
             loss, grads = true_backward(*args, **kwargs)
-            per_gate(grads.lstm)["u"]["f"][:] *= 0.5
+            np.split(grads["fwd.u"], 4, axis=-1)[GATES.index("f")][:] *= 0.5
             return loss, grads
 
-        assert np.any(per_gate(true_backward(model, ids, lengths, targets, LossKind.COSINE)[1].lstm)["u"]["f"])
+        grads = true_backward(model, ids, lengths, targets, LossKind.COSINE)[1]
+        assert np.any(np.split(grads["fwd.u"], 4, axis=-1)[GATES.index("f")])
         monkeypatch.setattr(objective, "backward", halved_forget_gate)
         assert finite_diff_check(model, ids, lengths, targets, LossKind.COSINE) > 1e-4
 
@@ -298,6 +300,17 @@ class TestBackward:
             # with one step there is no h_prev, so only the recurrent matrices have a zero gradient
             assert (scale == 0.0) == (max_len == 1 and name.endswith(".u")), name
             np.testing.assert_allclose(got[name], want, rtol=0.0, atol=1e-12 * scale, err_msg=name)
+
+    @pytest.mark.parametrize("mode", list(EncoderMode))
+    def test_gradients_follow_the_parameter_layout(self, mode):
+        model, ids, lengths, targets, _ = toy_setup(mode, seed=5)
+        _, grads = backward(model, ids, lengths, targets, LossKind.COSINE)
+        params = model.param_dict()
+        dense, sparse = grads.as_dict(), grads.as_dict(sparse=True)
+        assert list(dense) == list(sparse) == list(params)
+        assert all(dense[name].shape == param.shape for name, param in params.items())
+        assert isinstance(sparse["emb"], RowGradient)
+        np.testing.assert_array_equal(sparse["emb"].dense(), dense["emb"])
 
     def test_finite_diff_check_leaves_model_bitwise_unchanged(self):
         model, ids, lengths, targets, negatives = toy_setup("bidirectional", seed=5)

@@ -17,7 +17,7 @@ from revdict.embeddings import PretrainedTable, cosine_to_all
 from revdict.errors import ConfigError, DataError, NonFiniteLossError
 from revdict.evaluator import evaluate, median_rank, rank_of_correct
 from revdict.objective import LossKind, RowGradient, backward
-from revdict.tokenizer import build_word_vocab, learn_bpe
+from revdict.tokenizer import WordVocab, build_word_vocab, learn_bpe
 from revdict.trainer import (
     BETA1,
     BETA2,
@@ -339,7 +339,7 @@ def dev_world(table, mode, seed, n_pairs=41, max_len=12):
     """A model of encoder ``mode`` and n_pairs encoded dev pairs over ``table``, the first gloss one token long."""
     rng = np.random.default_rng(seed)
     model = DefinitionModel.create(22, 21, mode, embed_dim=6, hidden=5, output_dim=table.dimension, seed=seed)
-    model.lstm.b[:] = rng.uniform(-0.5, 0.5, size=model.lstm.b.shape)
+    model.lstms[0].b[:] = rng.uniform(-0.5, 0.5, size=model.lstms[0].b.shape)
     lengths = rng.integers(1, max_len + 1, size=n_pairs)
     lengths[0] = 1
     dev = [
@@ -555,17 +555,31 @@ class TestCheckpointIO:
         with zipfile.ZipFile(path) as zf:
             assert sorted(json.loads(zf.read("meta.json"))) == sorted(trainer.META_KEYS)
 
-    @pytest.mark.parametrize("fact", ["mode", "pad-id"])
+    @pytest.mark.parametrize("fact", ["mode", "pad-id", "embed-dim", "hidden-size", "vocab-size"])
     def test_inconsistent_checkpoint_is_refused_and_writes_nothing(self, tmp_path, fact):
         # a load derives the mode from the config and the PAD id from the vocabulary,
-        # so a model that disagrees with either would not come back as it was saved
+        # so a model that disagrees with either would not come back as it was saved;
+        # the array shapes are checked against the config and vocabulary as a load checks them
         ckpt, _ = self.make_checkpoint()
+        emb = ckpt.model.embeddings.matrix.shape
         if fact == "mode":
             ckpt.config = ckpt.config.override(encoder_mode="final")
             message = "model mode 'average' is not the config's encoder_mode 'final'"
-        else:
+        elif fact == "pad-id":
             ckpt.model.embeddings.pad_id = 0
             message = f"model pad id 0 is not the vocabulary's {ckpt.vocab.pad_id}"
+        elif fact == "embed-dim":
+            ckpt.config = ckpt.config.override(embed_dim=emb[1] + 1)
+            message = f"array 'param/emb' is float64 {emb}, expected float64 {(emb[0], emb[1] + 1)}"
+        elif fact == "hidden-size":
+            hidden = ckpt.config.hidden_size
+            ckpt.config = ckpt.config.override(hidden_size=hidden + 1)
+            message = (
+                f"array 'param/fwd.w' is float64 {(emb[1], 4 * hidden)}, expected float64 {(emb[1], 4 * hidden + 4)}"
+            )
+        else:
+            ckpt.vocab = WordVocab(ckpt.vocab.id_to_token + ["extra"])
+            message = f"array 'param/emb' is float64 {emb}, expected float64 {(emb[0] + 1, emb[1])}"
         with pytest.raises(ValueError) as refused:
             save_checkpoint(tmp_path / "model.ckpt", ckpt)
         assert str(refused.value) == message
