@@ -7,6 +7,7 @@ Exit status: 0 success, 1 usage or config error, 2 data or IO error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 
@@ -144,6 +145,13 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    # refuse an output that cannot be written before any input is read or any epoch run
+    directory = os.path.dirname(args.output) or "."
+    if not os.path.isdir(directory):
+        raise DataError(f"{args.output}: directory {directory} does not exist")
+    for target in (args.output, f"{args.output}.metrics"):
+        if os.path.isdir(target):
+            raise DataError(f"{target}: is a directory")
     config, paths = read_config(args.config)
     config = config.override(
         loss_kind=args.loss,

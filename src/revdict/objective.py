@@ -70,13 +70,9 @@ class RowGradient:
 class GradientSet(dict):
     """Each parameter's gradient under its ``param_dict`` name; ``emb``'s is a RowGradient of its touched rows."""
 
-    def as_dict(self, sparse: bool = False) -> dict[str, np.ndarray | RowGradient]:
-        """Gradients by parameter name, shaped like the parameters.
-
-        With ``sparse`` the embedding gradient stays a RowGradient, which
-        ``trainer.adam_update`` applies without a dense table-sized array.
-        """
-        return dict(self) if sparse else {**self, "emb": self["emb"].dense()}
+    def as_dict(self) -> dict[str, np.ndarray]:
+        """Dense gradients by parameter name, shaped like the parameters."""
+        return {**self, "emb": self["emb"].dense()}
 
 
 def _row_cosines(y: np.ndarray, other: np.ndarray, with_grad: bool = True):

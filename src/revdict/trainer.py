@@ -5,35 +5,34 @@ negatives for the rank loss, applies Adam updates batch by batch, then
 measures median rank on the dev set.  The checkpoint kept is the earliest
 epoch with the lowest dev median rank, which guards against overtraining.
 
-Checkpoints are zip archives with zeroed timestamps so that identical runs
-produce bitwise-identical files.  Each array is a stored (uncompressed)
-``.npy`` member: saving streams it into the archive, and loading reads it
-once, from its checked offset straight into the array it ends up in, and
-checks its CRC-32.  They store the pretrained table in its word-length row
-order, and loading refuses a table in any other order rather than copy it
-to sort it.  The meta repeats no fact that its config or vocabulary fixes,
-and a save runs the load's checks first, so it writes nothing a load refuses.
+A checkpoint is one flat file: an 8-byte magic, the header's length (8
+bytes) and CRC-32 (4 bytes), the UTF-8 JSON header (the meta plus each
+array's shape and CRC-32), then each array's float64 bytes in C order, back
+to back in sorted name order; every number is little-endian.  Identical
+runs give bitwise-identical files.  Saving streams each array with no copy;
+loading checks every size against the file's before it allocates, reads
+each array once straight into place and checks every CRC-32.  The
+pretrained table is stored in word-length row order, and loading refuses a
+table in any other order rather than copy it to sort it.  The meta repeats
+no fact that its config or vocabulary fixes, and a save runs the load's
+checks first, so it writes nothing a load refuses.
 """
 
 from __future__ import annotations
 
 import copy
-import io
 import json
 import math
 import os
-import struct
-import zipfile
 import zlib
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
-from .corpus import DefinitionPair, EncodedPair, MINIBATCH_SIZE, bucket_and_batch
-from .embeddings import PretrainedTable
-from .encoder import DefinitionModel, EncoderMode, param_shapes
+from .corpus import BUCKET_SIZE, DefinitionPair, EncodedPair, MINIBATCH_SIZE, bucket_and_batch
+from .embeddings import LEARNED_DIM, PretrainedTable
+from .encoder import HIDDEN_SIZE, DefinitionModel, EncoderMode, param_shapes
 from .errors import ConfigError, DataError, NonFiniteLossError, decoding
 from .evaluator import median_rank, rank_of_correct, score_batches
 from .objective import LossKind, RowGradient, backward, sample_negative
@@ -47,8 +46,9 @@ EPSILON = 1e-8
 # (of 2^11..2^17, 2^15 was fastest on a 17,852 x 500 table on a 4 MB-L2 x86)
 ADAM_BLOCK = 1 << 15
 
+CHECKPOINT_MAGIC = b"REVDICT\x00"
 CHECKPOINT_FORMAT = "revdict-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 # config-file keys that name input files rather than hyperparameters
 CONFIG_PATH_KEYS = ("train", "dev", "embeddings", "merges", "crosswords")
@@ -59,15 +59,15 @@ class TrainConfig:
     learning_rate: float = 0.0001
     optimizer: str = "adam"
     epochs: int = 10
-    minibatch: int = 16
-    bucket: int = 4096
+    minibatch: int = MINIBATCH_SIZE
+    bucket: int = BUCKET_SIZE
     seed: int = 42
     loss_kind: str = "cosine"
     encoder_mode: str = "final"
     segmentation: str = "word"
     dataset: str = "definitions"
-    embed_dim: int = 500
-    hidden_size: int = 512
+    embed_dim: int = LEARNED_DIM
+    hidden_size: int = HIDDEN_SIZE
 
     def validate(self) -> "TrainConfig":
         if not 0 < self.learning_rate < np.inf:
@@ -338,7 +338,7 @@ def train(
                 )
             except NonFiniteLossError as exc:
                 raise NonFiniteLossError(f"epoch {epoch} batch {index}: {exc}") from exc
-            adam_update(params, grads.as_dict(sparse=True), adam, config.learning_rate)
+            adam_update(params, grads, adam, config.learning_rate)
         dev_median = _dev_median(model, encoded_dev, pretrained)
         curve.append(dev_median)
         if best is None or dev_median < best.dev_median_rank:
@@ -346,25 +346,11 @@ def train(
     return best, curve
 
 
-def _write_npy(zf: zipfile.ZipFile, info: zipfile.ZipInfo, array: np.ndarray) -> None:
-    """Stream ``array`` into member ``info`` as the bytes ``np.save`` writes, with no copy of a contiguous array."""
-    header = io.BytesIO()
-    fields = np.lib.format.header_data_from_array_1_0(array)
-    # np.save picks version 1.0 for every header under 64 KiB, which is any non-structured dtype
-    np.lib.format.write_array_header_1_0(header, fields)
-    data = array.T if fields["fortran_order"] else np.ascontiguousarray(array)
-    # the size zipfile decides zip64 from, as writestr would set it
-    info.file_size = header.tell() + data.nbytes
-    with zf.open(info, "w") as member:
-        member.write(header.getvalue())
-        member.write(data.reshape(-1).view(np.uint8))
-
-
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    """Write a checkpoint archive whose bytes depend only on its contents.
+    """Write a checkpoint file whose bytes depend only on its contents.
 
-    Each array is streamed into its stored member, so no copy of the table is
-    made.  The archive is written to a temporary file beside ``path`` and
+    Each array is streamed from its own buffer, so no copy of the table is
+    made.  The file is written to a temporary file beside ``path`` and
     renamed over it, so a failed write leaves any previous file at ``path``
     whole.  The load's checks run first on the meta and arrays to be written,
     so what a load would refuse is refused here with the same error and
@@ -389,108 +375,87 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     arrays = {f"param/{k}": v for k, v in model.param_dict().items()}
     arrays["pretrained"] = ckpt.pretrained.matrix
     _checkpoint_from(meta, arrays)
+    # a C-ordered little-endian float64 array is its own buffer; only another layout is copied
+    data = {name: np.ascontiguousarray(array, "<f8").reshape(-1).view(np.uint8) for name, array in arrays.items()}
+    meta["arrays"] = {name: {"shape": list(arrays[name].shape), "crc32": zlib.crc32(data[name])} for name in data}
+    header = json.dumps(meta, sort_keys=True).encode("utf-8")
     path = Path(path)
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-
-    def member_info(name: str) -> zipfile.ZipInfo:
-        # fixed timestamp: identical runs must yield identical bytes
-        info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
-        info.compress_type = zipfile.ZIP_STORED
-        info.external_attr = 0o644 << 16
-        return info
-
     try:
-        with zipfile.ZipFile(partial, "w", compression=zipfile.ZIP_STORED) as zf:
-            zf.writestr(member_info("meta.json"), json.dumps(meta, sort_keys=True).encode("utf-8"))
-            for name, array in sorted(arrays.items()):
-                _write_npy(zf, member_info(f"{name}.npy"), array)
+        with open(partial, "wb") as handle:
+            handle.write(CHECKPOINT_MAGIC + len(header).to_bytes(8, "little"))
+            handle.write(zlib.crc32(header).to_bytes(4, "little") + header)
+            for name in sorted(data):
+                handle.write(data[name])
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
 
 
-# meta.json keys that save_checkpoint writes
+# meta keys that save_checkpoint writes into the header beside "arrays"
 META_KEYS = (
     "format", "version", "config", "epoch", "dev_median_rank", "vocab", "merges", "pretrained_words",
 )
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint archive; a malformed or foreign one is a DataError.
+    """Read a checkpoint file; a malformed or foreign one is a DataError.
 
-    A parameter holding an inf or nan is a NonFiniteLossError.
+    The file must be exactly as long as its header says, which is checked
+    before any array is allocated.  Each array is then read once, straight
+    into the array it ends up in, and its CRC-32 is checked.  A parameter
+    holding an inf or nan is a NonFiniteLossError.
     """
     try:
-        with open(path, "rb") as handle, zipfile.ZipFile(handle) as zf:
-            meta = json.loads(zf.read("meta.json"))
+        with open(path, "rb") as handle:
+            if handle.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+                raise DataError("not a revdict checkpoint")
+            header_size, header_crc = (int.from_bytes(handle.read(n), "little") for n in (8, 4))
+            header_end = len(CHECKPOINT_MAGIC) + 12 + header_size
+            file_size = os.fstat(handle.fileno()).st_size
+            if header_end > file_size:
+                raise DataError("checkpoint header runs past the end of the file")
+            meta = handle.read(header_size)  # rebound to the parsed header, so the bytes are freed before the arrays
+            if zlib.crc32(meta) != header_crc:
+                raise DataError("checkpoint header fails its CRC-32 check")
+            meta = json.loads(meta.decode("utf-8"))
             if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
-                raise DataError("not a checkpoint archive")
+                raise DataError("not a revdict checkpoint")
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise DataError(
                     f"checkpoint version {meta.get('version')!r} is not {CHECKPOINT_VERSION}"
                 )
-            missing = [key for key in META_KEYS if key not in meta]
+            missing = [key for key in (*META_KEYS, "arrays") if key not in meta]
             if missing:
                 raise DataError(f"checkpoint meta has no {missing[0]!r}")
-            file_size = os.fstat(handle.fileno()).st_size
+            if not isinstance(meta["arrays"], dict):
+                raise DataError("checkpoint meta 'arrays' is not an object")
+            layout, end = [], header_end
+            for name, entry in sorted(meta["arrays"].items()):
+                shape = entry.get("shape") if isinstance(entry, dict) else None
+                if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+                    raise DataError(f"array {name!r} has no shape of nonnegative integers in the header")
+                end += math.prod(shape) * 8
+                if end > file_size:
+                    raise DataError(f"array {name!r} runs past the end of the file")
+                layout.append((name, shape, entry.get("crc32")))
+            if end != file_size:
+                raise DataError(f"checkpoint is {file_size} bytes, but its header describes {end}")
             arrays = {}
-            for info in zf.infolist():
-                if info.filename.endswith(".npy"):
-                    arrays[info.filename[: -len(".npy")]] = _read_npy(handle, info, file_size)
+            for name, shape, crc in layout:
+                array = np.empty(shape, "<f8")
+                data = array.reshape(-1).view(np.uint8)
+                if handle.readinto(data) != data.size:
+                    raise DataError(f"array {name!r} runs past the end of the file")
+                if zlib.crc32(data) != crc:
+                    raise DataError(f"array {name!r} fails its CRC-32 check")
+                arrays[name] = array
         return _checkpoint_from(meta, arrays)
     except (DataError, NonFiniteLossError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
-    except (zipfile.BadZipFile, KeyError, TypeError, ValueError, OSError) as exc:
+    except (KeyError, TypeError, ValueError, OSError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise DataError(f"{path}: unreadable checkpoint ({exc})") from exc
-
-
-NPY_HEADER_READERS = {
-    (1, 0): np.lib.format.read_array_header_1_0,
-    (2, 0): np.lib.format.read_array_header_2_0,
-}
-
-
-def _read_npy(handle: BinaryIO, info: zipfile.ZipInfo, file_size: int) -> np.ndarray:
-    """Read stored ``.npy`` member ``info`` of the open archive straight into a new array.
-
-    The data is read once, into the array it ends up in, and its CRC-32 is
-    checked as zipfile would.  The member's local header, its bounds, its npy
-    header and its size are checked before anything is allocated.
-    """
-    name = info.filename
-    if info.compress_type != zipfile.ZIP_STORED:
-        raise DataError(f"member {name!r} is compressed; checkpoint members are stored")
-    handle.seek(info.header_offset)
-    local = handle.read(zipfile.sizeFileHeader)
-    if len(local) != zipfile.sizeFileHeader or not local.startswith(zipfile.stringFileHeader):
-        raise DataError(f"member {name!r} has no local file header")
-    *_, name_length, extra_length = struct.unpack(zipfile.structFileHeader, local)
-    start = info.header_offset + zipfile.sizeFileHeader + name_length + extra_length
-    if start + info.file_size > file_size:
-        raise DataError(f"member {name!r} runs past the end of the file")
-    handle.seek(start)
-    read_header = NPY_HEADER_READERS.get(np.lib.format.read_magic(handle))
-    if read_header is None:
-        raise DataError(f"member {name!r} is not in npy format 1.0 or 2.0")
-    shape, fortran_order, dtype = read_header(handle)
-    if dtype.hasobject:
-        raise DataError(f"member {name!r} holds Python objects")
-    header_size = handle.tell() - start
-    data_size = math.prod(shape) * dtype.itemsize
-    if header_size + data_size != info.file_size:
-        raise DataError(
-            f"member {name!r} is {info.file_size} bytes, but its npy header describes {header_size + data_size}"
-        )
-    array = np.empty(shape[::-1] if fortran_order else shape, dtype)
-    data = array.reshape(-1).view(np.uint8)
-    handle.seek(start)
-    crc = zlib.crc32(handle.read(header_size))
-    if handle.readinto(data) != data_size:
-        raise DataError(f"member {name!r} runs past the end of the file")
-    if zlib.crc32(data, crc) != info.CRC:
-        raise DataError(f"member {name!r} fails its CRC-32 check")
-    return array.T if fortran_order else array
 
 
 def _checkpoint_from(meta: dict, arrays: dict[str, np.ndarray]) -> Checkpoint:

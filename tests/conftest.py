@@ -1,4 +1,9 @@
-"""Fixtures shared by the ranking tests."""
+"""Fixtures shared by the ranking tests, and the checkpoint file layout the checkpoint tests read and write."""
+
+import json
+import math
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,31 @@ import pytest
 from revdict.embeddings import PretrainedTable
 
 LETTERS = np.array(list("abcdefghij"))
+CHECKPOINT_MAGIC = b"REVDICT\x00"
+PREFIX_SIZE = 20  # the magic, then the header's length (8 bytes) and CRC-32 (4 bytes)
+
+
+def read_checkpoint_file(path):
+    """A checkpoint file's JSON header and each array's bytes by name, cut where the header's shapes say."""
+    data = Path(path).read_bytes()
+    end = PREFIX_SIZE + int.from_bytes(data[8:16], "little")
+    header = json.loads(data[PREFIX_SIZE:end])
+    arrays = {}
+    for name, entry in sorted(header["arrays"].items()):
+        size = 8 * math.prod(entry["shape"])
+        arrays[name], end = data[end : end + size], end + size
+    return header, arrays
+
+
+def framed_header(blob):
+    """The magic, the length and CRC-32 of header bytes ``blob``, then ``blob``: a checkpoint file up to its arrays."""
+    return CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + zlib.crc32(blob).to_bytes(4, "little") + blob
+
+
+def write_checkpoint_file(path, header, arrays):
+    """Write ``header`` and the ``arrays`` bytes, in name order, as a checkpoint file."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    Path(path).write_bytes(framed_header(blob) + b"".join(arrays[name] for name in sorted(arrays)))
 
 
 def tied_arrays(seed: int, base_rows: int = 40, copies: int = 24, dim: int = 5) -> tuple[list[str], np.ndarray]:

@@ -1,17 +1,17 @@
 """End-to-end command tests driven through run(argv)."""
 
 import io
-import json
+import math
 import re
-import struct
 import subprocess
 import sys
 import warnings
-import zipfile
+import zlib
 from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import PREFIX_SIZE, read_checkpoint_file, write_checkpoint_file
 
 from revdict.cli import _gloss_frequencies, run
 from revdict.corpus import load_definitions
@@ -68,55 +68,31 @@ def workspace(tmp_path):
     return tmp_path
 
 
-def rewrite_checkpoint(
-    source, target, meta=None, drop_meta=None, drop=None, arrays=None, raw=None, deflate=None, patch=None
-):
-    """Copy a checkpoint archive with its meta updated (a callable value is applied to the old one), a member
-    dropped, ``arrays[name]`` applied to array ``name``, ``raw[member]`` applied to a member's bytes, or member
-    ``deflate`` compressed; then ``patch`` the written file's bytes."""
-    with zipfile.ZipFile(source) as src, zipfile.ZipFile(target, "w") as dst:
-        for name in src.namelist():
-            data = src.read(name)
-            if name == drop:
-                continue
-            if name == "meta.json":
-                content = json.loads(data)
-                for key, value in (meta or {}).items():
-                    content[key] = value(content[key]) if callable(value) else value
-                content.pop(drop_meta, None)
-                data = json.dumps(content).encode("utf-8")
-            edit = (arrays or {}).get(name[: -len(".npy")])
-            if edit is not None:
-                buffer = io.BytesIO()
-                np.save(buffer, edit(np.load(io.BytesIO(data))))
-                data = buffer.getvalue()
-            data = (raw or {}).get(name, bytes)(data)
-            dst.writestr(name, data, compress_type=zipfile.ZIP_DEFLATED if name == deflate else None)
+def rewrite_checkpoint(source, target, meta=None, drop_meta=None, drop=None, arrays=None, raw=None, patch=None):
+    """Copy a checkpoint with ``arrays[name]`` applied to array ``name`` (its shape and CRC-32 follow),
+    ``raw[name]`` applied to its bytes (its header entry kept) or array ``drop`` dropped; then with the header's
+    meta updated (a callable value is applied to the old one) and ``drop_meta`` removed; then ``patch`` the
+    written file's bytes."""
+    header, data = read_checkpoint_file(source)
+    for name, edit in (arrays or {}).items():
+        array = edit(np.frombuffer(data[name]).reshape(header["arrays"][name]["shape"]))
+        data[name] = array.tobytes()
+        header["arrays"][name] = {"shape": list(array.shape), "crc32": zlib.crc32(data[name])}
+    for name, edit in (raw or {}).items():
+        data[name] = edit(data[name])
+    if drop is not None:
+        del data[drop], header["arrays"][drop]
+    for key, value in (meta or {}).items():
+        header[key] = value(header[key]) if callable(value) else value
+    header.pop(drop_meta, None)
+    write_checkpoint_file(target, header, data)
     if patch is not None:
         target.write_bytes(patch(target.read_bytes()))
 
 
-def flip_last_data_byte(member):
-    """A ``rewrite_checkpoint`` patch that flips one bit in the last byte of ``member``'s data, leaving its CRC."""
-
-    def patch(archive):
-        info = zipfile.ZipFile(io.BytesIO(archive)).getinfo(member)
-        name_length, extra_length = struct.unpack_from("<HH", archive, info.header_offset + 26)
-        end = info.header_offset + 30 + name_length + extra_length + info.file_size
-        return archive[: end - 1] + bytes([archive[end - 1] ^ 1]) + archive[end:]
-
-    return patch
-
-
-def oversize_member(member, size):
-    """A ``rewrite_checkpoint`` patch that records ``member`` as ``size`` bytes in the central directory only."""
-
-    def patch(archive):
-        entry = archive.rindex(member.encode()) - 46  # the central directory names it last
-        assert archive[entry : entry + 4] == b"PK\x01\x02"
-        return archive[: entry + 20] + struct.pack("<LL", size, size) + archive[entry + 28 :]
-
-    return patch
+def array_entry(name, **entry):
+    """A ``rewrite_checkpoint`` meta edit of the header's ``arrays`` that replaces array ``name``'s entry."""
+    return {"arrays": lambda layout: {**layout, name: entry}}
 
 
 def first_entry(value):
@@ -338,6 +314,28 @@ class TestTrainEvalQuery:
         config = write_config(workspace, train=workspace / "absent.tsv")
         assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 2
 
+    @pytest.mark.parametrize("case", ["output-directory", "missing-directory", "metrics-directory"])
+    def test_unusable_output_is_refused_before_training(self, workspace, capsys, monkeypatch, case):
+        # found only at the save, the fault would cost the whole run and the message would name the temporary file
+        config = write_config(workspace)
+        output = workspace / ("absent" if case == "missing-directory" else "") / "model.ckpt"
+        if case == "output-directory":
+            output.mkdir()
+        if case == "metrics-directory":
+            (workspace / "model.ckpt.metrics").mkdir()
+        message = {
+            "output-directory": f"{output}: is a directory",
+            "missing-directory": f"{output}: directory {workspace / 'absent'} does not exist",
+            "metrics-directory": f"{output}.metrics: is a directory",
+        }[case]
+        calls = []
+        monkeypatch.setattr("revdict.cli.train", lambda *args: calls.append(args))
+        before = sorted(workspace.rglob("*"))
+        assert run(["train", "--config", str(config), "--output", str(output)]) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert calls == []
+        assert sorted(workspace.rglob("*")) == before
+
     def test_rank_loss_on_a_one_row_table_is_refused(self, workspace, capsys):
         # a negative is drawn from the rows other than the target, so one vector leaves none
         vectors = workspace / "vecs.txt"
@@ -431,15 +429,11 @@ class TestTrainEvalQuery:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (dict(meta={"version": 99}), "checkpoint version 99 is not 4"),
-            (dict(meta={"version": None}), "checkpoint version None is not 4"),
+            (dict(meta={"version": 99}), "checkpoint version 99 is not 5"),
+            (dict(meta={"version": None}), "checkpoint version None is not 5"),
             (dict(drop_meta="config"), "checkpoint meta has no 'config'"),
-            (dict(drop="param/fwd.u.npy"), "checkpoint has no array 'param/fwd.u'"),
+            (dict(drop="param/fwd.u"), "checkpoint has no array 'param/fwd.u'"),
             (dict(arrays={"param/emb": lambda a: a[:-1]}), "array 'param/emb' is float64 (14, 6), expected float64 (15, 6)"),
-            (
-                dict(arrays={"param/emb": lambda a: a.astype(np.float32)}),
-                "array 'param/emb' is float32 (15, 6), expected float64 (15, 6)",
-            ),
             # the encoder mode is the config's, so the second direction's arrays are missing
             (dict(meta={"config": lambda c: {**c, "encoder_mode": "bidirectional"}}), "checkpoint has no array 'param/bwd.w'"),
             # the PAD id is the vocabulary's
@@ -449,33 +443,61 @@ class TestTrainEvalQuery:
             # one row short of the average mode's (H, D) projection
             (dict(arrays={"param/proj.w": lambda a: a[:-1]}), "array 'param/proj.w' is float64 (4, 6), expected float64 (5, 6)"),
             # version 2 stored the pretrained rows in file order
-            (dict(meta={"version": 2}), "checkpoint version 2 is not 4"),
+            (dict(meta={"version": 2}), "checkpoint version 2 is not 5"),
             # version 3 stored the mode, the PAD and UNK ids and the vocabulary cap in its meta
-            (dict(meta={"version": 3}), "checkpoint version 3 is not 4"),
+            (dict(meta={"version": 3}), "checkpoint version 3 is not 5"),
             (
                 dict(meta={"pretrained_words": IN_LENGTH_ORDER[::-1]}, arrays={"pretrained": lambda a: a[::-1]}),
                 "array 'pretrained': table rows are not in word-length order",
             ),
-            (dict(deflate="pretrained.npy"), "member 'pretrained.npy' is compressed; checkpoint members are stored"),
-            (dict(patch=flip_last_data_byte("pretrained.npy")), "member 'pretrained.npy' fails its CRC-32 check"),
-            # the central directory still parses; only the member's recorded size is wrong
-            (dict(patch=oversize_member("pretrained.npy", 1 << 31)), "member 'pretrained.npy' runs past the end of the file"),
-            (dict(arrays={"param/emb": lambda a: a.astype(object)}), "member 'param/emb.npy' holds Python objects"),
-            # 720 data bytes under a header that describes a (16, 6) float64 array
             (
-                dict(raw={"param/emb.npy": lambda data: data.replace(b"(15, 6)", b"(16, 6)", 1)}),
-                "member 'param/emb.npy' is 848 bytes, but its npy header describes 896",
+                dict(raw={"pretrained": lambda data: data[:-1] + bytes([data[-1] ^ 1])}),
+                "array 'pretrained' fails its CRC-32 check",
+            ),
+            (dict(patch=lambda data: data[:-1]), "array 'pretrained' runs past the end of the file"),
+            # a format-4 checkpoint is a zip archive, which begins PK
+            (dict(patch=lambda data: b"PK\x03\x04" + data[4:]), "not a revdict checkpoint"),
+            # a header as long as the whole file
+            (
+                dict(patch=lambda data: data[:8] + len(data).to_bytes(8, "little") + data[16:]),
+                "checkpoint header runs past the end of the file",
+            ),
+            (
+                dict(patch=lambda data: data[: PREFIX_SIZE + 1] + b"X" + data[PREFIX_SIZE + 2 :]),
+                "checkpoint header fails its CRC-32 check",
+            ),
+            (
+                dict(patch=lambda data: data + b"\0\0"),
+                lambda size: f"checkpoint is {size} bytes, but its header describes {size - 2}",
+            ),
+            (dict(drop_meta="arrays"), "checkpoint meta has no 'arrays'"),
+            (dict(meta={"arrays": []}), "checkpoint meta 'arrays' is not an object"),
+            (
+                dict(meta=array_entry("param/emb", crc32=0)),
+                "array 'param/emb' has no shape of nonnegative integers in the header",
+            ),
+            (
+                dict(meta=array_entry("param/emb", shape=[-15, 6], crc32=0)),
+                "array 'param/emb' has no shape of nonnegative integers in the header",
+            ),
+            # a dimension left out: the arrays after it no longer reach the end of the file
+            (
+                dict(meta=array_entry("param/emb", shape=[15], crc32=0)),
+                lambda size: f"checkpoint is {size} bytes, but its header describes {size - 600}",
             ),
         ],
         ids=[
-            "version", "no-version", "meta-key", "param-array", "emb-shape", "emb-dtype", "mode", "pad-id",
-            "gate-shape", "proj-shape", "version-2", "version-3", "table-order", "deflated", "crc", "past-eof",
-            "object-dtype", "header-shape",
+            "version", "no-version", "meta-key", "param-array", "emb-shape", "mode", "pad-id", "gate-shape",
+            "proj-shape", "version-2", "version-3", "table-order", "crc", "past-eof", "magic", "header-past-eof",
+            "header-crc", "trailing", "no-arrays", "arrays-type", "entry-no-shape",
+            "entry-negative-dimension", "entry-missing-dimension",
         ],
     )
     def test_malformed_checkpoint_is_a_data_error(self, workspace, trained, capsys, monkeypatch, edit, message):
         broken = workspace / "broken.ckpt"
         rewrite_checkpoint(trained, broken, **edit)
+        if callable(message):  # it names the broken file's size
+            message = message(broken.stat().st_size)
         monkeypatch.setattr("sys.stdin", io.StringIO("small feline\n"))
         capsys.readouterr()
         assert run(["query", "--checkpoint", str(broken)]) == 2
@@ -599,10 +621,9 @@ class TestTrainEvalQuery:
         assert captured.err == "no candidates of that length\n"
 
     def test_checkpoint_stores_the_table_in_length_order(self, trained):
-        with zipfile.ZipFile(trained) as zf:
-            meta = json.loads(zf.read("meta.json"))
-            stored = np.load(io.BytesIO(zf.read("pretrained.npy")))
-        assert meta["version"] == 4
+        meta, data = read_checkpoint_file(trained)
+        stored = np.frombuffer(data["pretrained"]).reshape(meta["arrays"]["pretrained"]["shape"])
+        assert meta["version"] == 5
         assert meta["pretrained_words"] == IN_LENGTH_ORDER
         checkpoint = load_checkpoint(trained)
         np.testing.assert_array_equal(stored, checkpoint.pretrained.matrix)
@@ -612,6 +633,54 @@ class TestTrainEvalQuery:
         assert run(["query", "--checkpoint", str(trained), "--length", "2"]) == 0
         blocks = self.query_blocks(capsys)
         assert [line.split("\t")[0] for line in blocks[0]] == ["ox"]
+
+
+def damaged_copies(path, seed):
+    """Seeded damaged copies of a checkpoint file's bytes, by case: cut at every array boundary and at 20
+    seeded offsets; one seeded byte flipped in the header length, the header's CRC-32, the JSON and each array;
+    one byte appended."""
+    data = path.read_bytes()
+    header, arrays = read_checkpoint_file(path)
+    rng = np.random.default_rng(seed)
+    start = PREFIX_SIZE + int.from_bytes(data[8:16], "little")
+    spans, end = {}, start
+    for name, entry in sorted(header["arrays"].items()):
+        spans[name] = (end, end + 8 * math.prod(entry["shape"]))
+        end = spans[name][1]
+    assert end == len(data)
+
+    def flip(low, high):
+        at = int(rng.integers(low, high))
+        return data[:at] + bytes([data[at] ^ int(rng.integers(1, 256))]) + data[at + 1 :]
+
+    cases = {f"cut-before-{name}": data[:low] for name, (low, _) in spans.items()}
+    cases.update({f"cut-at-{at}": data[:at] for at in rng.integers(0, len(data), size=20)})
+    cases["flip-header-length"] = flip(8, 16)
+    cases["flip-header-crc"] = flip(16, PREFIX_SIZE)
+    cases["flip-json"] = flip(PREFIX_SIZE, start)
+    cases.update({f"flip-{name}": flip(low, high) for name, (low, high) in spans.items()})
+    cases["append"] = data + bytes([int(rng.integers(256))])
+    return cases
+
+
+@pytest.mark.parametrize("mode, segmentation", [("final", "word"), ("bidirectional", "bpe")])
+def test_damaged_checkpoints_are_named_errors(workspace, capsys, monkeypatch, mode, segmentation):
+    # every damaged copy is refused by query and eval with exit 2 and one stderr line naming the file
+    merges = workspace / "merges.txt"
+    assert run(["learn-bpe", "--input", str(workspace / "defs.tsv"), "--merges", "20", "--output", str(merges)]) == 0
+    config = write_config(workspace, encoder_mode=mode, segmentation=segmentation, merges=merges, epochs=1)
+    trained, broken = workspace / "model.ckpt", workspace / "broken.ckpt"
+    assert run(["train", "--config", str(config), "--output", str(trained)]) == 0
+    cases = damaged_copies(trained, seed=len(mode))
+    assert len(cases) >= 30
+    for case, data in cases.items():
+        broken.write_bytes(data)
+        capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO("small feline\n"))
+        for argv in (["query"], ["eval", "--test", str(workspace / "dev.tsv")]):
+            assert run(argv + ["--checkpoint", str(broken)]) == 2, (case, argv[0])
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"data error: {broken}: ") and err.count("\n") == 1, (case, err)
 
 
 def test_module_entry_point_help():

@@ -306,11 +306,11 @@ class TestBackward:
         model, ids, lengths, targets, _ = toy_setup(mode, seed=5)
         _, grads = backward(model, ids, lengths, targets, LossKind.COSINE)
         params = model.param_dict()
-        dense, sparse = grads.as_dict(), grads.as_dict(sparse=True)
-        assert list(dense) == list(sparse) == list(params)
+        dense = grads.as_dict()
+        assert list(dense) == list(grads) == list(params)
         assert all(dense[name].shape == param.shape for name, param in params.items())
-        assert isinstance(sparse["emb"], RowGradient)
-        np.testing.assert_array_equal(sparse["emb"].dense(), dense["emb"])
+        assert isinstance(grads["emb"], RowGradient)
+        np.testing.assert_array_equal(grads["emb"].dense(), dense["emb"])
 
     def test_finite_diff_check_leaves_model_bitwise_unchanged(self):
         model, ids, lengths, targets, negatives = toy_setup("bidirectional", seed=5)

@@ -1,14 +1,13 @@
 """Config parsing, Adam, training-loop, and checkpoint round-trip tests."""
 
 import copy
-import io
-import json
 import tracemalloc
-import zipfile
+import zlib
 from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import framed_header, read_checkpoint_file, write_checkpoint_file
 
 from revdict import objective, trainer
 from revdict.corpus import DefinitionPair, EncodedPair
@@ -224,7 +223,7 @@ class TestTrainingStepOracle:
             assert dense["emb"].tobytes() == scattered[-2].tobytes()
             assert {k: g.shape for k, g in dense.items()} == {k: p.shape for k, p in params.items()}
 
-            adam_update(params, grads.as_dict(sparse=True), state, lr=0.05)
+            adam_update(params, grads, state, lr=0.05)
             dense_adam_update(oracle_params, {**oracle_grads.as_dict(), "emb": scattered[-1]}, oracle_state, lr=0.05)
             for name, param in params.items():
                 assert param.tobytes() == oracle_params[name].tobytes(), (step, name)
@@ -370,21 +369,14 @@ class TestDevPass:
         assert oracle_dev_ranks(model, long_dev, table) != oracle_dev_ranks(model, cut_dev, table)
 
 
-def writestr_checkpoint(path, ckpt, meta_bytes):
-    """The archive save_checkpoint wrote when it built each member's bytes in memory: the oracle for its streaming."""
+def writestr_checkpoint(path, ckpt, meta):
+    """The file save_checkpoint writes, built whole in memory from ``meta`` and each array's C-order bytes: the
+    oracle for its streaming."""
     arrays = {f"param/{k}": v for k, v in ckpt.model.param_dict().items()}
     arrays["pretrained"] = ckpt.pretrained.matrix
-    members = [("meta.json", meta_bytes)]
-    for name, array in sorted(arrays.items()):
-        buffer = io.BytesIO()
-        np.save(buffer, array, allow_pickle=False)
-        members.append((f"{name}.npy", buffer.getvalue()))
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
-        for name, data in members:
-            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
-            info.compress_type = zipfile.ZIP_STORED
-            info.external_attr = 0o644 << 16
-            zf.writestr(info, data)
+    data = {name: array.tobytes() for name, array in arrays.items()}
+    layout = {name: {"shape": list(arrays[name].shape), "crc32": zlib.crc32(data[name])} for name in data}
+    write_checkpoint_file(path, {**meta, "arrays": layout}, data)
 
 
 def large_checkpoint(rows, dim, vocab_size=10, embed_dim=6):
@@ -468,17 +460,26 @@ class TestCheckpointIO:
         save_checkpoint(path, ckpt)
         before = path.read_bytes()
         written = []
-        real_open = zipfile.ZipFile.open
 
-        def failing(self, info, mode="r", **kwargs):
-            # every member is written through ZipFile.open(info, "w"), writestr's too
-            if mode == "w":
+        class FailingFile:
+            """The file save_checkpoint opens, with its fourth write failing as on a full disk."""
+
+            def __init__(self, *args, **kwargs):
+                self.handle = open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
                 if len(written) == 3:
                     raise OSError("disk full")
-                written.append(info)
-            return real_open(self, info, mode, **kwargs)
+                written.append(len(data))
+                return self.handle.write(data)
 
-        monkeypatch.setattr(zipfile.ZipFile, "open", failing)
+        monkeypatch.setattr(trainer, "open", FailingFile, raising=False)
         ckpt.epoch += 1
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, ckpt)
@@ -494,17 +495,18 @@ class TestCheckpointIO:
     def test_streamed_members_equal_the_writestr_archive(self, tmp_path, layout):
         ckpt, _ = self.make_checkpoint(segmentation="bpe" if layout == "bpe" else "word")
         if layout == "strided":
-            # np.save writes an F-ordered array in F order and a strided one in C order
+            # the file holds every array in C order, whatever its layout in memory
             ckpt.model.projection.weight = np.asfortranarray(ckpt.model.projection.weight)
             ckpt.model.embeddings.matrix = np.repeat(ckpt.model.embeddings.matrix, 2, axis=1)[:, ::2]
         path, oracle = tmp_path / "model.ckpt", tmp_path / "oracle.ckpt"
         save_checkpoint(path, ckpt)
-        with zipfile.ZipFile(path) as zf:
-            writestr_checkpoint(oracle, ckpt, zf.read("meta.json"))
+        header, _ = read_checkpoint_file(path)
+        del header["arrays"]
+        writestr_checkpoint(oracle, ckpt, header)
         assert path.read_bytes() == oracle.read_bytes()
         loaded = load_checkpoint(path)
         for name, array in ckpt.model.param_dict().items():
-            assert loaded.model.param_dict()[name].tobytes("A") == array.tobytes("A")
+            assert loaded.model.param_dict()[name].tobytes() == array.tobytes()  # C order, as stored
 
     def test_load_peak_memory_is_one_copy_of_the_arrays(self, tmp_path):
         ckpt = large_checkpoint(rows=16_384, dim=256)
@@ -535,8 +537,7 @@ class TestCheckpointIO:
         ckpt = large_checkpoint(rows=4, dim=4, vocab_size=100, embed_dim=20_000)
         path = tmp_path / "wide.ckpt"
         save_checkpoint(path, ckpt)
-        with zipfile.ZipFile(path) as zf:
-            meta = json.loads(zf.read("meta.json"))
+        meta, _ = read_checkpoint_file(path)
         arrays = {f"param/{k}": v for k, v in ckpt.model.param_dict().items()}
         arrays["pretrained"] = ckpt.pretrained.matrix
         emb = arrays["param/emb"]
@@ -552,10 +553,10 @@ class TestCheckpointIO:
         ckpt, _ = self.make_checkpoint(segmentation="bpe")
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, ckpt)
-        with zipfile.ZipFile(path) as zf:
-            assert sorted(json.loads(zf.read("meta.json"))) == sorted(trainer.META_KEYS)
+        header, _ = read_checkpoint_file(path)
+        assert sorted(header) == sorted([*trainer.META_KEYS, "arrays"])
 
-    @pytest.mark.parametrize("fact", ["mode", "pad-id", "embed-dim", "hidden-size", "vocab-size"])
+    @pytest.mark.parametrize("fact", ["mode", "pad-id", "embed-dim", "hidden-size", "vocab-size", "emb-dtype"])
     def test_inconsistent_checkpoint_is_refused_and_writes_nothing(self, tmp_path, fact):
         # a load derives the mode from the config and the PAD id from the vocabulary,
         # so a model that disagrees with either would not come back as it was saved;
@@ -577,13 +578,23 @@ class TestCheckpointIO:
             message = (
                 f"array 'param/fwd.w' is float64 {(emb[1], 4 * hidden)}, expected float64 {(emb[1], 4 * hidden + 4)}"
             )
-        else:
+        elif fact == "vocab-size":
             ckpt.vocab = WordVocab(ckpt.vocab.id_to_token + ["extra"])
             message = f"array 'param/emb' is float64 {emb}, expected float64 {(emb[0] + 1, emb[1])}"
+        else:  # the file stores float64 only, so a load never meets another dtype
+            ckpt.model.embeddings.matrix = ckpt.model.embeddings.matrix.astype(np.float32)
+            message = f"array 'param/emb' is float32 {emb}, expected float64 {emb}"
         with pytest.raises(ValueError) as refused:
             save_checkpoint(tmp_path / "model.ckpt", ckpt)
         assert str(refused.value) == message
         assert list(tmp_path.iterdir()) == []
+
+    def test_deeply_nested_header_is_a_data_error(self, tmp_path):
+        # json.loads raises RecursionError, not ValueError, on a header nested past the interpreter's limit
+        path = tmp_path / "deep.ckpt"
+        path.write_bytes(framed_header(b"[" * 100_000 + b"]" * 100_000))
+        with pytest.raises(DataError, match=f"^{path}: unreadable checkpoint \\(maximum recursion depth exceeded"):
+            load_checkpoint(path)
 
     def test_non_checkpoint_zip_rejected(self, tmp_path):
         import zipfile
@@ -591,5 +602,5 @@ class TestCheckpointIO:
         path = tmp_path / "other.zip"
         with zipfile.ZipFile(path, "w") as zf:
             zf.writestr("meta.json", "{}")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="not a revdict checkpoint"):
             load_checkpoint(path)
