@@ -69,7 +69,7 @@ def main() -> None:
     for n in sorted({c.answer_length for c in clues}):
         print(f"  {n} letters: {len(length_filter(table, n)):3d} candidates")
 
-    pairs = clues_to_pairs(clues, source="crosswords")
+    pairs = clues_to_pairs(clues)
     vocab = build_word_vocab(Counter(t for p in pairs for t in p.gloss))
     config = TrainConfig(
         learning_rate=0.01,

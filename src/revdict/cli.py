@@ -180,7 +180,7 @@ def _cmd_train(args) -> int:
             f"crosswords: {len(clues)} clues ({clean.duplicates} duplicate, "
             f"{clean.multiword_answers} multi-word answer, {clean.empty} empty rows dropped)"
         )
-        train_pairs = train_pairs + clues_to_pairs(clues, source="crosswords")
+        train_pairs = train_pairs + clues_to_pairs(clues)
 
     pretrained, loaded = load_pretrained(paths["embeddings"], expected_dim=None)
     _note(

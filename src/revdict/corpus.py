@@ -46,7 +46,6 @@ class DefinitionPair:
 
     head: str
     gloss: tuple[str, ...]
-    source: str = "definitions"
 
 
 @dataclass(frozen=True)
@@ -80,9 +79,6 @@ class PaddedBatch:
     token_ids: np.ndarray
     lengths: np.ndarray
     head_ids: np.ndarray
-
-    def __len__(self) -> int:
-        return self.token_ids.shape[0]
 
 
 @dataclass
@@ -190,23 +186,22 @@ def split_long_short(clues: list[CrosswordClue]) -> tuple[list[CrosswordClue], l
     return long_clues, short_clues
 
 
-def clues_to_pairs(clues: list[CrosswordClue], source: str) -> list[DefinitionPair]:
+def clues_to_pairs(clues: list[CrosswordClue]) -> list[DefinitionPair]:
     """View crossword clues as head/gloss training pairs."""
-    return [DefinitionPair(head=c.answer, gloss=c.clue, source=source) for c in clues]
+    return [DefinitionPair(head=c.answer, gloss=c.clue) for c in clues]
 
 
 def pad_minibatch(
     seqs: list[list[int]],
     pad_id: int,
-    cap: int = MAX_GLOSS_LEN,
     head_ids: list[int] | None = None,
 ) -> PaddedBatch:
-    """Pad (or truncate to ``cap``) token-id sequences into one rectangle."""
+    """Pad (or truncate to MAX_GLOSS_LEN) token-id sequences into one rectangle."""
     if not 1 <= len(seqs) <= MINIBATCH_SIZE:
         raise ValueError(f"minibatch must have 1..{MINIBATCH_SIZE} rows, got {len(seqs)}")
     if any(len(s) == 0 for s in seqs):
         raise ValueError("cannot pad an empty sequence")
-    truncated = [list(s[:cap]) for s in seqs]
+    truncated = [list(s[:MAX_GLOSS_LEN]) for s in seqs]
     lengths = np.array([len(s) for s in truncated], dtype=np.int64)
     width = int(lengths.max())
     token_ids = np.full((len(truncated), width), pad_id, dtype=np.int64)
@@ -242,7 +237,6 @@ def bucket_and_batch(
     bucket_size: int = BUCKET_SIZE,
     minibatch: int = MINIBATCH_SIZE,
     shuffle_seed: int = 0,
-    cap: int = MAX_GLOSS_LEN,
 ) -> list[PaddedBatch]:
     """Turn encoded pairs into padded minibatches of at most ``minibatch`` rows."""
     if minibatch < 1 or minibatch > bucket_size or bucket_size % minibatch != 0:
@@ -257,7 +251,6 @@ def bucket_and_batch(
                 pad_minibatch(
                     [list(p.gloss_ids) for p in chunk],
                     pad_id=pad_id,
-                    cap=cap,
                     head_ids=[p.head_id for p in chunk],
                 )
             )

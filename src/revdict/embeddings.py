@@ -117,10 +117,6 @@ class PretrainedLoadStats:
     zero_norm: int = 0
     duplicates: int = 0
 
-    @property
-    def rejected(self) -> int:
-        return self.dim_mismatch + self.non_finite + self.zero_norm + self.duplicates
-
 
 def load_pretrained(
     path: str | Path, expected_dim: int | None = PRETRAINED_DIM
@@ -186,20 +182,6 @@ class LearnedTable:
 
     matrix: np.ndarray  # (vocab, E) float64
     pad_id: int
-
-
-def init_learned(
-    vocab_size: int, dim: int = LEARNED_DIM, seed: int | np.random.Generator = 0, pad_id: int = -1
-) -> LearnedTable:
-    """Uniform [-0.05, 0.05] init, deterministic in ``seed``; PAD row zeroed."""
-    if vocab_size < 2:
-        raise ValueError("vocabulary must contain at least UNK and PAD")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    matrix = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(vocab_size, dim))
-    if pad_id < 0:
-        pad_id += vocab_size
-    matrix[pad_id] = 0.0
-    return LearnedTable(matrix=matrix, pad_id=pad_id)
 
 
 def cosine_to_all(query: np.ndarray, table: PretrainedTable, rows: slice = slice(None)) -> np.ndarray:

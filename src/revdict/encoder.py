@@ -16,8 +16,9 @@ layout is stated once: ``directions`` names a mode's LSTM runs,
 their gradients and their shapes alike) and ``param_shapes`` gives each
 array's shape.  The recurrence takes each row's length and steps only the
 rows that are still running, so padded positions cost nothing and hold
-zeros.  All arithmetic is float64 and batch-first; ``encode_ids`` also
-takes a single sequence and returns an unbatched vector.
+zeros; a non-finite gate pre-activation raises NonFiniteLossError at
+its step.  All arithmetic is float64 and batch-first; ``encode_ids``
+also takes a single sequence and returns an unbatched vector.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .embeddings import INIT_SCALE, LearnedTable, init_learned
+from .embeddings import INIT_SCALE, LearnedTable
 from .errors import NonFiniteLossError
 
 HIDDEN_SIZE = 512
@@ -43,7 +44,6 @@ class EncoderMode(str, Enum):
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) never overflows; both branches are the textbook halves
-    z = np.asarray(z)
     ez = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
@@ -117,14 +117,11 @@ class LSTMTrace:
 
     ``gates`` is (..., B, L, 4H), the activated i, f, o, g blocks; ``c`` and
     ``h`` are (..., B, L, H), the cell and hidden state after each step.
-    ``finite`` is False when any gate pre-activation overflowed to inf or
-    was nan, which the saturating gates would otherwise hide.
     """
 
     gates: np.ndarray
     c: np.ndarray
     h: np.ndarray
-    finite: bool = True
 
 
 def run_lstm_states(params: LSTMParams, x: np.ndarray, lengths: np.ndarray, record: bool = False):
@@ -134,8 +131,9 @@ def run_lstm_states(params: LSTMParams, x: np.ndarray, lengths: np.ndarray, reco
     padded positions keep zero states, gates and cells.  Returns the hidden
     states (..., B, L, H), or with ``record`` the whole LSTMTrace.  The
     params' leading axes broadcast against the inputs' (...), so stacked
-    model replicas run in one pass.  Non-finite gate pre-activations clear
-    a recorded run's ``finite``; any other run raises NonFiniteLossError.
+    model replicas run in one pass.  A gate pre-activation that overflows
+    to inf or is nan, which the saturating gates would hide, raises
+    NonFiniteLossError at its step.
     """
     hidden = params.hidden
     batch, length, embed = x.shape[-3:]
@@ -147,8 +145,7 @@ def run_lstm_states(params: LSTMParams, x: np.ndarray, lengths: np.ndarray, reco
     if record:
         gate_record = np.zeros(shape + (4 * hidden,))
         cells = np.zeros(shape + (hidden,))
-    finite = True
-    with np.errstate(over="ignore", invalid="ignore"):  # reported through ``finite`` instead
+    with np.errstate(over="ignore", invalid="ignore"):  # raised as the named error instead
         # one GEMM over all B*L positions; the leading axes still broadcast
         x_proj = x.reshape(x.shape[:-3] + (batch * length, embed)) @ params.w
         x_proj = x_proj.reshape(x_proj.shape[:-2] + (batch, length, 4 * hidden))
@@ -158,7 +155,8 @@ def run_lstm_states(params: LSTMParams, x: np.ndarray, lengths: np.ndarray, reco
             if rows.size == batch:
                 rows = slice(None)  # every row still running: views, no gathers
             pre = x_proj[..., rows, t, :] + h[..., rows, :] @ params.u + b
-            finite = finite and bool(np.isfinite(pre).all())
+            if not np.isfinite(pre).all():
+                raise NonFiniteLossError("non-finite LSTM pre-activation")
             gates = sigmoid(pre[..., : 3 * hidden])
             g = np.tanh(pre[..., 3 * hidden :])
             c_t = gates[..., hidden : 2 * hidden] * c[..., rows, :] + gates[..., :hidden] * g
@@ -170,9 +168,7 @@ def run_lstm_states(params: LSTMParams, x: np.ndarray, lengths: np.ndarray, reco
                 gate_record[..., rows, t, : 3 * hidden] = gates
                 gate_record[..., rows, t, 3 * hidden :] = g
                 cells[..., rows, t, :] = c_t
-    if not (record or finite):
-        raise NonFiniteLossError("non-finite LSTM pre-activation")
-    return LSTMTrace(gate_record, cells, states, finite) if record else states
+    return LSTMTrace(gate_record, cells, states) if record else states
 
 
 def reverse_steps(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -258,12 +254,18 @@ class DefinitionModel:
         output_dim: int = OUTPUT_DIM,
         seed: int = 0,
     ) -> "DefinitionModel":
+        if vocab_size < 2:
+            raise ValueError("vocabulary must contain at least UNK and PAD")
+        if not 0 <= pad_id < vocab_size:
+            raise ValueError(f"pad id {pad_id} outside [0, {vocab_size})")
         mode = EncoderMode(mode)
         seq = np.random.SeedSequence(seed)
         emb_rng, *lstm_rngs, proj_rng = (np.random.default_rng(s) for s in seq.spawn(4))
         proj_shape = param_shapes(mode, vocab_size, embed_dim, hidden, output_dim)["proj.w"]
+        emb = emb_rng.uniform(-INIT_SCALE, INIT_SCALE, size=(vocab_size, embed_dim))
+        emb[pad_id] = 0.0
         return cls(
-            embeddings=init_learned(vocab_size, dim=embed_dim, seed=emb_rng, pad_id=pad_id),
+            embeddings=LearnedTable(matrix=emb, pad_id=pad_id),
             lstms=tuple(init_lstm(embed_dim, hidden, rng) for rng in lstm_rngs[: len(directions(mode))]),
             projection=Projection(
                 weight=proj_rng.uniform(-INIT_SCALE, INIT_SCALE, size=proj_shape), bias=np.zeros(output_dim)

@@ -4,8 +4,8 @@ Two losses over the projected gloss vector y and the pretrained target v_c:
 
 * cosine: 1 - cos(y, v_c)
 * rank:   max(0, m - cos(y, v_c) + cos(y, v_r)) with a random confounder
-          v_r; zero exactly when y is at least m closer (in cosine) to the
-          target than to the confounder.
+          v_r and the constant margin m = MARGIN; zero exactly when y is at
+          least m closer (in cosine) to the target than to the confounder.
 
 ``backward`` runs backpropagation through the projection, the encoder mode,
 and time, by hand, over the outputs of ``encoder.forward`` (the same
@@ -75,17 +75,15 @@ class GradientSet(dict):
         return {**self, "emb": self["emb"].dense()}
 
 
-def _row_cosines(y: np.ndarray, other: np.ndarray, with_grad: bool = True):
-    """Cosine of each row of (..., B, D) ``y`` with its row of ``other``, and (optionally) its gradient in y."""
+def _row_cosines(y: np.ndarray, other: np.ndarray):
+    """Cosine of each row of (..., B, D) ``y`` with its row of ``other``, and its gradient in y."""
     ny = np.linalg.norm(y, axis=-1)
     no = np.linalg.norm(other, axis=-1)
     if np.any(ny == 0.0) or np.any(no == 0.0):
         raise ValueError("cosine of a zero-norm vector is undefined")
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         cos = np.einsum("...d,...d->...", y, other) / (ny * no)
-        dcos = None
-        if with_grad:
-            dcos = other / (ny * no)[..., None] - (cos / ny**2)[..., None] * y
+        dcos = other / (ny * no)[..., None] - (cos / ny**2)[..., None] * y
     if not np.all(np.isfinite(cos)):
         # checked here because a nan would slip through the rank hinge as 0
         raise NonFiniteLossError("non-finite cosine in loss")
@@ -97,29 +95,21 @@ def _loss_and_dy(
     targets: np.ndarray,
     loss_kind: LossKind,
     negatives: np.ndarray | None,
-    margin: float,
-    with_grad: bool = True,
 ):
-    """Mean loss over the B rows of (..., B, D) outputs, and (optionally) its gradient in y."""
-    cos_c, dcos_c = _row_cosines(y, targets, with_grad)
-    dy = None
+    """Mean loss over the B rows of (..., B, D) outputs, and its gradient in y; finite, as every cosine is."""
+    cos_c, dcos_c = _row_cosines(y, targets)
     if loss_kind is LossKind.COSINE:
         per_row = 1.0 - cos_c
-        if with_grad:
-            dy = -dcos_c
+        dy = -dcos_c
     else:
         if negatives is None:
             raise ValueError("rank loss needs negative targets")
-        cos_r, dcos_r = _row_cosines(y, negatives, with_grad)
-        gap = margin - cos_c + cos_r
+        cos_r, dcos_r = _row_cosines(y, negatives)
+        gap = MARGIN - cos_c + cos_r
         active = gap > 0.0  # subgradient 0 at the kink
         per_row = np.where(active, gap, 0.0)
-        if with_grad:
-            dy = np.where(active[..., None], dcos_r - dcos_c, 0.0)
-    loss = per_row.mean(axis=-1)
-    if not np.all(np.isfinite(loss)):
-        raise NonFiniteLossError("non-finite batch loss")
-    return loss, (dy / y.shape[-2] if with_grad else None)
+        dy = np.where(active[..., None], dcos_r - dcos_c, 0.0)
+    return per_row.mean(axis=-1), dy / y.shape[-2]
 
 
 def batch_loss(
@@ -129,7 +119,6 @@ def batch_loss(
     targets: np.ndarray,
     loss_kind: LossKind,
     negatives: np.ndarray | None = None,
-    margin: float = MARGIN,
 ) -> float:
     """Mean loss over the batch (forward only).
 
@@ -137,7 +126,7 @@ def batch_loss(
     to the exact outputs of the backward pass's recorded forward.
     """
     y = model.encode_ids(np.asarray(token_ids), np.asarray(lengths))
-    loss, _ = _loss_and_dy(y, targets, LossKind(loss_kind), negatives, margin, with_grad=False)
+    loss, _ = _loss_and_dy(y, targets, LossKind(loss_kind), negatives)
     return float(loss)
 
 
@@ -207,7 +196,6 @@ def backward(
     targets: np.ndarray,
     loss_kind: LossKind,
     negatives: np.ndarray | None = None,
-    margin: float = MARGIN,
 ) -> tuple[float, GradientSet]:
     """Mean batch loss and its exact gradient for every trainable parameter.
 
@@ -217,10 +205,7 @@ def backward(
     token_ids = np.asarray(token_ids)
     lengths = np.asarray(lengths)
     y, (pre, inputs, traces) = forward(model, token_ids, lengths, run_lstm, record=True)
-    loss, dy = _loss_and_dy(y, targets, LossKind(loss_kind), negatives, margin)
-    if not all(trace.finite for trace in traces):
-        # a finite loss can still come from inf pre-activations saturating the gates
-        raise NonFiniteLossError("non-finite LSTM pre-activation")
+    loss, dy = _loss_and_dy(y, targets, LossKind(loss_kind), negatives)
 
     # projection: y = tanh(pre @ W + b)
     dp = dy * (1.0 - y**2)
@@ -249,7 +234,6 @@ def _replica_losses(
     targets: np.ndarray,
     loss_kind: LossKind,
     negatives: np.ndarray | None = None,
-    margin: float = MARGIN,
 ) -> np.ndarray:
     """batch_loss of R model replicas, scored in one stacked forward pass.
 
@@ -266,7 +250,7 @@ def _replica_losses(
     params[name] = stacked
     replicas = DefinitionModel.from_params(model.mode, model.embeddings.pad_id, params)
     y, _ = forward(replicas, token_ids, lengths, run_lstm)
-    losses, _ = _loss_and_dy(y, targets, loss_kind, negatives, margin, with_grad=False)
+    losses, _ = _loss_and_dy(y, targets, loss_kind, negatives)
     return losses
 
 

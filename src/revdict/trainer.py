@@ -11,11 +11,12 @@ array's shape and CRC-32), then each array's float64 bytes in C order, back
 to back in sorted name order; every number is little-endian.  Identical
 runs give bitwise-identical files.  Saving streams each array with no copy;
 loading checks every size against the file's before it allocates, reads
-each array once straight into place and checks every CRC-32.  The
-pretrained table is stored in word-length row order, and loading refuses a
-table in any other order rather than copy it to sort it.  The meta repeats
-no fact that its config or vocabulary fixes, and a save runs the load's
-checks first, so it writes nothing a load refuses.
+each array once straight into place, checks every CRC-32 and refuses a
+header key or array that the layout does not name.  The pretrained table
+is stored in word-length row order, and loading refuses a table in any
+other order rather than copy it to sort it.  The meta repeats no fact
+that its config or vocabulary fixes, and a save runs the load's checks
+first, so it writes nothing a load refuses.
 """
 
 from __future__ import annotations
@@ -122,14 +123,10 @@ def read_config(path: str | Path) -> tuple[TrainConfig, dict[str, str]]:
             if key in CONFIG_PATH_KEYS:
                 paths[key] = value
             elif key in field_types:
-                kind = field_types[key]
+                # the field types are the annotations' strings (postponed evaluation)
+                convert = {"int": int, "float": float}.get(field_types[key], str)
                 try:
-                    if kind == "int" or kind is int:
-                        values[key] = int(value)
-                    elif kind == "float" or kind is float:
-                        values[key] = float(value)
-                    else:
-                        values[key] = value
+                    values[key] = convert(value)
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
             else:
@@ -429,6 +426,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             missing = [key for key in (*META_KEYS, "arrays") if key not in meta]
             if missing:
                 raise DataError(f"checkpoint meta has no {missing[0]!r}")
+            unknown = sorted(set(meta) - {*META_KEYS, "arrays"})
+            if unknown:
+                raise DataError(f"checkpoint meta has an unknown key {unknown[0]!r}")
             if not isinstance(meta["arrays"], dict):
                 raise DataError("checkpoint meta 'arrays' is not an object")
             layout, end = [], header_end
@@ -462,7 +462,10 @@ def _checkpoint_from(meta: dict, arrays: dict[str, np.ndarray]) -> Checkpoint:
     """Build a Checkpoint from its meta and arrays, checking every array's shape and that the parameters are finite."""
     config = TrainConfig(**meta["config"]).validate()
     mode = EncoderMode(config.encoder_mode)
-    vocab = WordVocab(list(meta["vocab"]))
+    for key in ("vocab", "pretrained_words"):  # no input matches a token or word that is not a string
+        if not isinstance(meta[key], list) or not all(isinstance(item, str) for item in meta[key]):
+            raise DataError(f"checkpoint {key!r} is not a list of strings")
+    vocab = WordVocab(meta["vocab"])
     if "pretrained" not in arrays or arrays["pretrained"].ndim != 2:
         raise DataError("checkpoint has no 2-D array 'pretrained'")
     out_dim = arrays["pretrained"].shape[1]
@@ -479,6 +482,9 @@ def _checkpoint_from(meta: dict, arrays: dict[str, np.ndarray]) -> Checkpoint:
         # max carry any nan and any inf is one of them, so no array-sized temporary is made
         if name.startswith("param/") and not np.isfinite([found.min(initial=0.0), found.max(initial=0.0)]).all():
             raise NonFiniteLossError(f"array {name!r} has a non-finite entry")
+    unlisted = sorted(set(arrays) - set(expected))
+    if unlisted:
+        raise DataError(f"checkpoint has an array {unlisted[0]!r} that its layout does not list")
     try:  # a table out of word-length order is refused, not copied to sort it
         pretrained = PretrainedTable(list(meta["pretrained_words"]), arrays["pretrained"])
     except ValueError as exc:
@@ -487,6 +493,9 @@ def _checkpoint_from(meta: dict, arrays: dict[str, np.ndarray]) -> Checkpoint:
     model = DefinitionModel.from_params(mode, vocab.pad_id, {name: arrays[f"param/{name}"] for name in shapes})
     merges = None
     if meta["merges"] is not None:
+        for pair in meta["merges"]:  # the rule MergeTable.load applies to a merge file's lines
+            if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(part, str) for part in pair)):
+                raise DataError(f"checkpoint merge {pair!r} is not a pair of strings")
         merges = MergeTable(merges=[tuple(m) for m in meta["merges"]])
     return Checkpoint(
         model=model,

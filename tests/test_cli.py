@@ -1,7 +1,9 @@
 """End-to-end command tests driven through run(argv)."""
 
+import hashlib
 import io
 import math
+import os
 import re
 import subprocess
 import sys
@@ -24,7 +26,7 @@ from revdict.tokenizer import (
     segment_word,
     unsegment_text,
 )
-from revdict.trainer import load_checkpoint, save_checkpoint
+from revdict.trainer import META_KEYS, load_checkpoint, save_checkpoint
 
 SUMMARY = re.compile(r"^median_rank=\S+ acc@10=\S+ acc@100=\S+ rank_variance=\S+$")
 
@@ -68,12 +70,17 @@ def workspace(tmp_path):
     return tmp_path
 
 
-def rewrite_checkpoint(source, target, meta=None, drop_meta=None, drop=None, arrays=None, raw=None, patch=None):
-    """Copy a checkpoint with ``arrays[name]`` applied to array ``name`` (its shape and CRC-32 follow),
-    ``raw[name]`` applied to its bytes (its header entry kept) or array ``drop`` dropped; then with the header's
-    meta updated (a callable value is applied to the old one) and ``drop_meta`` removed; then ``patch`` the
-    written file's bytes."""
+def rewrite_checkpoint(
+    source, target, meta=None, drop_meta=None, drop=None, arrays=None, raw=None, patch=None, add=None
+):
+    """Copy a checkpoint with ``add[name]`` added as array ``name``, ``arrays[name]`` applied to array ``name``
+    (its shape and CRC-32 follow), ``raw[name]`` applied to its bytes (its header entry kept) or array ``drop``
+    dropped; then with the header's meta updated (a callable value is applied to the old one) and ``drop_meta``
+    removed; then ``patch`` the written file's bytes."""
     header, data = read_checkpoint_file(source)
+    for name, array in (add or {}).items():
+        data[name] = array.tobytes()
+        header["arrays"][name] = {"shape": list(array.shape), "crc32": zlib.crc32(data[name])}
     for name, edit in (arrays or {}).items():
         array = edit(np.frombuffer(data[name]).reshape(header["arrays"][name]["shape"]))
         data[name] = array.tobytes()
@@ -348,11 +355,12 @@ class TestTrainEvalQuery:
 
     def test_non_finite_loss_exits_three(self, workspace, capsys):
         # a finite learning rate so large that the first Adam step overflows
-        # the parameters to inf; the next batch's cosine is then nan
+        # the parameters to inf; the next batch's gate pre-activations are then
+        # inf or nan, which is reported at the first step that holds one
         config = write_config(workspace, learning_rate=1e308, epochs=1)
         with np.errstate(over="ignore", invalid="ignore"):
             assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 3
-        assert "numeric error: epoch 1 batch 1: non-finite cosine in loss" in capsys.readouterr().err
+        assert "numeric error: epoch 1 batch 1: non-finite LSTM pre-activation" in capsys.readouterr().err
         assert not (workspace / "m.ckpt").exists()
 
     def test_saturating_learning_rate_exits_three(self, workspace, capsys):
@@ -485,12 +493,30 @@ class TestTrainEvalQuery:
                 dict(meta=array_entry("param/emb", shape=[15], crc32=0)),
                 lambda size: f"checkpoint is {size} bytes, but its header describes {size - 600}",
             ),
+            # the average mode has no second direction
+            (
+                dict(add={"param/bwd.w": np.zeros((6, 20))}),
+                "checkpoint has an array 'param/bwd.w' that its layout does not list",
+            ),
+            # version 3 kept the mode in its meta
+            (dict(meta={"mode": "final"}), "checkpoint meta has an unknown key 'mode'"),
+            (dict(meta={"merges": [["a"]]}), "checkpoint merge ['a'] is not a pair of strings"),
+            (dict(meta={"merges": [[1, 2]]}), "checkpoint merge [1, 2] is not a pair of strings"),
+            (dict(meta={"merges": [["a", "b"], "ab"]}), "checkpoint merge 'ab' is not a pair of strings"),
+            # no input token can match an integer
+            (dict(meta={"vocab": lambda v: [7] + v[1:]}), "checkpoint 'vocab' is not a list of strings"),
+            (dict(meta={"vocab": "<unk><pad>"}), "checkpoint 'vocab' is not a list of strings"),
+            (
+                dict(meta={"pretrained_words": lambda w: [7] + w[1:]}),
+                "checkpoint 'pretrained_words' is not a list of strings",
+            ),
         ],
         ids=[
             "version", "no-version", "meta-key", "param-array", "emb-shape", "mode", "pad-id", "gate-shape",
             "proj-shape", "version-2", "version-3", "table-order", "crc", "past-eof", "magic", "header-past-eof",
             "header-crc", "trailing", "no-arrays", "arrays-type", "entry-no-shape",
-            "entry-negative-dimension", "entry-missing-dimension",
+            "entry-negative-dimension", "entry-missing-dimension", "extra-array", "meta-unknown-key",
+            "merge-single", "merge-integers", "merge-string", "vocab-integer", "vocab-string", "word-integer",
         ],
     )
     def test_malformed_checkpoint_is_a_data_error(self, workspace, trained, capsys, monkeypatch, edit, message):
@@ -696,3 +722,176 @@ def test_module_entry_point_usage_error():
         [sys.executable, "-m", "revdict", "no-such-command"], capture_output=True, text=True
     )
     assert proc.returncode == 1
+
+
+def test_training_bits_hold_across_processes_with_threaded_blas(tmp_path):
+    # two fresh processes, each with two BLAS threads, at a width where BLAS
+    # splits its GEMMs between them: the checkpoints and curves are equal bytes
+    rng = np.random.default_rng(2024)
+    words = [f"w{k}" for k in range(60)]
+    heads = [f"h{k}" for k in range(36)]
+    glosses = ["\t".join((head, " ".join(rng.choice(words, size=int(rng.integers(2, 9)))))) for head in heads]
+    (tmp_path / "train.tsv").write_text("\n".join(glosses[:30]) + "\n")
+    (tmp_path / "dev.tsv").write_text("\n".join(glosses[30:]) + "\n")
+    (tmp_path / "vecs.txt").write_text("".join(f"{h} {' '.join(map(str, rng.normal(size=16).tolist()))}\n" for h in heads))
+    config = write_config(
+        tmp_path, train=tmp_path / "train.tsv", dev=tmp_path / "dev.tsv", embed_dim=256, hidden_size=256,
+        learning_rate=0.002, minibatch=16, bucket=32, encoder_mode="bidirectional",
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    outputs = [tmp_path / f"run{k}.ckpt" for k in range(2)]
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "revdict", "train", "--config", str(config), "--output", str(output)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        for output in outputs
+    ]
+    for proc in runs:
+        assert proc.wait(timeout=120) == 0, proc.stderr.read()
+        proc.stderr.close()
+    digests = [
+        [hashlib.sha256(path.read_bytes()).hexdigest() for path in (output, output.with_name(f"{output.name}.metrics"))]
+        for output in outputs
+    ]
+    assert digests[0] == digests[1]
+    assert len((tmp_path / "run0.ckpt.metrics").read_text().splitlines()) == 2
+
+
+# what the seeded mutation test inserts or writes into inputs
+JUNK = [b"\t", b",", b" ", b"\n", b'"', b"#", b"=", b"-", b"0", b"1e308", b"nan", b"-inf", b"x", "é".encode(), b"\0", b"\xe9"]
+CONFIG_VALUES = ["-1", "0", "1", "3.5", "1e308", "1e-320", "nan", "inf", "x", "", "rank", "bidirectional", "bpe", "full"]
+CONFIG_FIELDS = [
+    "learning_rate", "optimizer", "epochs", "minibatch", "bucket", "seed", "loss_kind", "encoder_mode",
+    "segmentation", "dataset", "embed_dim", "hidden_size",
+]
+CONFIG_KEYS = CONFIG_FIELDS + ["train", "dev", "embeddings", "merges", "crosswords", "mode"]
+HEADER_VALUES = [None, True, 0, -1, 2.5, "", "x", [], {}, [["a"]], [["a", "b"]], ["<unk>", "<pad>"], {"seed": 1}, 10**30]
+QUERY_LINES = [
+    "", " ", "--length", "--length 3", "small feline --length", "small --length 0", "small --length -2",
+    "small --length 99999999999999999999", "small feline --length x", "\0", "é ü", "#", "x " * 300, "small\tfeline",
+    "--length 3 --length 5", "small feline",
+]
+CATEGORIES = {1: ("usage error: ", "config error: "), 2: ("data error: ",), 3: ("numeric error: ",)}
+
+
+def mutate(data, rng):
+    """One seeded edit of ``data``: a byte deleted, junk inserted or written over, a line dropped or doubled, or a cut."""
+    op, at = int(rng.integers(6)), int(rng.integers(len(data) + 1))
+    junk = JUNK[int(rng.integers(len(JUNK)))]
+    lines = data.split(b"\n")
+    line = int(rng.integers(len(lines)))
+    edits = [
+        lambda: data[:at] + data[at + 1 :],
+        lambda: data[:at] + junk + data[at:],
+        lambda: data[:at] + junk + data[at + len(junk) :],
+        lambda: b"\n".join(lines[:line] + lines[line + 1 :]),
+        lambda: b"\n".join(lines[: line + 1] + lines[line:]),
+        lambda: data[:at],
+    ]
+    return edits[op]()
+
+
+def mutation_cases(ws, trained, merges, rng, count):
+    """``count`` seeded (label, argv, stdin text, prepare) cases, each with one input edited: a data file, a config
+    value, a checkpoint header value or the query lines; ``prepare`` writes the edited input and the config, and
+    the label holds the case's number and its edit."""
+    bad, out = ws / "bad.txt", str(ws / "out.txt")
+    train = ["train", "--output", str(ws / "m.ckpt"), "--config", str(ws / "train.cfg")]
+
+    def eval_(test, mode="definitions", checkpoint=trained):
+        return ["eval", "--checkpoint", str(checkpoint), "--test", str(test), "--mode", mode]
+
+    readers = {  # each input file, and the commands (with their config) that read it in place of the valid one
+        "defs.tsv": [
+            (train, dict(train=bad)), (["learn-bpe", "--input", str(bad), "--merges", "10", "--output", out], {}),
+            (["apply-bpe", "--input", str(bad), "--merges", str(merges), "--output", out], {}),
+            (["build-vocab", "--input", str(bad), "--output", out], {}),
+            (["stats", "--input", str(bad), "--output", out], {}),
+        ],
+        "dev.tsv": [(train, dict(dev=bad)), (eval_(bad), {})],
+        "vecs.txt": [(train, dict(embeddings=bad))],
+        "cw.csv": [
+            (train, dict(dataset="full", crosswords=bad)), (eval_(bad, "crossword"), {}),
+            (["stats", "--input", str(bad), "--output", out, "--mode", "crossword"], {}),
+        ],
+        "merges.txt": [
+            (train, dict(segmentation="bpe", merges=bad)),
+            (["apply-bpe", "--input", str(ws / "defs.tsv"), "--merges", str(bad), "--output", out], {}),
+            (["build-vocab", "--input", str(ws / "defs.tsv"), "--output", out, "--segmentation", "bpe", "--merges",
+              str(bad)], {}),
+        ],
+        "train.cfg": [(train[:-1] + [str(bad)], {})],
+    }
+    header_keys = [*META_KEYS, "arrays", *(f"config.{field}" for field in CONFIG_FIELDS)]
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    cases = []
+    for index in range(count):
+        kind = ("file", "config", "header", "query")[index % 4]
+        if kind == "file":
+            name = pick(sorted(readers))
+            data = mutate((ws / name).read_bytes(), rng)
+            argv, config = pick(readers[name])
+
+            def prepare(data=data, config=config):
+                write_config(ws, **config)
+                bad.write_bytes(data)
+
+            cases.append((f"{name} -> {data!r}", argv, "", prepare))
+        elif kind == "config":
+            key, value = pick(CONFIG_KEYS), pick(CONFIG_VALUES)
+            cases.append((f"config {key} = {value!r}", train, "", lambda key=key, value=value: write_config(ws, **{key: value})))
+        elif kind == "header":
+            key, value = pick(header_keys), pick(HEADER_VALUES)
+            meta = {key: value}
+            if key.startswith("config."):
+                meta = {"config": lambda config, field=key[7:], value=value: {**config, field: value}}
+            argv = pick([["query", "--checkpoint", str(bad)], eval_(ws / "dev.tsv", checkpoint=bad)])
+            cases.append((
+                f"header {key} = {value!r}", argv, "small feline\n",
+                lambda meta=meta: rewrite_checkpoint(trained, bad, meta=meta),
+            ))
+        else:
+            stdin = "".join(f"{pick(QUERY_LINES)}\n" for _ in range(3))
+            cases.append((f"query {stdin!r}", ["query", "--checkpoint", str(trained)], stdin, lambda: None))
+    return [(f"case {index}, {label}", *rest) for index, (label, *rest) in enumerate(cases)]
+
+
+def test_seeded_mutations_keep_the_exit_code_contract(workspace, capsys, monkeypatch):
+    # each case edits one input, runs the command that reads it, and checks the contract:
+    # an exit code in 0..3, nothing raised, and on failure one last stderr line of that
+    # category and no checkpoint written; the failing cases are printed, each ready to
+    # become a named test
+    merges, trained = workspace / "merges.txt", workspace / "model.ckpt"
+    assert run(["learn-bpe", "--input", str(workspace / "defs.tsv"), "--merges", "20", "--output", str(merges)]) == 0
+    assert run(["train", "--config", str(write_config(workspace)), "--output", str(trained)]) == 0
+    failures = []
+    for label, argv, stdin, prepare in mutation_cases(workspace, trained, merges, np.random.default_rng(17), 200):
+        prepare()
+        (workspace / "m.ckpt").unlink(missing_ok=True)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        capsys.readouterr()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = run(argv)
+        except (Exception, SystemExit) as exc:  # an escaping exception is what the test looks for
+            failures.append(f"{label}: {argv[0]} raised {type(exc).__name__}: {exc}")
+            continue
+        err = capsys.readouterr().err.splitlines()
+        flagged = [line for line in err if line.startswith(sum(CATEGORIES.values(), ()))]
+        if code not in (0, 1, 2, 3):
+            failures.append(f"{label}: {argv[0]} exited {code}")
+        elif code and (flagged != err[-1:] or not flagged[0].startswith(CATEGORIES[code])):
+            failures.append(f"{label}: {argv[0]} exited {code} with stderr {err!r}")
+        elif not code and flagged:
+            failures.append(f"{label}: {argv[0]} exited 0 with stderr {err!r}")
+        elif code and (workspace / "m.ckpt").exists():
+            failures.append(f"{label}: {argv[0]} exited {code} but wrote its checkpoint")
+    if failures:
+        with capsys.disabled():  # straight to the terminal, one line a case
+            print("\n" + "\n".join(failures))
+    assert not failures, f"{len(failures)} of the seeded cases broke the exit-code contract"

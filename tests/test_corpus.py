@@ -7,6 +7,7 @@ from revdict.corpus import (
     CrosswordClue,
     DefinitionPair,
     EncodedPair,
+    MAX_GLOSS_LEN,
     bucket_and_batch,
     clean_crosswords,
     clues_to_pairs,
@@ -128,8 +129,8 @@ class TestCleanCrosswords:
         long_clues, short_clues = split_long_short(clues)
         assert [c.answer for c in long_clues] == ["a"]
         assert [c.answer for c in short_clues] == ["b"]
-        pairs = clues_to_pairs(short_clues, source="puzzles")
-        assert pairs == [DefinitionPair(head="b", gloss=("tiny", "clue"), source="puzzles")]
+        pairs = clues_to_pairs(short_clues)
+        assert pairs == [DefinitionPair(head="b", gloss=("tiny", "clue"))]
 
 
 class TestPadMinibatch:
@@ -138,12 +139,11 @@ class TestPadMinibatch:
         assert batch.token_ids.tolist() == [[1, 2, 3], [4, 9, 9]]
         assert batch.lengths.tolist() == [3, 1]
         assert batch.head_ids.tolist() == [-1, -1]
-        assert len(batch) == 2
 
     def test_truncates_to_first_cap_tokens(self):
-        batch = pad_minibatch([list(range(10))], pad_id=-2, cap=4)
-        assert batch.token_ids.tolist() == [[0, 1, 2, 3]]
-        assert batch.lengths.tolist() == [4]
+        batch = pad_minibatch([list(range(MAX_GLOSS_LEN + 5))], pad_id=-2)
+        assert batch.token_ids.tolist() == [list(range(MAX_GLOSS_LEN))]
+        assert batch.lengths.tolist() == [MAX_GLOSS_LEN]
 
     def test_row_count_limits(self):
         with pytest.raises(ValueError):
@@ -180,7 +180,7 @@ class TestBucketing:
         rng = np.random.default_rng(11)
         pairs = toy_pairs(70, rng)
         batches = bucket_and_batch(pairs, pad_id=99, bucket_size=32, minibatch=8, shuffle_seed=0)
-        assert all(len(b) <= 8 for b in batches)
+        assert all(b.lengths.size <= 8 for b in batches)
         seen = sorted(h for b in batches for h in b.head_ids.tolist())
         assert seen == list(range(70))
 

@@ -1,4 +1,4 @@
-"""Pretrained table loading, learned table init, and cosine ranking tests."""
+"""Pretrained table loading and cosine ranking tests."""
 
 import math
 
@@ -9,7 +9,6 @@ from revdict.embeddings import (
     NORM_BLOCK_ROWS,
     PretrainedTable,
     cosine_to_all,
-    init_learned,
     load_pretrained,
     rank_by_cosine,
 )
@@ -41,7 +40,7 @@ class TestLoadPretrained:
         assert stats.dim_mismatch == 1
         assert stats.zero_norm == 1
         assert stats.duplicates == 1
-        assert stats.rejected == 3
+        assert stats.non_finite == 0
         np.testing.assert_array_equal(table.matrix[table.word_to_row["cat"]], [0.1, 0.2, 0.3])
         assert "emu" not in table
         assert "dog" in table and len(table) == 2
@@ -59,7 +58,7 @@ class TestLoadPretrained:
         table, stats = load_pretrained(path, expected_dim=3)
         assert table.words == ["cat", "dog"]
         assert stats.non_finite == 3  # the last one's entries are finite, its norm is not
-        assert stats.zero_norm == 0 and stats.rejected == 3
+        assert stats.zero_norm == stats.dim_mismatch == stats.duplicates == 0
         assert np.all(np.isfinite(table.norms))
 
     def test_all_rows_non_finite_is_an_error(self, tmp_path):
@@ -73,21 +72,6 @@ class TestLoadPretrained:
         path.write_text("")
         with pytest.raises(DataError):
             load_pretrained(path, expected_dim=3)
-
-
-class TestInitLearned:
-    def test_deterministic_bounded_and_pad_zero(self):
-        a = init_learned(10, dim=8, seed=5, pad_id=9)
-        b = init_learned(10, dim=8, seed=5, pad_id=9)
-        np.testing.assert_array_equal(a.matrix, b.matrix)
-        assert np.abs(a.matrix).max() <= 0.05
-        assert np.all(a.matrix[9] == 0.0)
-        c = init_learned(10, dim=8, seed=6, pad_id=9)
-        assert not np.array_equal(a.matrix, c.matrix)
-
-    def test_vocab_floor(self):
-        with pytest.raises(ValueError):
-            init_learned(1, dim=4, seed=0, pad_id=0)
 
 
 def toy_table():

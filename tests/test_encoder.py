@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from revdict import encoder
 from revdict.encoder import (
     EncoderMode,
     LSTMParams,
@@ -246,21 +247,21 @@ class TestRunLstm:
             np.testing.assert_allclose(f * c_prev + i * g, c, rtol=1e-13)
             np.testing.assert_allclose(o * np.tanh(c), h, rtol=1e-13)
 
-    def test_trace_flags_overflowing_pre_activations(self):
+    @pytest.mark.parametrize("record", [False, True], ids=["states", "recorded"])
+    def test_overflowing_pre_activation_raises_at_its_step(self, record, monkeypatch):
+        # x @ w overflows at step 2 alone, where the forget gate would saturate
+        # to a finite 0 or 1 and hide it: the run stops there, gates unevaluated
         params = init_lstm(2, 3, np.random.default_rng(0))
         x = 1.0 + np.random.default_rng(1).uniform(size=(2, 4, 2))
-        assert run_lstm_states(params, x, full_lengths(x), record=True).finite
-        gate(params, "w", "f")[:] = 1e308  # x @ w overflows; the forget gate saturates to a finite 0 or 1
+        x[:, 2] = 1e300
+        gate(params, "w", "f")[:] = 1e10
+        steps = []
+        monkeypatch.setattr(encoder, "sigmoid", lambda z: steps.append(z) or sigmoid(z))
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the recorded run reports it through ``finite`` alone
-            trace = run_lstm_states(params, x, full_lengths(x), record=True)
-        assert not trace.finite
-        assert np.all(np.isfinite(trace.h))
-        # a states-only run (inference, the replica forward) raises the named error instead
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+            warnings.simplefilter("error")  # the named error is the only report
             with pytest.raises(NonFiniteLossError, match="non-finite LSTM pre-activation"):
-                run_lstm_states(params, x, full_lengths(x))
+                run_lstm_states(params, x, full_lengths(x), record=record)
+        assert len(steps) == 2
 
     def test_states_only_run_handles_empty_sequence(self):
         params = init_lstm(2, 3, np.random.default_rng(0))
@@ -429,6 +430,26 @@ class TestDefinitionModel:
             np.testing.assert_array_equal(arr, b.param_dict()[name])
         assert len(a.lstms) == 1
         assert np.all(a.embeddings.matrix[9] == 0.0)
+
+    def test_create_draws_a_bounded_table_with_a_zero_pad_row(self):
+        # the gloss table is the first of four streams spawned from the seed, PAD row zeroed
+        m = DefinitionModel.create(10, pad_id=4, mode="final", embed_dim=8, hidden=3, output_dim=5, seed=5)
+        emb_rng = np.random.default_rng(np.random.SeedSequence(5).spawn(4)[0])
+        expected = emb_rng.uniform(-0.05, 0.05, size=(10, 8))
+        expected[4] = 0.0
+        assert m.embeddings.matrix.tobytes() == expected.tobytes()
+        assert m.embeddings.pad_id == 4
+        other = DefinitionModel.create(10, pad_id=4, mode="final", embed_dim=8, hidden=3, output_dim=5, seed=6)
+        assert not np.array_equal(m.embeddings.matrix, other.embeddings.matrix)
+
+    @pytest.mark.parametrize(
+        "vocab_size, pad_id, message",
+        [(1, 0, "at least UNK and PAD"), (10, 10, r"pad id 10 outside \[0, 10\)"), (10, -1, r"pad id -1 outside")],
+        ids=["vocab-floor", "pad-past-end", "pad-negative"],
+    )
+    def test_create_refuses_a_small_vocabulary_or_a_pad_id_outside_it(self, vocab_size, pad_id, message):
+        with pytest.raises(ValueError, match=message):
+            DefinitionModel.create(vocab_size, pad_id=pad_id, mode="final", embed_dim=4, hidden=3, output_dim=5)
 
     def test_fused_init_keeps_the_per_gate_draws(self):
         # the fused arrays hold the draws of one (E, H) matrix per gate, then

@@ -370,7 +370,7 @@ class TestEvaluate:
         ]
         filtered_report, filtered_records = evaluate(ckpt, clues, mode="crossword")
         plain_report, plain_records = evaluate(
-            ckpt, clues_to_pairs(clues, source="test"), mode="definitions"
+            ckpt, clues_to_pairs(clues), mode="definitions"
         )
         for filt, plain in zip(filtered_records, plain_records):
             assert not filt.excluded

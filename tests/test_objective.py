@@ -205,7 +205,7 @@ def oracle_gradients(model, token_ids, lengths, targets, loss_kind, negatives):
     else:
         pre = np.concatenate([trace["h"][rows, lengths - 1] for trace in traces], axis=1)
     y = np.tanh(pre @ model.projection.weight + model.projection.bias)
-    _, dy = objective._loss_and_dy(y, targets, LossKind(loss_kind), negatives, MARGIN)
+    _, dy = objective._loss_and_dy(y, targets, LossKind(loss_kind), negatives)
     dp = dy * (1.0 - y**2)
     grads = {"proj.w": pre.T @ dp, "proj.b": dp.sum(axis=0)}
     d_pre = dp @ model.projection.weight.T
@@ -429,8 +429,10 @@ class TestBackward:
     def test_non_finite_loss_raises(self):
         model, ids, lengths, targets, _ = toy_setup("final", seed=1)
         targets[0, 0] = np.nan
-        with pytest.raises(NonFiniteLossError):
+        with pytest.raises(NonFiniteLossError, match="non-finite cosine in loss"):
             batch_loss(model, ids, lengths, targets, LossKind.COSINE)
+        with pytest.raises(NonFiniteLossError, match="non-finite cosine in loss"):
+            backward(model, ids, lengths, targets, LossKind.COSINE)
 
     def test_non_finite_rank_loss_raises_instead_of_scoring_zero(self):
         # nan similarities must not slip through the hinge as inactive rows

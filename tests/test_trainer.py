@@ -16,7 +16,7 @@ from revdict.embeddings import PretrainedTable, cosine_to_all
 from revdict.errors import ConfigError, DataError, NonFiniteLossError
 from revdict.evaluator import evaluate, median_rank, rank_of_correct
 from revdict.objective import LossKind, RowGradient, backward
-from revdict.tokenizer import WordVocab, build_word_vocab, learn_bpe
+from revdict.tokenizer import MergeTable, WordVocab, build_word_vocab, learn_bpe
 from revdict.trainer import (
     BETA1,
     BETA2,
@@ -556,7 +556,9 @@ class TestCheckpointIO:
         header, _ = read_checkpoint_file(path)
         assert sorted(header) == sorted([*trainer.META_KEYS, "arrays"])
 
-    @pytest.mark.parametrize("fact", ["mode", "pad-id", "embed-dim", "hidden-size", "vocab-size", "emb-dtype"])
+    @pytest.mark.parametrize(
+        "fact", ["mode", "pad-id", "embed-dim", "hidden-size", "vocab-size", "emb-dtype", "vocab-token", "merge-pair"]
+    )
     def test_inconsistent_checkpoint_is_refused_and_writes_nothing(self, tmp_path, fact):
         # a load derives the mode from the config and the PAD id from the vocabulary,
         # so a model that disagrees with either would not come back as it was saved;
@@ -581,6 +583,12 @@ class TestCheckpointIO:
         elif fact == "vocab-size":
             ckpt.vocab = WordVocab(ckpt.vocab.id_to_token + ["extra"])
             message = f"array 'param/emb' is float64 {emb}, expected float64 {(emb[0] + 1, emb[1])}"
+        elif fact == "vocab-token":  # no input token can match an integer
+            ckpt.vocab = WordVocab([7] + ckpt.vocab.id_to_token[1:])
+            message = "checkpoint 'vocab' is not a list of strings"
+        elif fact == "merge-pair":
+            ckpt.merges = MergeTable(merges=[("a", 1)])
+            message = "checkpoint merge ['a', 1] is not a pair of strings"
         else:  # the file stores float64 only, so a load never meets another dtype
             ckpt.model.embeddings.matrix = ckpt.model.embeddings.matrix.astype(np.float32)
             message = f"array 'param/emb' is float32 {emb}, expected float64 {emb}"
