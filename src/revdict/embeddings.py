@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DataError, NonFiniteLossError, decoding
 
-PRETRAINED_DIM = 500
 LEARNED_DIM = 500
 INIT_SCALE = 0.05
 # rows per np.linalg.norm call, so its squared-entries temporary is a block, not the table
@@ -119,7 +118,7 @@ class PretrainedLoadStats:
 
 
 def load_pretrained(
-    path: str | Path, expected_dim: int | None = PRETRAINED_DIM
+    path: str | Path, expected_dim: int | None = None
 ) -> tuple[PretrainedTable, PretrainedLoadStats]:
     """Load a pretrained vector file, skipping malformed rows.
 

@@ -31,7 +31,6 @@ class RankRecord:
     item_id: str
     rank: int
     candidate_count: int
-    filtered: bool = False
     excluded: bool = False  # correct word did not survive the filter
 
 
@@ -41,7 +40,6 @@ class MetricsReport:
     acc_at_10: float
     acc_at_100: float
     rank_variance: float
-    n_items: int
 
 
 def length_filter(table: PretrainedTable, answer_length: int) -> list[str]:
@@ -72,14 +70,13 @@ def rank_of_correct(
     count = rows.stop - rows.start
     if scores.shape != (count,):
         raise ValueError(f"{scores.shape} scores for {count} candidates")
-    filtered = answer_length is not None
-    if filtered and len(correct) != answer_length:
-        return RankRecord(item_id, rank=count + 1, candidate_count=count, filtered=filtered, excluded=True)
+    if answer_length is not None and len(correct) != answer_length:
+        return RankRecord(item_id, rank=count + 1, candidate_count=count, excluded=True)
     correct_score = scores[table.word_to_row[correct] - rows.start]
     greater = int(np.count_nonzero(scores > correct_score))
     tied = rows.start + np.flatnonzero(scores == correct_score)
     tied_before = sum(1 for i in tied if table.words[i] < correct)
-    return RankRecord(item_id, rank=1 + greater + tied_before, candidate_count=count, filtered=filtered)
+    return RankRecord(item_id, rank=1 + greater + tied_before, candidate_count=count)
 
 
 def score_batches(
@@ -138,7 +135,6 @@ def summarize(records: Sequence[RankRecord]) -> MetricsReport:
         acc_at_10=accuracy_at_k(ranks, 10),
         acc_at_100=accuracy_at_k(ranks, 100),
         rank_variance=rank_variance(ranks),
-        n_items=len(records),
     )
 
 
@@ -165,8 +161,8 @@ def evaluate(
     """Rank every test item under a trained checkpoint.
 
     ``checkpoint`` provides model, vocab, pretrained table, merge table and
-    config (trainer module).  ``mode`` is "definitions" or "crossword"; the
-    latter expects CrosswordClue items and applies the length filter.
+    config (trainer module).  ``mode`` is "definitions" (DefinitionPair items)
+    or "crossword" (CrosswordClue items, length-filtered); other items are a DataError.
     """
     if mode not in ("definitions", "crossword"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
@@ -174,10 +170,11 @@ def evaluate(
         raise DataError("empty test set")
     table: PretrainedTable = checkpoint.pretrained
     fields = []
+    kind = CrosswordClue if mode == "crossword" else DefinitionPair
     for item in items:
+        if not isinstance(item, kind):
+            raise DataError(f"{mode} mode needs {kind.__name__} items")
         if mode == "crossword":
-            if not isinstance(item, CrosswordClue):
-                raise DataError("crossword mode needs crossword clue items")
             tokens, correct, wanted = item.clue, item.answer, item.answer_length
         else:
             tokens, correct, wanted = item.gloss, item.head, None

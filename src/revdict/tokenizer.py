@@ -69,25 +69,6 @@ class WordVocab:
             for idx, token in enumerate(self.id_to_token):
                 handle.write(f"{token}\t{idx}\n")
 
-    @classmethod
-    def load(cls, path: str | Path) -> "WordVocab":
-        id_to_token: list[str] = []
-        with open(path, encoding="utf-8") as handle, decoding(path):
-            for line in handle:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                token, sep, idx = line.partition("\t")
-                if not sep or not idx.isdigit():
-                    raise DataError(f"{path}: bad vocab line {line!r}")
-                if int(idx) != len(id_to_token):
-                    raise DataError(f"{path}: vocab ids must be dense from 0")
-                id_to_token.append(token)
-        try:
-            return cls(id_to_token)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from exc
-
 
 def build_word_vocab(frequencies: Mapping[str, int], cap: int = WORD_VOCAB_CAP) -> WordVocab:
     """Keep the ``cap`` most frequent tokens (ties lexicographic), add UNK and PAD."""
@@ -210,8 +191,6 @@ def learn_bpe(word_frequencies: Mapping[str, int], num_merges: int = BPE_MERGES)
         for idx in sorted(where.get(best, ())):
             old = words[idx]
             new = _merge_symbols(old, best)
-            if new == old:
-                continue
             for pair in zip(old, old[1:]):
                 pair_counts[pair] -= freqs[idx]
                 if pair_counts[pair] <= 0:

@@ -53,6 +53,8 @@ CHECKPOINT_VERSION = 5
 
 # config-file keys that name input files rather than hyperparameters
 CONFIG_PATH_KEYS = ("train", "dev", "embeddings", "merges", "crosswords")
+# the values each field's annotation admits (the annotations are strings: postponed evaluation)
+FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 @dataclass
@@ -71,6 +73,10 @@ class TrainConfig:
     hidden_size: int = HIDDEN_SIZE
 
     def validate(self) -> "TrainConfig":
+        for f in fields(self):  # a JSON header or a caller can pass any type; a bool is no int
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, FIELD_TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
         if self.optimizer != "adam":

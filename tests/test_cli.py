@@ -20,7 +20,6 @@ from revdict.corpus import load_definitions
 from revdict.embeddings import rank_by_cosine
 from revdict.tokenizer import (
     MergeTable,
-    WordVocab,
     build_word_vocab,
     segment_tokens,
     segment_word,
@@ -148,6 +147,22 @@ class TestUsageErrors:
     def test_missing_input_is_a_data_error(self, tmp_path):
         assert run(["learn-bpe", "--input", str(tmp_path / "no.tsv"), "--output", str(tmp_path / "m.txt")]) == 2
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            (["learn-bpe"], "no tab line\n", "no definition pairs"),
+            (["stats"], "\n", "no definition pairs"),
+            (["stats", "--mode", "crossword"], "clue,answer\nbig cat,snow leopard\n", "no usable clues"),
+        ],
+        ids=["learn-bpe", "stats", "stats-crossword"],
+    )
+    def test_input_with_nothing_usable_is_a_data_error(self, tmp_path, capsys, command, text, message):
+        source = tmp_path / "in.txt"
+        source.write_text(text)
+        assert run(command + ["--input", str(source), "--output", str(tmp_path / "out.txt")]) == 2
+        assert capsys.readouterr().err == f"data error: {source}: {message}\n"
+        assert not (tmp_path / "out.txt").exists()
+
 
 class TestSegmentationCommands:
     def test_learn_apply_roundtrip(self, workspace):
@@ -170,16 +185,18 @@ class TestSegmentationCommands:
     def test_build_vocab_word_and_bpe(self, workspace):
         vocab_path = workspace / "vocab.txt"
         assert run(["build-vocab", "--input", str(workspace / "defs.tsv"), "--output", str(vocab_path), "--cap", "6"]) == 0
-        vocab = WordVocab.load(vocab_path)
-        assert len(vocab) == 6 + 2  # cap counts content tokens, unk and pad ride on top
-        assert "<unk>" in vocab.token_to_id and "<pad>" in vocab.token_to_id
+        rows = [line.split("\t") for line in vocab_path.read_text().splitlines()]
+        assert [idx for _, idx in rows] == [str(i) for i in range(6 + 2)]  # cap counts content tokens, unk and pad ride on top
+        assert [token for token, _ in rows[-2:]] == ["<unk>", "<pad>"]
 
         # bpe segmentation needs the merge table
         assert run(["build-vocab", "--input", str(workspace / "defs.tsv"), "--output", str(vocab_path), "--segmentation", "bpe"]) == 1
         merges = workspace / "merges.txt"
         run(["learn-bpe", "--input", str(workspace / "defs.tsv"), "--merges", "5", "--output", str(merges)])
         assert run(["build-vocab", "--input", str(workspace / "defs.tsv"), "--output", str(vocab_path), "--segmentation", "bpe", "--merges", str(merges)]) == 0
-        assert WordVocab.load(vocab_path).token_to_id
+        rows = [line.split("\t") for line in vocab_path.read_text().splitlines()]
+        assert [idx for _, idx in rows] == [str(i) for i in range(len(rows))]
+        assert {"<unk>", "<pad>"} < {token for token, _ in rows}
 
     def test_each_word_type_is_segmented_once(self, workspace, monkeypatch):
         # the counts come from one segmentation per word type, weighted by its
@@ -247,11 +264,15 @@ class TestTrainEvalQuery:
         assert run(["train", "--config", str(config), "--output", str(c), "--seed", "9"]) == 0
         assert a.read_bytes() != c.read_bytes()
 
-    def test_train_config_errors(self, workspace):
+    def test_train_config_errors(self, workspace, capsys):
         config = write_config(workspace, learning_rate=-1)
         assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 1
         config = write_config(workspace, segmentation="bpe")  # no merges path given
         assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 1
+        config = write_config(workspace, dataset="full")  # no crosswords path given
+        capsys.readouterr()
+        assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 1
+        assert capsys.readouterr().err == "config error: dataset=full needs a crosswords path in the config\n"
 
     def test_non_finite_learning_rate_is_a_config_error(self, workspace, capsys):
         for value in ("nan", "inf"):
@@ -429,6 +450,31 @@ class TestTrainEvalQuery:
         assert run(["eval", "--checkpoint", str(trained), "--test", str(workspace / "cw.csv"), "--mode", "crossword"]) == 0
         assert SUMMARY.match(capsys.readouterr().out.strip().splitlines()[-1])
 
+    @pytest.mark.parametrize(
+        "mode, text, notes",
+        [
+            (
+                "definitions",
+                DEV + "no tab line\nemu\tflightless bird\n",
+                "rejected 1 malformed lines\nskipped 1 items without pretrained vectors\n",
+            ),
+            (
+                "crossword",
+                CROSSWORDS + "small feline,cat\nflightless bird,emu\n",
+                "dropped 1 unusable clue rows\nskipped 1 items without pretrained vectors\n",
+            ),
+        ],
+        ids=["definitions", "crossword"],
+    )
+    def test_eval_notes_what_it_leaves_out(self, workspace, trained, capsys, mode, text, notes):
+        test = workspace / "test.txt"
+        test.write_text(text)
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", str(trained), "--test", str(test), "--mode", mode]) == 0
+        out, err = capsys.readouterr()
+        assert SUMMARY.match(out.strip())
+        assert err == notes
+
     def test_eval_bad_checkpoint(self, workspace):
         bogus = workspace / "bogus.ckpt"
         bogus.write_text("not a checkpoint")
@@ -441,6 +487,7 @@ class TestTrainEvalQuery:
             (dict(meta={"version": None}), "checkpoint version None is not 5"),
             (dict(drop_meta="config"), "checkpoint meta has no 'config'"),
             (dict(drop="param/fwd.u"), "checkpoint has no array 'param/fwd.u'"),
+            (dict(drop="pretrained"), "checkpoint has no 2-D array 'pretrained'"),
             (dict(arrays={"param/emb": lambda a: a[:-1]}), "array 'param/emb' is float64 (14, 6), expected float64 (15, 6)"),
             # the encoder mode is the config's, so the second direction's arrays are missing
             (dict(meta={"config": lambda c: {**c, "encoder_mode": "bidirectional"}}), "checkpoint has no array 'param/bwd.w'"),
@@ -510,13 +557,23 @@ class TestTrainEvalQuery:
                 dict(meta={"pretrained_words": lambda w: [7] + w[1:]}),
                 "checkpoint 'pretrained_words' is not a list of strings",
             ),
+            # a JSON bool is no integer, and a list is no number
+            (
+                dict(meta={"config": lambda c: {**c, "hidden_size": True}}),
+                "unreadable checkpoint (hidden_size must be int, got True)",
+            ),
+            (
+                dict(meta={"config": lambda c: {**c, "minibatch": []}}),
+                "unreadable checkpoint (minibatch must be int, got [])",
+            ),
         ],
         ids=[
-            "version", "no-version", "meta-key", "param-array", "emb-shape", "mode", "pad-id", "gate-shape",
+            "version", "no-version", "meta-key", "param-array", "no-pretrained", "emb-shape", "mode", "pad-id", "gate-shape",
             "proj-shape", "version-2", "version-3", "table-order", "crc", "past-eof", "magic", "header-past-eof",
             "header-crc", "trailing", "no-arrays", "arrays-type", "entry-no-shape",
             "entry-negative-dimension", "entry-missing-dimension", "extra-array", "meta-unknown-key",
             "merge-single", "merge-integers", "merge-string", "vocab-integer", "vocab-string", "word-integer",
+            "config-bool", "config-list",
         ],
     )
     def test_malformed_checkpoint_is_a_data_error(self, workspace, trained, capsys, monkeypatch, edit, message):

@@ -45,6 +45,7 @@ class TestDefinitionsIO:
         path = tmp_path / "defs.tsv"
         path.write_text(
             "valve\tdevice that controls the flow of a fluid\n"
+            "\n"
             "no tab line\n"
             "two words\ta gloss\n"
             "blank\t...\n"
@@ -76,9 +77,9 @@ class TestCrosswordIO:
 
     def test_load_handles_quoted_commas(self, tmp_path):
         path = tmp_path / "cw.csv"
-        path.write_text('clue,answer\n"Lincoln, for one",president\n')
-        rows = load_crossword_csv(path)
-        assert rows == [("Lincoln, for one", "president")]
+        path.write_text('clue,answer\n"Lincoln, for one",president\n\nsmall feline,cat\n')
+        rows = load_crossword_csv(path)  # the blank line is skipped
+        assert rows == [("Lincoln, for one", "president"), ("small feline", "cat")]
 
     def test_load_rejects_short_rows(self, tmp_path):
         path = tmp_path / "cw.csv"

@@ -47,10 +47,10 @@ class TestLoadPretrained:
 
     def test_unparseable_floats_rejected(self, tmp_path):
         path = tmp_path / "vecs.txt"
-        path.write_text("cat 0.1 oops 0.3\ndog 1 0 0\n")
+        path.write_text("cat 0.1 oops 0.3\n\nlone\ndog 1 0 0\n")  # a blank line is skipped, a bare word is malformed
         table, stats = load_pretrained(path, expected_dim=3)
         assert table.words == ["dog"]
-        assert stats.dim_mismatch == 1
+        assert stats.dim_mismatch == 2
 
     def test_non_finite_rows_dropped_and_counted(self, tmp_path):
         path = tmp_path / "vecs.txt"

@@ -39,7 +39,7 @@ class TestRankOfCorrect:
         rec = rank_of_correct(cosine_to_all(table.matrix[table.word_to_row["b"]].copy(), table), table, "b")
         assert rec.rank == 1
         assert rec.candidate_count == 3
-        assert not rec.filtered and not rec.excluded
+        assert not rec.excluded
 
     def test_middle_cosine_ranks_second(self):
         table = angled_table(["a", "b", "c"], [0.9, 0.5, 0.1])
@@ -63,7 +63,6 @@ class TestRankOfCorrect:
         assert rec.excluded
         assert rec.candidate_count == 2
         assert rec.rank == 3
-        assert rec.filtered
 
     def test_unknown_correct_word_rejected(self):
         table = angled_table(["a", "b"], [0.9, 0.1])
@@ -85,15 +84,14 @@ def loop_rank_of_correct(y, table, correct, candidate_filter=None, item_id=""):
     else:
         pool = np.array([i for i, w in enumerate(table.words) if candidate_filter(w)], dtype=np.int64)
     correct_row = table.word_to_row[correct]
-    filtered = candidate_filter is not None
     if correct_row not in pool:
-        return RankRecord(item_id, len(pool) + 1, len(pool), filtered=filtered, excluded=True)
+        return RankRecord(item_id, len(pool) + 1, len(pool), excluded=True)
     pool_scores = scores[pool]
     correct_score = scores[correct_row]
     greater = int((pool_scores > correct_score).sum())
     tied = [int(i) for i, s in zip(pool, pool_scores) if s == correct_score and i != correct_row]
     tied_before = sum(1 for i in tied if table.words[i] < correct)
-    return RankRecord(item_id, 1 + greater + tied_before, len(pool), filtered=filtered)
+    return RankRecord(item_id, 1 + greater + tied_before, len(pool))
 
 
 def test_rank_count_matches_the_loop(tied_tables):
@@ -122,14 +120,13 @@ def full_table_rank_of_correct(y, words, matrix, correct, answer_length=None):
     rows = np.arange(len(words))
     if answer_length is not None:
         rows = np.flatnonzero(np.array([len(w) for w in words]) == answer_length)
-    filtered = answer_length is not None
-    if filtered and len(correct) != answer_length:
-        return RankRecord(correct, rows.size + 1, rows.size, filtered=filtered, excluded=True)
+    if answer_length is not None and len(correct) != answer_length:
+        return RankRecord(correct, rows.size + 1, rows.size, excluded=True)
     pool_scores = scores[rows]
     correct_score = scores[words.index(correct)]
     greater = int(np.count_nonzero(pool_scores > correct_score))
     tied_before = sum(1 for i in rows[pool_scores == correct_score] if words[i] < correct)
-    return RankRecord(correct, 1 + greater + tied_before, rows.size, filtered=filtered)
+    return RankRecord(correct, 1 + greater + tied_before, rows.size)
 
 
 def test_span_rank_matches_the_full_table_oracle(tied_sources, tied_tables):
@@ -252,9 +249,7 @@ class TestMetrics:
         assert a.acc_at_10 <= a.acc_at_100
 
     def test_format_summary_exact(self):
-        report = MetricsReport(
-            median_rank=52.5, acc_at_10=0.5, acc_at_100=0.75, rank_variance=2.25, n_items=4
-        )
+        report = MetricsReport(median_rank=52.5, acc_at_10=0.5, acc_at_100=0.75, rank_variance=2.25)
         assert (
             format_summary(report)
             == "median_rank=52.5 acc@10=0.5 acc@100=0.75 rank_variance=2.25"
@@ -354,7 +349,6 @@ class TestEvaluate:
             DefinitionPair(head="mouse", gloss=("small", "animal")),
         ]
         report, records = evaluate(ckpt, items, mode="definitions")
-        assert report.n_items == 2
         assert [r.item_id for r in records] == ["0:cat", "1:mouse"]
         assert all(r.candidate_count == 3 for r in records)
         assert all(1 <= r.rank <= 3 for r in records)
@@ -394,8 +388,11 @@ class TestEvaluate:
             evaluate(ckpt, [DefinitionPair(head="cat", gloss=("small",))], mode="ranked")
         with pytest.raises(DataError):
             evaluate(ckpt, [DefinitionPair(head="emu", gloss=("small",))])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="crossword mode needs CrosswordClue items"):
             evaluate(ckpt, [DefinitionPair(head="cat", gloss=("small",))], mode="crossword")
+        clue = CrosswordClue(clue=("small",), answer="cat", answer_length=3, category="short")
+        with pytest.raises(DataError, match="definitions mode needs DefinitionPair items"):
+            evaluate(ckpt, [clue], mode="definitions")
 
     def test_write_rank_records(self, tmp_path):
         path = tmp_path / "ranks.tsv"

@@ -434,6 +434,14 @@ class TestBackward:
         with pytest.raises(NonFiniteLossError, match="non-finite cosine in loss"):
             backward(model, ids, lengths, targets, LossKind.COSINE)
 
+    def test_zero_norm_target_and_missing_negatives_are_refused(self):
+        model, ids, lengths, targets, _ = toy_setup("final", seed=1)
+        with pytest.raises(ValueError, match="rank loss needs negative targets"):
+            batch_loss(model, ids, lengths, targets, LossKind.RANK)
+        targets[0] = 0.0
+        with pytest.raises(ValueError, match="cosine of a zero-norm vector is undefined"):
+            batch_loss(model, ids, lengths, targets, LossKind.COSINE)
+
     def test_non_finite_rank_loss_raises_instead_of_scoring_zero(self):
         # nan similarities must not slip through the hinge as inactive rows
         model, ids, lengths, targets, negatives = toy_setup("final", seed=1)

@@ -18,6 +18,7 @@ from revdict.tokenizer import (
     _merge_symbols,
     apply_bpe,
     build_word_vocab,
+    encode_gloss,
     learn_bpe,
     render_subwords,
     segment_tokens,
@@ -171,22 +172,13 @@ class TestWordVocab:
         vocab = build_word_vocab({"cat": 4, "dog": 2}, cap=10)
         assert vocab.encode(["dog", "emu", "cat"]) == [1, vocab.unk_id, 0]
 
-    def test_save_load_round_trip(self, tmp_path):
+    def test_save_writes_one_token_and_id_per_line(self, tmp_path):
         vocab = build_word_vocab({"cat": 4, "dog": 2, "emu": 1}, cap=2)
         path = tmp_path / "vocab.tsv"
         vocab.save(path)
-        text = path.read_text()
-        assert text.splitlines()[0] == "cat\t0"
-        loaded = vocab.load(path)
-        assert loaded.token_to_id == vocab.token_to_id
-        assert loaded.unk_id == vocab.unk_id
-        assert loaded.pad_id == vocab.pad_id
-
-    def test_load_rejects_sparse_ids(self, tmp_path):
-        path = tmp_path / "vocab.tsv"
-        path.write_text("cat\t0\ndog\t2\n")
-        with pytest.raises(DataError):
-            WordVocab.load(path)
+        rows = [line.split("\t") for line in path.read_text().splitlines()]
+        assert rows == [[token, str(i)] for i, token in enumerate(vocab.id_to_token)]
+        assert rows[0] == ["cat", "0"]
 
     def test_ids_are_derived_from_the_token_list(self):
         vocab = WordVocab(["<pad>", "cat", "<unk>"])
@@ -202,21 +194,10 @@ class TestWordVocab:
         ],
         ids=["no-pad", "no-unk", "repeat"],
     )
-    def test_constructor_refuses_a_broken_token_list(self, tmp_path, tokens, message):
+    def test_constructor_refuses_a_broken_token_list(self, tokens, message):
         with pytest.raises(DataError) as built:
             WordVocab(tokens)
         assert str(built.value) == message
-        path = tmp_path / "vocab.tsv"
-        path.write_text("".join(f"{token}\t{i}\n" for i, token in enumerate(tokens)))
-        with pytest.raises(DataError) as loaded:
-            WordVocab.load(path)
-        assert str(loaded.value) == f"{path}: {message}"
-
-    def test_load_rejects_undecodable_bytes(self, tmp_path):
-        path = tmp_path / "vocab.tsv"
-        path.write_bytes(b"caf\xe9\t0\n<unk>\t1\n<pad>\t2\n")
-        with pytest.raises(DataError, match="not UTF-8 text"):
-            WordVocab.load(path)
 
 
 class TestLearnBpe:
@@ -405,9 +386,26 @@ class TestSerialization:
         assert path.read_text().splitlines()[0] == "a b"
         loaded = MergeTable.load(path)
         assert loaded.merges == table.merges
+        path.write_text(path.read_text() + "\n")  # a blank line is skipped
+        assert MergeTable.load(path).merges == table.merges
 
     def test_merge_table_load_rejects_bad_line(self, tmp_path):
         path = tmp_path / "merges.txt"
         path.write_text("a b c\n")
         with pytest.raises(DataError):
             MergeTable.load(path)
+
+
+class TestEncodeGloss:
+    def test_segments_under_bpe_only(self):
+        table = MergeTable(merges=[("a", "b")])
+        vocab = WordVocab(["ab@@", "d", "abd", "<unk>", "<pad>"])
+        assert encode_gloss(["abd"], vocab) == [2]
+        assert encode_gloss(["abd"], vocab, table, "bpe") == [0, 1]
+
+    def test_bpe_needs_a_table_and_the_segmentation_must_be_known(self):
+        vocab = WordVocab(["<unk>", "<pad>"])
+        with pytest.raises(DataError, match="bpe segmentation requested but no merge table given"):
+            encode_gloss(["abd"], vocab, None, "bpe")
+        with pytest.raises(ValueError, match="unknown segmentation 'chars'"):
+            encode_gloss(["abd"], vocab, MergeTable(), "chars")

@@ -79,6 +79,9 @@ class TestTrainConfig:
             dict(segmentation="chars"),
             dict(dataset="wiki"),
             dict(hidden_size=0),
+            dict(hidden_size=True),
+            dict(epochs=2.5),
+            dict(loss_kind=1),
         ],
     )
     def test_bad_values_rejected(self, bad):
@@ -308,6 +311,11 @@ class TestTrainLoop:
             train(cfg, [], pairs, table, vocab)
         with pytest.raises(DataError):
             train(cfg, pairs, [], table, vocab)
+
+    def test_bpe_without_a_merge_table_rejected(self):
+        pairs, table, vocab, cfg = toy_world(segmentation="bpe")
+        with pytest.raises(ConfigError, match="segmentation=bpe needs a merge table"):
+            train(cfg, pairs, pairs[:4], table, vocab)
 
     def test_unknown_head_rejected(self):
         pairs, table, vocab, _ = toy_world()
