@@ -91,10 +91,15 @@ def _gloss_frequencies(pairs: list[DefinitionPair], merges: MergeTable | None) -
     return freqs
 
 
-def _cmd_learn_bpe(args) -> int:
-    pairs, _ = load_definitions(args.input)
+def _load_pairs(path: str) -> list[DefinitionPair]:
+    pairs, _ = load_definitions(path)
     if not pairs:
-        raise DataError(f"{args.input}: no definition pairs")
+        raise DataError(f"{path}: no definition pairs")
+    return pairs
+
+
+def _cmd_learn_bpe(args) -> int:
+    pairs = _load_pairs(args.input)
     table = learn_bpe(_gloss_frequencies(pairs, None), num_merges=args.merges)
     table.save(args.output)
     print(f"{len(table.merges)} merges -> {args.output}")
@@ -114,9 +119,7 @@ def _cmd_apply_bpe(args) -> int:
 
 
 def _cmd_build_vocab(args) -> int:
-    pairs, _ = load_definitions(args.input)
-    if not pairs:
-        raise DataError(f"{args.input}: no definition pairs")
+    pairs = _load_pairs(args.input)
     merges = None
     if args.segmentation == "bpe":
         if args.merges is None:
@@ -130,9 +133,7 @@ def _cmd_build_vocab(args) -> int:
 
 def _cmd_stats(args) -> int:
     if args.mode == "definitions":
-        pairs, _ = load_definitions(args.input)
-        if not pairs:
-            raise DataError(f"{args.input}: no definition pairs")
+        pairs = _load_pairs(args.input)
         histogram = length_histogram([pair.gloss for pair in pairs], unit="tokens")
     else:
         clues, _ = clean_crosswords(load_crossword_csv(args.input))

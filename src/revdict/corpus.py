@@ -27,13 +27,12 @@ MAX_GLOSS_LEN = 150
 LONG_CLUE_MIN_TOKENS = 5  # clues of > 4 tokens count as "long"
 
 _KEEP = re.compile(r"[^a-z0-9 ]+")
-_SPACES = re.compile(r" {2,}")
 
 
 def normalize_text(text: str) -> str:
-    """Lowercase and drop every character outside [a-z0-9 ], collapsing spaces."""
+    """Lowercase, turn tabs into spaces and drop every character outside [a-z0-9 ]."""
     text = _KEEP.sub("", text.lower().replace("\t", " "))
-    return _SPACES.sub(" ", text).strip()
+    return text.strip()
 
 
 def tokenize(text: str) -> list[str]:

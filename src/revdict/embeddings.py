@@ -189,30 +189,30 @@ def cosine_to_all(query: np.ndarray, table: PretrainedTable, rows: slice = slice
     qnorm = np.sqrt(query[..., None, :] @ query[..., :, None])[..., 0, 0]  # row by row, np.linalg.norm's bits
     if not np.all(np.isfinite(qnorm)):
         raise NonFiniteLossError("non-finite query vector")
-    if not np.all(qnorm > 0.0):
-        raise ValueError("zero-norm query")
+    if not np.all(qnorm > 0.0):  # every cosine of a zero vector is 0/0
+        raise NonFiniteLossError("zero-norm query vector")
     return (query @ table.matrix[rows].T) / (qnorm[..., None] * table.norms[rows])
 
 
 def rank_by_cosine(
     query: np.ndarray,
     table: PretrainedTable,
+    topk: int,
     answer_length: int | None = None,
-    topk: int | None = None,
 ) -> list[tuple[str, float]]:
-    """Candidates by cosine, best first, exact ties by word.
+    """The ``topk`` best candidates by cosine, best first, exact ties by word.
 
     ``answer_length`` keeps only words with that many characters, and only
-    their span of rows is scored; ``topk`` keeps the first k (None: no
-    limit).  Only rows scoring at least the k-th best are sorted, so a tie
-    across the cut is still broken by word.
+    their span of rows is scored (None: every row).  Only rows scoring at
+    least the k-th best are sorted, so a tie across the cut is still broken
+    by word.
     """
-    if topk is not None and topk < 1:
+    if topk < 1:
         raise ValueError("topk must be at least 1")
     rows = table.candidate_rows(answer_length)
     scores = cosine_to_all(query, table, rows)
     pool = range(scores.size)
-    if topk is not None and topk < scores.size:
+    if topk < scores.size:
         kth = -np.partition(-scores, topk - 1)[topk - 1]  # a NaN score sorts last here, out of the top k
         pool = np.flatnonzero(scores >= kth)
     scored = ((table.words[rows.start + i], float(scores[i])) for i in pool)

@@ -32,7 +32,6 @@ from .embeddings import INIT_SCALE, LearnedTable
 from .errors import NonFiniteLossError
 
 HIDDEN_SIZE = 512
-OUTPUT_DIM = 500
 DIRECTIONS = ("fwd", "bwd")  # the gloss read forward, and reversed
 
 
@@ -61,10 +60,6 @@ class LSTMParams:
     b: np.ndarray
 
     FIELDS = ("w", "u", "b")
-
-    @property
-    def embed_dim(self) -> int:
-        return int(self.w.shape[-2])
 
     @property
     def hidden(self) -> int:
@@ -250,9 +245,9 @@ class DefinitionModel:
         pad_id: int,
         mode: EncoderMode,
         embed_dim: int,
-        hidden: int = HIDDEN_SIZE,
-        output_dim: int = OUTPUT_DIM,
-        seed: int = 0,
+        hidden: int,
+        output_dim: int,
+        seed: int,
     ) -> "DefinitionModel":
         if vocab_size < 2:
             raise ValueError("vocabulary must contain at least UNK and PAD")

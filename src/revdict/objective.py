@@ -277,8 +277,7 @@ def finite_diff_check(
     grad_dict = grads.as_dict()
     # what one replica holds besides its copy of the array: per direction,
     # the embedded inputs, the gate pre-activations and the states
-    lstm = model.lstms[0]
-    activations = len(model.lstms) * token_ids.size * (lstm.embed_dim + 5 * lstm.hidden)
+    activations = len(model.lstms) * token_ids.size * (model.embeddings.matrix.shape[1] + 5 * model.lstms[0].hidden)
 
     worst = 0.0
     for name, param in model.param_dict().items():

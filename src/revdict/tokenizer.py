@@ -25,7 +25,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import DataError, decoding
 
@@ -76,34 +76,21 @@ def build_word_vocab(frequencies: Mapping[str, int], cap: int = WORD_VOCAB_CAP) 
     return WordVocab([token for token, _ in ranked[:cap]] + [UNK_TOKEN, PAD_TOKEN])
 
 
-class MergeSequence(tuple):
-    """A table's merges: a tuple that also compares equal to a list of the same pairs,
-    as merge lists built elsewhere (a learner's or an oracle's) are lists."""
-
-    def __eq__(self, other: object) -> bool:
-        return tuple(self) == (tuple(other) if isinstance(other, list) else other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-
-@dataclass(frozen=True)
+@dataclass
 class MergeTable:
     """Ordered sequence of learned BPE merges.
 
     ``ranks`` maps each pair to the ascending ranks (positions) it has in
-    ``merges``.  The table is frozen and ``merges`` is a tuple, so the index
-    cannot go stale.
+    ``merges``.  The constructor copies the list it is given, so a caller
+    that edits its own list afterwards cannot make the index stale.
     """
 
-    merges: Sequence[tuple[str, str]] = ()
+    merges: list[tuple[str, str]] = field(default_factory=list)
     ranks: dict[tuple[str, str], list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "merges", MergeSequence(self.merges))
-        object.__setattr__(self, "ranks", {})
+        self.merges = list(self.merges)
+        self.ranks = {}
         for rank, pair in enumerate(self.merges):
             self.ranks.setdefault(pair, []).append(rank)
 

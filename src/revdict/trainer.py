@@ -372,7 +372,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         "epoch": ckpt.epoch,
         "dev_median_rank": ckpt.dev_median_rank,
         "vocab": ckpt.vocab.id_to_token,
-        "merges": [list(m) for m in ckpt.merges.merges] if ckpt.merges else None,
+        "merges": [list(m) for m in ckpt.merges.merges] if ckpt.merges is not None else None,
         "pretrained_words": ckpt.pretrained.words,
     }
     arrays = {f"param/{k}": v for k, v in model.param_dict().items()}
@@ -503,12 +503,19 @@ def _checkpoint_from(meta: dict, arrays: dict[str, np.ndarray]) -> Checkpoint:
             if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(part, str) for part in pair)):
                 raise DataError(f"checkpoint merge {pair!r} is not a pair of strings")
         merges = MergeTable(merges=[tuple(m) for m in meta["merges"]])
+    if config.segmentation == "bpe" and merges is None:
+        raise DataError("checkpoint segmentation is bpe but it has no merge table")
+    epoch, dev_median = meta["epoch"], meta["dev_median_rank"]  # a JSON bool is no number, and json reads Infinity
+    if type(epoch) is not int or epoch < 0:
+        raise DataError(f"checkpoint epoch {epoch!r} is not a nonnegative integer")
+    if type(dev_median) not in (int, float) or not math.isfinite(dev_median):
+        raise DataError(f"checkpoint dev_median_rank {dev_median!r} is not a finite number")
     return Checkpoint(
         model=model,
         config=config,
         vocab=vocab,
         merges=merges,
         pretrained=pretrained,
-        epoch=int(meta["epoch"]),
-        dev_median_rank=float(meta["dev_median_rank"]),
+        epoch=epoch,
+        dev_median_rank=float(dev_median),
     )

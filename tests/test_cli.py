@@ -274,6 +274,21 @@ class TestTrainEvalQuery:
         assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 1
         assert capsys.readouterr().err == "config error: dataset=full needs a crosswords path in the config\n"
 
+    def test_bpe_checkpoint_with_an_empty_merge_table_answers(self, workspace, capsys, monkeypatch):
+        # an empty merge table is saved as a table, so eval and query segment with it
+        merges, ckpt = workspace / "merges.txt", workspace / "model.ckpt"
+        assert run(["learn-bpe", "--input", str(workspace / "defs.tsv"), "--merges", "0", "--output", str(merges)]) == 0
+        assert merges.read_text() == ""
+        config = write_config(workspace, segmentation="bpe", merges=merges, epochs=1)
+        assert run(["train", "--config", str(config), "--output", str(ckpt)]) == 0
+        assert load_checkpoint(ckpt).merges.merges == []
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", str(ckpt), "--test", str(workspace / "dev.tsv")]) == 0
+        assert SUMMARY.match(capsys.readouterr().out.splitlines()[-1])
+        monkeypatch.setattr("sys.stdin", io.StringIO("small feline\n"))
+        assert run(["query", "--checkpoint", str(ckpt), "--topk", "3"]) == 0
+        assert len(self.query_blocks(capsys)[0]) == 3
+
     def test_non_finite_learning_rate_is_a_config_error(self, workspace, capsys):
         for value in ("nan", "inf"):
             config = write_config(workspace, learning_rate=value)
@@ -566,6 +581,16 @@ class TestTrainEvalQuery:
                 dict(meta={"config": lambda c: {**c, "minibatch": []}}),
                 "unreadable checkpoint (minibatch must be int, got [])",
             ),
+            # a bpe checkpoint segments every query with its merge table, even an empty one
+            (
+                dict(meta={"config": lambda c: {**c, "segmentation": "bpe"}}),
+                "checkpoint segmentation is bpe but it has no merge table",
+            ),
+            # json reads Infinity and NaN, and a fraction or a bool is no epoch
+            (dict(meta={"epoch": float("inf")}), "checkpoint epoch inf is not a nonnegative integer"),
+            (dict(meta={"epoch": 2.5}), "checkpoint epoch 2.5 is not a nonnegative integer"),
+            (dict(meta={"epoch": True}), "checkpoint epoch True is not a nonnegative integer"),
+            (dict(meta={"dev_median_rank": float("nan")}), "checkpoint dev_median_rank nan is not a finite number"),
         ],
         ids=[
             "version", "no-version", "meta-key", "param-array", "no-pretrained", "emb-shape", "mode", "pad-id", "gate-shape",
@@ -573,7 +598,8 @@ class TestTrainEvalQuery:
             "header-crc", "trailing", "no-arrays", "arrays-type", "entry-no-shape",
             "entry-negative-dimension", "entry-missing-dimension", "extra-array", "meta-unknown-key",
             "merge-single", "merge-integers", "merge-string", "vocab-integer", "vocab-string", "word-integer",
-            "config-bool", "config-list",
+            "config-bool", "config-list", "bpe-without-merges", "epoch-infinity", "epoch-fraction", "epoch-bool",
+            "dev-median-nan",
         ],
     )
     def test_malformed_checkpoint_is_a_data_error(self, workspace, trained, capsys, monkeypatch, edit, message):
@@ -603,6 +629,22 @@ class TestTrainEvalQuery:
             argv = ["eval", "--checkpoint", str(broken), "--test", str(workspace / test), "--mode", mode]
             assert run(argv) == 3
             assert capsys.readouterr().err == message
+
+    def test_zero_encoded_vector_exits_three(self, workspace, trained, capsys, monkeypatch):
+        # a zero projection encodes every gloss as the zero vector, whose cosines are all 0/0
+        broken = workspace / "zero.ckpt"
+        rewrite_checkpoint(trained, broken, arrays=dict.fromkeys(("param/proj.w", "param/proj.b"), np.zeros_like))
+        monkeypatch.setattr("sys.stdin", io.StringIO("small feline\n"))
+        argvs = [["query", "--checkpoint", str(broken)]] + [
+            ["eval", "--checkpoint", str(broken), "--test", str(workspace / test), "--mode", mode]
+            for mode, test in (("definitions", "dev.tsv"), ("crossword", "cw.csv"))
+        ]
+        for argv in argvs:
+            capsys.readouterr()
+            assert run(argv) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err.splitlines()[-1] == "numeric error: zero-norm query vector", argv
+            assert err.count("numeric error") == 1
 
     def test_non_finite_query_with_an_absent_length_exits_three(self, workspace, trained, capsys, monkeypatch):
         # no word has 4 letters, but the model is still checked
@@ -823,7 +865,10 @@ CONFIG_FIELDS = [
     "segmentation", "dataset", "embed_dim", "hidden_size",
 ]
 CONFIG_KEYS = CONFIG_FIELDS + ["train", "dev", "embeddings", "merges", "crosswords", "mode"]
-HEADER_VALUES = [None, True, 0, -1, 2.5, "", "x", [], {}, [["a"]], [["a", "b"]], ["<unk>", "<pad>"], {"seed": 1}, 10**30]
+HEADER_VALUES = [
+    None, True, 0, -1, 2.5, float("inf"), float("nan"), "", "x", [], {}, [["a"]], [["a", "b"]], ["<unk>", "<pad>"],
+    {"seed": 1}, 10**30,
+]
 QUERY_LINES = [
     "", " ", "--length", "--length 3", "small feline --length", "small --length 0", "small --length -2",
     "small --length 99999999999999999999", "small feline --length x", "\0", "é ü", "#", "x " * 300, "small\tfeline",

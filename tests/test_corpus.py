@@ -27,13 +27,14 @@ from revdict.errors import ConfigError, DataError
 
 class TestNormalize:
     def test_lowercases_and_strips_punctuation(self):
-        assert normalize_text("The Cat's  paw!") == "the cats paw"
+        assert tokenize("The Cat's  paw!") == ["the", "cats", "paw"]
 
     def test_keeps_digits(self):
         assert normalize_text("Route 66, remembered") == "route 66 remembered"
 
     def test_collapses_whitespace_and_tabs(self):
-        assert normalize_text("  a\tb   c ") == "a b c"
+        assert normalize_text("  a\tb c ") == "a b c"
+        assert tokenize("  a\tb   c ") == ["a", "b", "c"]
 
     def test_tokenize(self):
         assert tokenize("Give way; yield!") == ["give", "way", "yield"]

@@ -90,50 +90,50 @@ def toy_table():
 class TestRanking:
     def test_self_similarity_ranks_first(self):
         table = toy_table()
-        ranked = rank_by_cosine(table.matrix[table.word_to_row["cat"]], table)
+        ranked = rank_by_cosine(table.matrix[table.word_to_row["cat"]], table, topk=len(table))
         assert ranked[0][0] == "cat"
         assert ranked[0][1] == pytest.approx(1.0)
 
     def test_exact_ties_break_lexicographically(self):
         table = toy_table()
         # query along z: cosine 0 with alpha, beta, cat alike
-        ranked = rank_by_cosine(np.array([0.0, 0.0, 1.0]), table)
+        ranked = rank_by_cosine(np.array([0.0, 0.0, 1.0]), table, topk=len(table))
         assert [w for w, _ in ranked] == ["mouse", "alpha", "beta", "cat"]
 
     def test_zero_norm_query_rejected(self):
-        with pytest.raises(ValueError):
-            rank_by_cosine(np.zeros(3), toy_table())
+        with pytest.raises(NonFiniteLossError, match="zero-norm query vector"):
+            rank_by_cosine(np.zeros(3), toy_table(), topk=1)
 
     def test_non_finite_query_is_a_numeric_error(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(NonFiniteLossError):
-                rank_by_cosine(np.array([1.0, bad, 0.0]), toy_table())
+                rank_by_cosine(np.array([1.0, bad, 0.0]), toy_table(), topk=1)
 
     @pytest.mark.parametrize("length", [2, 4, 6])  # below, between and above the lengths 3 and 5
     def test_bad_query_fails_with_an_absent_length(self, length):
         # an empty span is still scored through cosine_to_all, so the query checks hold
         table = PretrainedTable.from_arrays(["alpha", "cat", "mouse"], np.eye(3))
         assert table.candidate_rows(length) == slice(0, 0)
-        assert rank_by_cosine(np.ones(3), table, answer_length=length) == []
-        with pytest.raises(ValueError, match="zero-norm query"):
-            rank_by_cosine(np.zeros(3), table, answer_length=length)
+        assert rank_by_cosine(np.ones(3), table, topk=1, answer_length=length) == []
+        with pytest.raises(NonFiniteLossError, match="zero-norm query vector"):
+            rank_by_cosine(np.zeros(3), table, topk=1, answer_length=length)
         for bad in (np.nan, np.inf):
             with pytest.raises(NonFiniteLossError, match="non-finite query vector"):
-                rank_by_cosine(np.array([1.0, bad, 0.0]), table, answer_length=length)
+                rank_by_cosine(np.array([1.0, bad, 0.0]), table, topk=1, answer_length=length)
 
     def test_ordering_invariant_under_query_scaling(self):
         table = toy_table()
         q = np.array([0.3, -0.2, 0.9])
-        assert [w for w, _ in rank_by_cosine(q, table)] == [
-            w for w, _ in rank_by_cosine(2.0 * q, table)
+        assert [w for w, _ in rank_by_cosine(q, table, topk=len(table))] == [
+            w for w, _ in rank_by_cosine(2.0 * q, table, topk=len(table))
         ]
 
     def test_filter_restricts_candidates(self):
         table = toy_table()
         q = np.array([1.0, 1.0, 1.0])
-        only3 = rank_by_cosine(q, table, answer_length=3)
+        only3 = rank_by_cosine(q, table, topk=len(table), answer_length=3)
         assert [w for w, _ in only3] == ["cat"]
-        top_all = rank_by_cosine(q, table)[0][1]
+        top_all = rank_by_cosine(q, table, topk=1)[0][1]
         assert top_all >= only3[0][1]
 
     def test_matches_brute_force_sort(self):
@@ -153,7 +153,7 @@ class TestRanking:
             scored.sort(key=lambda t: (-t[1], t[0]))
             return scored
 
-        ranked = rank_by_cosine(q, table)
+        ranked = rank_by_cosine(q, table, topk=len(table))
         expect = brute(q)
         assert [w for w, _ in ranked] == [w for w, _ in expect]
         np.testing.assert_allclose(
@@ -194,7 +194,7 @@ class TestRanking:
 
     def test_one_bad_row_fails_the_block(self):
         queries = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        with pytest.raises(ValueError, match="zero-norm query"):
+        with pytest.raises(NonFiniteLossError, match="zero-norm query vector"):
             cosine_to_all(queries, toy_table())
         queries[1, 2] = np.nan
         with pytest.raises(NonFiniteLossError, match="non-finite query vector"):
@@ -250,7 +250,7 @@ def test_partial_selection_matches_the_full_sort(tied_tables):
                 # every k that cuts a group of exactly equal scores in two
                 inside = [k for k in range(1, pool) if expected[k - 1][1] == expected[k][1]]
                 cut_inside_a_tie += len(inside)
-                for topk in [None, 1, *inside, max(pool, 1), pool + 3]:
+                for topk in [1, *inside, max(pool, 1), pool + 3]:
                     got = rank_by_cosine(q, table, answer_length=length, topk=topk)
                     assert got == expected[:topk], (length, topk)
     assert cut_inside_a_tie > 0
@@ -288,7 +288,7 @@ def test_span_ranking_matches_the_full_table_oracle(tied_sources, tied_tables):
                     expected = full_table_rank_by_cosine(q, words, matrix, length)
                     inside = [k for k in range(1, len(expected)) if expected[k - 1][1] == expected[k][1]]
                     cut_inside_a_tie += len(inside)
-                    for topk in [None, 1, *inside, max(len(expected), 1), len(expected) + 3]:
+                    for topk in [1, *inside, max(len(expected), 1), len(expected) + 3]:
                         got = rank_by_cosine(q, table, answer_length=length, topk=topk)
                         assert got == full_table_rank_by_cosine(q, words, matrix, length, topk), (length, topk)
     assert cut_inside_a_tie > 0

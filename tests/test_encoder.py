@@ -54,8 +54,8 @@ def ones_params():
 
 def lstm_step(params, x_t, h_prev, c_prev):
     """One LSTM step, one gate at a time; works on single vectors or batch rows alike."""
-    if x_t.shape[-1] != params.embed_dim:
-        raise ValueError(f"input width {x_t.shape[-1]} != embed dim {params.embed_dim}")
+    if x_t.shape[-1] != params.w.shape[-2]:
+        raise ValueError(f"input width {x_t.shape[-1]} != embed dim {params.w.shape[-2]}")
 
     def pre(name):
         return x_t @ gate(params, "w", name) + h_prev @ gate(params, "u", name) + gate(params, "b", name)
@@ -449,7 +449,7 @@ class TestDefinitionModel:
     )
     def test_create_refuses_a_small_vocabulary_or_a_pad_id_outside_it(self, vocab_size, pad_id, message):
         with pytest.raises(ValueError, match=message):
-            DefinitionModel.create(vocab_size, pad_id=pad_id, mode="final", embed_dim=4, hidden=3, output_dim=5)
+            DefinitionModel.create(vocab_size, pad_id=pad_id, mode="final", embed_dim=4, hidden=3, output_dim=5, seed=0)
 
     def test_fused_init_keeps_the_per_gate_draws(self):
         # the fused arrays hold the draws of one (E, H) matrix per gate, then

@@ -394,7 +394,7 @@ def large_checkpoint(rows, dim, vocab_size=10, embed_dim=6):
     vocab = build_word_vocab(Counter({f"tok{i}": 1 for i in range(vocab_size - 2)}), cap=vocab_size)
     config = TrainConfig(embed_dim=embed_dim, hidden_size=2, encoder_mode="final")
     model = DefinitionModel.create(
-        vocab_size=len(vocab), pad_id=vocab.pad_id, mode="final", embed_dim=embed_dim, hidden=2, output_dim=dim
+        vocab_size=len(vocab), pad_id=vocab.pad_id, mode="final", embed_dim=embed_dim, hidden=2, output_dim=dim, seed=0
     )
     return trainer.Checkpoint(
         model=model, config=config, vocab=vocab, merges=None, pretrained=table, epoch=1, dev_median_rank=1.0
