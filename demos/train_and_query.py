@@ -82,7 +82,7 @@ def main() -> None:
     for intended, text in QUERIES:
         ids = encode_gloss(tokenize(text), ckpt.vocab, None, "word")
         y = ckpt.model.encode_ids(np.asarray(ids, dtype=np.int64), np.array([len(ids)]))
-        record = rank_of_correct(cosine_to_all(y, table), table, intended)
+        record = rank_of_correct(y, cosine_to_all(y, table), table, intended)
         listing = "  ".join(f"{word} ({score:+.3f})" for word, score in rank_by_cosine(y, table, topk=3))
         print(f"  {text!r}: {intended} at rank {record.rank:g}")
         print(f"      top: {listing}")

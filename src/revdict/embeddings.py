@@ -8,14 +8,26 @@ duplicate words keep their first occurrence.
 
 Every table keeps its rows in ascending word length, in file order within a
 length, so the candidates of one answer length are a contiguous span of
-rows: a ``--length`` query scores only that span, a view of the matrix.
+rows: a ``--length`` query scores only that span.
+
+Ranking has two stages.  Every table keeps a resident float32 screen: each
+row divided by its float64 norm, rounded to float32.  Stage 1,
+``cosine_to_all``, scores a query against a span of the screen in one
+float32 product.  Stage 2, ``rescore``, computes the float64 cosine of only
+the rows whose screen score lies close enough to the answer to matter;
+``band_width`` bounds the screen's error, so the ranking is exactly the one
+that rescoring every candidate would give.  The float64 rows are read only
+for that band, so a checkpoint's table can stay in its file, mapped, with
+only the screen in memory (``trainer.load_checkpoint``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import mmap
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,30 +35,42 @@ from .errors import DataError, NonFiniteLossError, decoding
 
 LEARNED_DIM = 500
 INIT_SCALE = 0.05
-# rows per np.linalg.norm call, so its squared-entries temporary is a block, not the table
-# (each row's sum is its own, so the bits are the whole-table call's)
+# rows per block of the constructor's norm and screen pass (and of a checkpoint load's read
+# buffer), so its temporaries are a block, not the table; each row's norm is its own sum,
+# so the bits are the whole-table call's
 NORM_BLOCK_ROWS = 1024
+# unit roundoffs of float32 and float64
+U32 = 2.0**-24
+U64 = 2.0**-53
 
 
 @dataclass
 class PretrainedTable:
-    """Immutable word -> D-vector table with cached row norms.
+    """Immutable word -> D-vector table with cached row norms and a float32 screen.
 
     Rows ascend by word length, in file order within a length, so the words
     of one length are one contiguous span of rows.  The constructor derives
-    ``word_to_row``, the norms and the spans, and raises ValueError unless
-    the matrix is (len(words), D), the words are unique and in that order,
-    and every row has a finite nonzero norm.
+    ``word_to_row``, the norms, the screen and the spans, and raises
+    ValueError unless the matrix is (len(words), D), the words are unique and
+    in that order, and every row has a finite nonzero norm.
+
+    ``matrix`` is an array in memory or a read-only ``np.memmap`` of a
+    checkpoint file.  The constructor makes one pass over its rows, a block
+    at a time; ``blocks``, when given, yields those rows in order in place of
+    slices of the matrix, so a checkpoint load can stream them from the file
+    while it checks their CRC-32 and never read the mapping whole.
     """
 
     words: list[str]
     matrix: np.ndarray  # (n, D) float64
+    blocks: InitVar[Iterable[np.ndarray] | None] = None
     word_to_row: dict[str, int] = field(init=False, repr=False)
     norms: np.ndarray = field(init=False)  # (n,) float64, all finite and > 0
+    screen: np.ndarray = field(init=False, repr=False)  # (n, D) float32: each row over its norm
     spans: dict[int, slice] = field(init=False)  # each word length present -> its rows, ascending
 
-    def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+    def __post_init__(self, blocks: Iterable[np.ndarray] | None) -> None:
+        self.matrix = np.asanyarray(self.matrix, dtype=np.float64)  # a memmap stays one
         if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.words):
             raise ValueError("matrix must be (len(words), D)")
         self.word_to_row = {w: i for i, w in enumerate(self.words)}
@@ -55,11 +79,18 @@ class PretrainedTable:
         lengths = _lengths(self.words)
         if np.any(lengths[1:] < lengths[:-1]):
             raise ValueError("table rows are not in word-length order")
+        if blocks is None:
+            blocks = (self.matrix[lo : lo + NORM_BLOCK_ROWS] for lo in range(0, len(self.matrix), NORM_BLOCK_ROWS))
         self.norms = np.empty(len(self.matrix))
-        with np.errstate(over="ignore"):  # an overflowing norm reads inf, which is refused below
-            for lo in range(0, len(self.matrix), NORM_BLOCK_ROWS):
-                block = slice(lo, lo + NORM_BLOCK_ROWS)
-                self.norms[block] = np.linalg.norm(self.matrix[block], axis=1)
+        self.screen = np.empty(self.matrix.shape, np.float32)
+        lo = 0
+        # an overflowing norm reads inf and a zero one divides 0/0; both are refused below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for block in blocks:
+                hi = lo + len(block)
+                self.norms[lo:hi] = np.linalg.norm(block, axis=1)
+                np.divide(block, self.norms[lo:hi, None], out=self.screen[lo:hi], casting="unsafe")
+                lo = hi
         if not np.all(np.isfinite(self.norms)):
             raise ValueError("non-finite vector in table")
         if np.any(self.norms == 0.0):
@@ -94,6 +125,32 @@ class PretrainedTable:
         if answer_length is None:
             return slice(0, len(self.words))
         return self.spans.get(answer_length, slice(0, 0))
+
+    def gather(self, index: np.ndarray) -> np.ndarray:
+        """Copies of the float64 rows at ``index``, checked against their screen rows.
+
+        A mapped table copies one row at a time and drops the mapping's pages
+        from memory after each: a read maps not one page but the pages around
+        it (on Linux 6.18 and ext4, about 1.6 MB a row), so the rows that
+        queries read neither pile up in the process nor add up within one
+        band.  A row whose float32 unit vector is no longer its screen row
+        has changed since the table was built, as when a loaded checkpoint is
+        rewritten in place: a DataError naming the file.
+        """
+        mapped = isinstance(self.matrix, np.memmap)
+        if not mapped:
+            rows = self.matrix[index]
+        else:
+            rows = np.empty((len(index), self.dimension))
+            for k, i in enumerate(index):
+                rows[k] = self.matrix[i]
+                self.matrix.base.madvise(mmap.MADV_DONTNEED)
+        with np.errstate(over="ignore", invalid="ignore"):  # a changed row may hold anything
+            unchanged = np.array_equal((rows / self.norms[index, None]).astype(np.float32), self.screen[index])
+        if not unchanged:
+            source = self.matrix.filename if mapped else "pretrained table"
+            raise DataError(f"{source}: pretrained rows changed after the table was loaded")
+        return rows
 
 
 def _lengths(words: Sequence[str]) -> np.ndarray:
@@ -183,15 +240,100 @@ class LearnedTable:
     pad_id: int
 
 
-def cosine_to_all(query: np.ndarray, table: PretrainedTable, rows: slice = slice(None)) -> np.ndarray:
-    """Cosine similarity of each (..., D) ``query`` row against the table's ``rows`` (all by default): (..., n)."""
-    query = np.asarray(query, dtype=np.float64)
-    qnorm = np.sqrt(query[..., None, :] @ query[..., :, None])[..., 0, 0]  # row by row, np.linalg.norm's bits
+def _query_norms(query: np.ndarray) -> np.ndarray:
+    """Each (..., D) query row's norm, one row-wise sum each, so a row gets the same bits alone or in a batch."""
+    with np.errstate(over="ignore"):  # an overflowing norm reads inf, which is refused below
+        qnorm = np.sqrt((query * query).sum(axis=-1))
     if not np.all(np.isfinite(qnorm)):
         raise NonFiniteLossError("non-finite query vector")
     if not np.all(qnorm > 0.0):  # every cosine of a zero vector is 0/0
         raise NonFiniteLossError("zero-norm query vector")
-    return (query @ table.matrix[rows].T) / (qnorm[..., None] * table.norms[rows])
+    return qnorm
+
+
+def cosine_to_all(query: np.ndarray, table: PretrainedTable, rows: slice = slice(None)) -> np.ndarray:
+    """Screen cosines of each (..., D) ``query`` row against the table's ``rows`` (all by default): (..., n).
+
+    Each query row is divided by its norm and rounded to float32, as the
+    screen's rows were, and scored in one float32 product.  Every score is
+    within half of ``band_width(query, table)`` of the row's ``rescore``
+    cosine.  The float32 values come back as float64, so that bounds can be
+    compared with them in float64.
+    """
+    query = np.asarray(query, dtype=np.float64)
+    unit = (query / _query_norms(query)[..., None]).astype(np.float32)
+    return (unit @ table.screen[rows].T).astype(np.float64)
+
+
+def rescore(query: np.ndarray, table: PretrainedTable, index: np.ndarray) -> np.ndarray:
+    """Float64 cosines of one (D,) ``query`` with the table rows ``index``.
+
+    ``(rows * query).sum(axis=1) / (qnorm * norms)`` runs no BLAS call and
+    sums each row on its own, so a row gets the same bits at any BLAS thread
+    count, in any span and beside any other rows.
+    """
+    query = np.asarray(query, dtype=np.float64)
+    return (table.gather(index) * query).sum(axis=1) / (_query_norms(query) * table.norms[index])
+
+
+def _gamma(n: int, u: float) -> float:
+    """The bound γ_n = nu / (1 - nu) on the relative error of n roundings of unit roundoff u."""
+    return n * u / (1.0 - n * u) if n * u < 1.0 else math.inf
+
+
+def band_width(query: np.ndarray, table: PretrainedTable) -> float:
+    """2(δ + ε): twice the most a screen score can differ from the same row's ``rescore`` cosine.
+
+    Let r be a row and q the query, n̂ and q̂ their norms as computed (the
+    table's norms, and ``_query_norms``, which both stages share), and
+    C = r·q / (n̂q̂) exactly.  A computed norm understates the true one only
+    where squares underflow: ‖r‖/n̂ ≤ ρ(n̂) = (1 + γ_{D+2}(u64))·√(1 + D·2^-1074/n̂²),
+    so the vectors x = r/n̂ and y = q/q̂ have Σ|x_i y_i| ≤ ρ(n̂)ρ(q̂).  Here n̂ is
+    the table's smallest norm, the largest ρ over its rows; ρ is 1 + 1e-13
+    at D = 500 unless a norm is below about 1e-150.
+
+    δ, the screen's error: each screen entry is fl32(fl64(r_i/n̂)) =
+    x_i(1 + θ_i) + μ_i with |θ_i| ≤ v = u32 + u64 + u32·u64 (two roundings)
+    and |μ_i| ≤ 2^-149 (float32 underflow), and the query's entries alike.  A
+    float32 dot product of D terms, in any order and with or without FMA,
+    errs by at most γ_D(u32)·Σ|s_i t_i|, plus D·2^-150 where products
+    underflow.  So, with γ = γ_D(u32),
+    δ = (γ + 2v + v²)(1 + γ)·ρ(n̂)ρ(q̂) + (1 + γ)·2^-149·(√D·(ρ(n̂) + ρ(q̂))(1 + v) + D),
+    about 2.99e-5 at D = 500.
+
+    ε, the rescoring error: the row-wise sum of D float64 products errs by at
+    most γ_D(u64)·n̂q̂·ρ(n̂)ρ(q̂) plus D·2^-1075 of products that underflow, and
+    the product of the norms and the division round twice more, unless n̂q̂
+    is below 2^-1022, where the product may itself be subnormal (then ε and
+    the width are infinite).  So
+    ε = γ_{D+2}(u64)·ρ(n̂)ρ(q̂) + D·2^-1074/(n̂q̂) + 2^-50,
+    about 5.7e-14 at D = 500; the 2^-50 also covers the rounding of the
+    float64 thresholds a caller compares screen scores with (no score
+    exceeds about 1 in magnitude).
+
+    So |S - R| ≤ δ + ε for each row's screen score S and rescored cosine R.
+    For the top k: at least k rows have S ≥ t, the k-th best screen score,
+    so R ≥ t - (δ + ε); a row with S < t - 2(δ + ε) has R < t - (δ + ε) and
+    cannot reach the top k, whatever the tie-break.  For the rank of a row
+    with screen score S_c: a row with S > S_c + 2(δ + ε) has the higher R, a
+    row with S < S_c - 2(δ + ε) the lower, and only the rows between need R.
+    An infinite width rescores every row, which is still exact.
+    """
+    dim = table.dimension
+    qnorm, min_norm = float(_query_norms(np.asarray(query, dtype=np.float64))), float(table.norms.min())
+
+    def rho(norm: float) -> float:
+        tiny = math.sqrt(dim) * 2.0**-537 / norm  # √(D·2^-1074) / norm, squared below
+        return (1.0 + _gamma(dim + 2, U64)) * math.sqrt(1.0 + tiny * tiny)
+
+    if min_norm * qnorm < 2.0**-1022:
+        return math.inf
+    g32, v = _gamma(dim, U32), U32 + U64 + U32 * U64
+    rho_r, rho_q = rho(min_norm), rho(qnorm)
+    delta = (g32 + 2 * v + v * v) * (1 + g32) * rho_r * rho_q
+    delta += (1 + g32) * 2.0**-149 * (math.sqrt(dim) * (rho_r + rho_q) * (1 + v) + dim)
+    eps = _gamma(dim + 2, U64) * rho_r * rho_q + dim * 2.0**-1074 / (min_norm * qnorm) + 2.0**-50
+    return 2 * (delta + eps)
 
 
 def rank_by_cosine(
@@ -203,18 +345,21 @@ def rank_by_cosine(
     """The ``topk`` best candidates by cosine, best first, exact ties by word.
 
     ``answer_length`` keeps only words with that many characters, and only
-    their span of rows is scored (None: every row).  Only rows scoring at
-    least the k-th best are sorted, so a tie across the cut is still broken
-    by word.
+    their span of rows is screened (None: every row).  Only the band of rows
+    whose screen score is at least the k-th best minus ``band_width`` can
+    reach the top k; they alone are rescored and sorted, so the result is
+    what rescoring and sorting every candidate gives, ties across the cut
+    included.
     """
     if topk < 1:
         raise ValueError("topk must be at least 1")
     rows = table.candidate_rows(answer_length)
     scores = cosine_to_all(query, table, rows)
-    pool = range(scores.size)
+    band = np.arange(scores.size)
     if topk < scores.size:
-        kth = -np.partition(-scores, topk - 1)[topk - 1]  # a NaN score sorts last here, out of the top k
-        pool = np.flatnonzero(scores >= kth)
-    scored = ((table.words[rows.start + i], float(scores[i])) for i in pool)
+        kth = -np.partition(-scores, topk - 1)[topk - 1]
+        band = np.flatnonzero(scores >= kth - band_width(query, table))
+    exact = rescore(query, table, rows.start + band)
+    scored = zip((table.words[rows.start + i] for i in band), exact.tolist())
     ranked = sorted(scored, key=lambda ws: (-ws[1], ws[0]))
     return ranked[:topk]

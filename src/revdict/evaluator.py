@@ -4,10 +4,13 @@ Test glosses are encoded in length-sorted, padded batches of at most
 MINIBATCH_SIZE rows, capped at MAX_GLOSS_LEN tokens as in training.  The
 correct head is ranked among the candidates by cosine; exact cosine ties
 are broken lexicographically so ranks are deterministic.  In definitions
-mode every table row is a candidate and each batch is scored in one GEMM.
-Crossword mode keeps only words with the answer's character count, a
-contiguous span of the length-ordered table, so each batch's rows are
-grouped by answer length and each group is scored against its span alone.
+mode every table row is a candidate and each batch is screened in one
+float32 GEMM.  Crossword mode keeps only words with the answer's character
+count, a contiguous span of the length-ordered table, so each batch's rows
+are grouped by answer length and each group is screened against its span
+alone.  Only the candidates whose screen score is within the screen's error
+bound of the correct word's are rescored in float64 (see
+``embeddings.band_width``), so every rank is the exact one.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .corpus import MINIBATCH_SIZE, CrosswordClue, DefinitionPair, pad_minibatch
-from .embeddings import PretrainedTable, cosine_to_all
+from .embeddings import PretrainedTable, band_width, cosine_to_all, rescore
 from .errors import DataError
 from .tokenizer import encode_gloss
 
@@ -50,19 +53,24 @@ def length_filter(table: PretrainedTable, answer_length: int) -> list[str]:
 
 
 def rank_of_correct(
+    query: np.ndarray,
     scores: np.ndarray,
     table: PretrainedTable,
     correct: str,
     answer_length: int | None = None,
     item_id: str = "",
 ) -> RankRecord:
-    """1-based rank of ``correct`` among the candidates, given their cosine ``scores``.
+    """1-based rank of ``correct`` among the candidates for ``query``, given their screen ``scores``.
 
     The candidates are the rows ``table.candidate_rows(answer_length)``:
     every row for None, else the words of that many characters, and
-    ``scores`` holds one cosine per candidate.  A correct word that the
-    length rules out is scored one past the worst candidate and flagged,
-    keeping set-level metrics defined.
+    ``scores`` holds ``cosine_to_all(query, table, rows)``, one per
+    candidate.  A candidate whose screen score is more than ``band_width``
+    above the correct word's ranks above it; those within the width are
+    rescored, and count when their cosine is higher, or equal with a word
+    that sorts first.  A correct word that the length rules out is scored
+    one past the worst candidate and flagged, keeping set-level metrics
+    defined.
     """
     if correct not in table:
         raise DataError(f"correct word {correct!r} not in the candidate table")
@@ -72,9 +80,14 @@ def rank_of_correct(
         raise ValueError(f"{scores.shape} scores for {count} candidates")
     if answer_length is not None and len(correct) != answer_length:
         return RankRecord(item_id, rank=count + 1, candidate_count=count, excluded=True)
-    correct_score = scores[table.word_to_row[correct] - rows.start]
-    greater = int(np.count_nonzero(scores > correct_score))
-    tied = rows.start + np.flatnonzero(scores == correct_score)
+    at = table.word_to_row[correct] - rows.start
+    gaps = scores - scores[at]
+    width = band_width(query, table)
+    near = np.flatnonzero(np.abs(gaps) <= width)  # holds the correct row itself
+    exact = rescore(query, table, rows.start + near)
+    correct_score = exact[np.searchsorted(near, at)]
+    greater = int(np.count_nonzero(gaps > width)) + int(np.count_nonzero(exact > correct_score))
+    tied = rows.start + near[exact == correct_score]
     tied_before = sum(1 for i in tied if table.words[i] < correct)
     return RankRecord(item_id, rank=1 + greater + tied_before, candidate_count=count)
 
@@ -84,14 +97,14 @@ def score_batches(
     table: PretrainedTable,
     id_lists: Sequence[Sequence[int]],
     answer_lengths: Sequence[int | None] | None = None,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(k, cosines of gloss ``id_lists[k]``'s encoding to its candidate rows), shortest gloss first.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(k, gloss ``id_lists[k]``'s encoding, its screen cosines to its candidate rows), shortest gloss first.
 
     Gloss k's candidates are ``table.candidate_rows(answer_lengths[k])``,
     every row when ``answer_lengths`` is None.  Glosses are ordered by
     length (ties by index) and cut into batches of at most MINIBATCH_SIZE
     rows that ``pad_minibatch`` pads and cuts as training does; each batch
-    is one ``encode_ids`` call and one score GEMM per answer length in it.
+    is one ``encode_ids`` call and one screen GEMM per answer length in it.
     """
     wanted = [None] * len(id_lists) if answer_lengths is None else answer_lengths
     order = sorted(range(len(id_lists)), key=lambda k: len(id_lists[k]))
@@ -104,7 +117,7 @@ def score_batches(
             groups.setdefault(wanted[k], []).append(j)
         for length, members in groups.items():
             scores = cosine_to_all(vectors[members], table, table.candidate_rows(length))
-            yield from zip((chunk[j] for j in members), scores)
+            yield from zip((chunk[j] for j in members), vectors[members], scores)
 
 
 def median_rank(ranks: Sequence[float]) -> float:
@@ -184,7 +197,7 @@ def evaluate(
     vocab, merges, segmentation = checkpoint.vocab, checkpoint.merges, checkpoint.config.segmentation
     id_lists = [encode_gloss(tokens, vocab, merges, segmentation) for tokens, _, _ in fields]
     records: list[RankRecord] = [None] * len(fields)
-    for k, scores in score_batches(checkpoint.model, table, id_lists, [wanted for _, _, wanted in fields]):
+    for k, vector, scores in score_batches(checkpoint.model, table, id_lists, [wanted for _, _, wanted in fields]):
         _, correct, wanted = fields[k]
-        records[k] = rank_of_correct(scores, table, correct, wanted, item_id=f"{k}:{correct}")
+        records[k] = rank_of_correct(vector, scores, table, correct, wanted, item_id=f"{k}:{correct}")
     return summarize(records), records

@@ -11,12 +11,16 @@ array's shape and CRC-32), then each array's float64 bytes in C order, back
 to back in sorted name order; every number is little-endian.  Identical
 runs give bitwise-identical files.  Saving streams each array with no copy;
 loading checks every size against the file's before it allocates, reads
-each array once straight into place, checks every CRC-32 and refuses a
-header key or array that the layout does not name.  The pretrained table
-is stored in word-length row order, and loading refuses a table in any
-other order rather than copy it to sort it.  The meta repeats no fact
-that its config or vocabulary fixes, and a save runs the load's checks
-first, so it writes nothing a load refuses.
+each model array once straight into place, checks every CRC-32 and refuses
+a header key or array that the layout does not name.  The pretrained table
+stays in the file: loading maps it read-only and streams it once through a
+block buffer, checking its CRC-32 and building its norms and float32 screen
+as it goes, so only the screen is resident and ranking reads the float64
+rows of the few candidates it rescores.  The table is stored in
+word-length row order, and loading refuses a table in any other order
+rather than copy it to sort it.  The meta repeats no fact that its config
+or vocabulary fixes, and a save runs the load's checks first, so it writes
+nothing a load refuses.
 """
 
 from __future__ import annotations
@@ -28,11 +32,12 @@ import os
 import zlib
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
 from .corpus import BUCKET_SIZE, DefinitionPair, EncodedPair, MINIBATCH_SIZE, bucket_and_batch
-from .embeddings import LEARNED_DIM, PretrainedTable
+from .embeddings import LEARNED_DIM, NORM_BLOCK_ROWS, PretrainedTable
 from .encoder import HIDDEN_SIZE, DefinitionModel, EncoderMode, param_shapes
 from .errors import ConfigError, DataError, NonFiniteLossError, decoding
 from .evaluator import median_rank, rank_of_correct, score_batches
@@ -257,8 +262,8 @@ def encode_pairs(
 
 def _dev_median(model: DefinitionModel, dev: list[EncodedPair], pretrained: PretrainedTable) -> float:
     ranks = [0] * len(dev)
-    for k, scores in score_batches(model, pretrained, [pair.gloss_ids for pair in dev]):
-        ranks[k] = rank_of_correct(scores, pretrained, pretrained.words[dev[k].head_id]).rank
+    for k, vector, scores in score_batches(model, pretrained, [pair.gloss_ids for pair in dev]):
+        ranks[k] = rank_of_correct(vector, scores, pretrained, pretrained.words[dev[k].head_id]).rank
     return median_rank(ranks)
 
 
@@ -406,9 +411,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint file; a malformed or foreign one is a DataError.
 
     The file must be exactly as long as its header says, which is checked
-    before any array is allocated.  Each array is then read once, straight
-    into the array it ends up in, and its CRC-32 is checked.  A parameter
-    holding an inf or nan is a NonFiniteLossError.
+    before any array is allocated.  Each model array is then read once,
+    straight into the array it ends up in, and its CRC-32 is checked.  The
+    pretrained table's matrix is a read-only ``np.memmap`` of the file, and
+    the table's constructor takes its rows from one streamed pass that ends
+    with the CRC-32 check.  A parameter holding an inf or nan is a
+    NonFiniteLossError.
     """
     try:
         with open(path, "rb") as handle:
@@ -442,14 +450,19 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 shape = entry.get("shape") if isinstance(entry, dict) else None
                 if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
                     raise DataError(f"array {name!r} has no shape of nonnegative integers in the header")
+                layout.append((name, tuple(shape), entry.get("crc32"), end))
                 end += math.prod(shape) * 8
                 if end > file_size:
                     raise DataError(f"array {name!r} runs past the end of the file")
-                layout.append((name, shape, entry.get("crc32")))
             if end != file_size:
                 raise DataError(f"checkpoint is {file_size} bytes, but its header describes {end}")
-            arrays = {}
-            for name, shape, crc in layout:
+            arrays, table_rows = {}, None
+            for name, shape, crc, offset in layout:
+                if name == "pretrained":
+                    arrays[name] = np.memmap(handle, "<f8", "r", offset=offset, shape=shape)
+                    table_rows = _stream_rows(handle, offset, shape, crc)
+                    continue
+                handle.seek(offset)
                 array = np.empty(shape, "<f8")
                 data = array.reshape(-1).view(np.uint8)
                 if handle.readinto(data) != data.size:
@@ -457,15 +470,42 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 if zlib.crc32(data) != crc:
                     raise DataError(f"array {name!r} fails its CRC-32 check")
                 arrays[name] = array
-        return _checkpoint_from(meta, arrays)
+            return _checkpoint_from(meta, arrays, table_rows)
     except (DataError, NonFiniteLossError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OSError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise DataError(f"{path}: unreadable checkpoint ({exc})") from exc
 
 
-def _checkpoint_from(meta: dict, arrays: dict[str, np.ndarray]) -> Checkpoint:
-    """Build a Checkpoint from its meta and arrays, checking every array's shape and that the parameters are finite."""
+def _stream_rows(handle: BinaryIO, offset: int, shape: tuple[int, ...], crc) -> Iterator[np.ndarray]:
+    """The rows of the (n, D) array at ``offset`` in ``handle``, read through one block buffer.
+
+    Each block is overwritten by the next, so it is used before the next is
+    asked for.  The array's CRC-32 is checked after its last row.
+    """
+    rows, dim = shape
+    buffer = np.empty((min(rows, NORM_BLOCK_ROWS), dim), "<f8")
+    handle.seek(offset)
+    running = 0
+    for lo in range(0, rows, NORM_BLOCK_ROWS):
+        block = buffer[: min(NORM_BLOCK_ROWS, rows - lo)]
+        data = block.reshape(-1).view(np.uint8)
+        if handle.readinto(data) != data.size:
+            raise DataError("array 'pretrained' runs past the end of the file")
+        running = zlib.crc32(data, running)
+        yield block
+    if running != crc:
+        raise DataError("array 'pretrained' fails its CRC-32 check")
+
+
+def _checkpoint_from(
+    meta: dict, arrays: dict[str, np.ndarray], table_rows: Iterator[np.ndarray] | None = None
+) -> Checkpoint:
+    """Build a Checkpoint from its meta and arrays, checking every array's shape and that the parameters are finite.
+
+    ``table_rows``, when given, yields the rows of ``arrays["pretrained"]``
+    for the table's constructor (``PretrainedTable``'s ``blocks``).
+    """
     config = TrainConfig(**meta["config"]).validate()
     mode = EncoderMode(config.encoder_mode)
     for key in ("vocab", "pretrained_words"):  # no input matches a token or word that is not a string
@@ -492,7 +532,9 @@ def _checkpoint_from(meta: dict, arrays: dict[str, np.ndarray]) -> Checkpoint:
     if unlisted:
         raise DataError(f"checkpoint has an array {unlisted[0]!r} that its layout does not list")
     try:  # a table out of word-length order is refused, not copied to sort it
-        pretrained = PretrainedTable(list(meta["pretrained_words"]), arrays["pretrained"])
+        pretrained = PretrainedTable(list(meta["pretrained_words"]), arrays["pretrained"], table_rows)
+    except DataError:  # the streamed rows' own check
+        raise
     except ValueError as exc:
         raise DataError(f"array 'pretrained': {exc}") from exc
 

@@ -1,4 +1,4 @@
-"""Fixtures shared by the ranking tests, and the checkpoint file layout the checkpoint tests read and write."""
+"""Fixtures and oracles shared by the ranking tests, and the checkpoint file layout the checkpoint tests read and write."""
 
 import json
 import math
@@ -11,6 +11,10 @@ import pytest
 from revdict.embeddings import PretrainedTable
 
 LETTERS = np.array(list("abcdefghij"))
+# A rescored cosine may differ from the float64 GEMV's in the last bits: scores must agree
+# within SCORE_TOL, and two words whose GEMV scores are within NEAR_TIE may rank either way.
+SCORE_TOL = 1e-14
+NEAR_TIE = 1e-12
 CHECKPOINT_MAGIC = b"REVDICT\x00"
 PREFIX_SIZE = 20  # the magic, then the header's length (8 bytes) and CRC-32 (4 bytes)
 
@@ -80,3 +84,46 @@ def tied_tables(tied_sources):
         queries = [rng.normal(size=table.dimension)] + [table.matrix[row] for row in first[counts > 1][:2]]
         cases.append((table, queries))
     return cases
+
+
+def rescored_cosines(query, table):
+    """Every row's cosine by the formula ``embeddings.rescore`` applies to the band: the ranking with no screen."""
+    query = np.asarray(query, dtype=np.float64)
+    return (table.matrix * query).sum(axis=1) / (np.sqrt((query * query).sum()) * table.norms)
+
+
+def gemv_cosines(query, matrix):
+    """The float64 GEMV over the whole matrix that the screen and band replaced: the slow path, kept as the oracle."""
+    qnorm = np.sqrt(query[None, :] @ query[:, None])[0, 0]
+    return (query @ matrix.T) / (qnorm * np.linalg.norm(matrix, axis=1))
+
+
+def candidates(words, answer_length):
+    """Indices of ``words`` with ``answer_length`` characters, or of every word for None."""
+    lengths = np.array([len(w) for w in words])
+    return np.arange(len(words)) if answer_length is None else np.flatnonzero(lengths == answer_length)
+
+
+def assert_topk_near_oracle(got, words, scores, pool, topk):
+    """``rank_by_cosine``'s ``got`` against the oracle ``scores`` of ``words`` over the ``pool`` indices.
+
+    Every score agrees within SCORE_TOL, and each position holds the oracle's
+    word there unless the two words' oracle scores are within NEAR_TIE.
+    """
+    expected = sorted((-float(scores[i]), words[i]) for i in pool)[:topk]
+    assert len(got) == len(expected)
+    assert got == sorted(got, key=lambda ws: (-ws[1], ws[0]))
+    row_of = {words[i]: i for i in pool}
+    assert len({word for word, _ in got}) == len(got)
+    for (word, score), (neg_best, best_word) in zip(got, expected):
+        oracle = float(scores[row_of[word]])
+        assert abs(score - oracle) <= SCORE_TOL, (word, score, oracle)
+        assert word == best_word or abs(oracle + neg_best) <= NEAR_TIE, (word, best_word)
+
+
+def oracle_rank_bounds(words, scores, pool, correct):
+    """Lowest and highest 1-based rank of ``correct`` among the ``pool`` indices that oracle ``scores`` allow."""
+    at = words.index(correct)
+    others = np.array([i for i in pool if i != at], dtype=np.int64)
+    gaps = scores[others] - scores[at] if others.size else np.zeros(0)
+    return 1 + int(np.count_nonzero(gaps > NEAR_TIE)), 1 + int(np.count_nonzero(gaps >= -NEAR_TIE))

@@ -759,6 +759,30 @@ class TestTrainEvalQuery:
         blocks = self.query_blocks(capsys)
         assert [line.split("\t")[0] for line in blocks[0]] == ["ox"]
 
+    def test_rows_rewritten_in_place_after_load_are_a_data_error(self, workspace, trained, capsys, monkeypatch):
+        # the table's float64 rows stay in the file; when the top answer's row is overwritten
+        # at the same size while query has the file loaded, the next line that rescores it
+        # sees the row no longer match its screen row and stops with exit 2, naming the file
+        header, _ = read_checkpoint_file(trained)
+        start = PREFIX_SIZE + int.from_bytes(trained.read_bytes()[8:16], "little")
+        start += sum(8 * math.prod(entry["shape"]) for name, entry in header["arrays"].items() if name < "pretrained")
+        width = 8 * header["arrays"]["pretrained"]["shape"][1]
+
+        def lines():
+            yield "small feline\n"
+            top = capsys.readouterr().out.split("\t", 1)[0]
+            with open(trained, "r+b") as handle:
+                handle.seek(start + width * header["pretrained_words"].index(top))
+                row = np.frombuffer(handle.read(width))
+                handle.seek(-width, os.SEEK_CUR)
+                handle.write((-row).tobytes())
+            yield "small feline\n"
+
+        monkeypatch.setattr("sys.stdin", lines())
+        capsys.readouterr()
+        assert run(["query", "--checkpoint", str(trained)]) == 2
+        assert capsys.readouterr().err == f"data error: {trained}: pretrained rows changed after the table was loaded\n"
+
 
 def damaged_copies(path, seed):
     """Seeded damaged copies of a checkpoint file's bytes, by case: cut at every array boundary and at 20
@@ -895,9 +919,10 @@ def mutate(data, rng):
 
 
 def mutation_cases(ws, trained, merges, rng, count):
-    """``count`` seeded (label, argv, stdin text, prepare) cases, each with one input edited: a data file, a config
-    value, a checkpoint header value or the query lines; ``prepare`` writes the edited input and the config, and
-    the label holds the case's number and its edit."""
+    """(label, argv, stdin text, prepare) cases, each with one input edited: ``count`` seeded edits of a data file, a
+    config value or the query lines, then every checkpoint header key set to every value of HEADER_VALUES, loaded
+    by ``query`` and by ``eval``; ``prepare`` writes the edited input and the config, and the label holds the
+    case's number and its edit."""
     bad, out = ws / "bad.txt", str(ws / "out.txt")
     train = ["train", "--output", str(ws / "m.ckpt"), "--config", str(ws / "train.cfg")]
 
@@ -932,7 +957,7 @@ def mutation_cases(ws, trained, merges, rng, count):
 
     cases = []
     for index in range(count):
-        kind = ("file", "config", "header", "query")[index % 4]
+        kind = ("file", "config", "query")[index % 3]
         if kind == "file":
             name = pick(sorted(readers))
             data = mutate((ws / name).read_bytes(), rng)
@@ -946,19 +971,19 @@ def mutation_cases(ws, trained, merges, rng, count):
         elif kind == "config":
             key, value = pick(CONFIG_KEYS), pick(CONFIG_VALUES)
             cases.append((f"config {key} = {value!r}", train, "", lambda key=key, value=value: write_config(ws, **{key: value})))
-        elif kind == "header":
-            key, value = pick(header_keys), pick(HEADER_VALUES)
-            meta = {key: value}
-            if key.startswith("config."):
-                meta = {"config": lambda config, field=key[7:], value=value: {**config, field: value}}
-            argv = pick([["query", "--checkpoint", str(bad)], eval_(ws / "dev.tsv", checkpoint=bad)])
-            cases.append((
-                f"header {key} = {value!r}", argv, "small feline\n",
-                lambda meta=meta: rewrite_checkpoint(trained, bad, meta=meta),
-            ))
         else:
             stdin = "".join(f"{pick(QUERY_LINES)}\n" for _ in range(3))
             cases.append((f"query {stdin!r}", ["query", "--checkpoint", str(trained)], stdin, lambda: None))
+    for key in header_keys:
+        for value in HEADER_VALUES:
+            meta = {key: value}
+            if key.startswith("config."):
+                meta = {"config": lambda config, field=key[7:], value=value: {**config, field: value}}
+            for argv in (["query", "--checkpoint", str(bad)], eval_(ws / "dev.tsv", checkpoint=bad)):
+                cases.append((
+                    f"header {key} = {value!r}", argv, "small feline\n",
+                    lambda meta=meta: rewrite_checkpoint(trained, bad, meta=meta),
+                ))
     return [(f"case {index}, {label}", *rest) for index, (label, *rest) in enumerate(cases)]
 
 
@@ -971,7 +996,9 @@ def test_seeded_mutations_keep_the_exit_code_contract(workspace, capsys, monkeyp
     assert run(["learn-bpe", "--input", str(workspace / "defs.tsv"), "--merges", "20", "--output", str(merges)]) == 0
     assert run(["train", "--config", str(write_config(workspace)), "--output", str(trained)]) == 0
     failures = []
-    for label, argv, stdin, prepare in mutation_cases(workspace, trained, merges, np.random.default_rng(17), 200):
+    cases = mutation_cases(workspace, trained, merges, np.random.default_rng(17), 150)
+    assert sum(label.split(", ", 1)[1].startswith("header ") for label, *_ in cases) == 21 * len(HEADER_VALUES) * 2
+    for label, argv, stdin, prepare in cases:
         prepare()
         (workspace / "m.ckpt").unlink(missing_ok=True)
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))

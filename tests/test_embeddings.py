@@ -5,14 +5,23 @@ import math
 import numpy as np
 import pytest
 
+from conftest import (
+    assert_topk_near_oracle,
+    candidates,
+    gemv_cosines,
+    oracle_rank_bounds,
+    rescored_cosines,
+)
 from revdict.embeddings import (
     NORM_BLOCK_ROWS,
     PretrainedTable,
+    band_width,
     cosine_to_all,
     load_pretrained,
     rank_by_cosine,
 )
 from revdict.errors import DataError, NonFiniteLossError
+from revdict.evaluator import rank_of_correct
 
 
 def write_vectors(path, rows):
@@ -218,8 +227,8 @@ def test_load_pretrained_infers_width_from_first_row(tmp_path):
 
 
 def sort_everything(query, table, candidate_filter=None):
-    """The ranking ``rank_by_cosine`` replaced: a filter loop, then a sort of the whole pool."""
-    scores = cosine_to_all(query, table)
+    """The ranking with no screen and no cut: every row rescored, a filter loop, then a sort of the whole pool."""
+    scores = rescored_cosines(query, table)
     if candidate_filter is None:
         pool = range(len(table.words))
     else:
@@ -230,7 +239,7 @@ def sort_everything(query, table, candidate_filter=None):
 def test_tied_tables_have_exact_ties(tied_tables):
     for table, queries in tied_tables:
         for q in queries:
-            scores = cosine_to_all(q, table)
+            scores = rescored_cosines(q, table)
             assert np.unique(scores).size < len(table)
         (_, best), (_, second) = sort_everything(queries[1], table)[:2]
         assert best == second == pytest.approx(1.0)  # a copied row and its copy share the top
@@ -256,42 +265,98 @@ def test_partial_selection_matches_the_full_sort(tied_tables):
     assert cut_inside_a_tie > 0
 
 
-def full_table_rank_by_cosine(query, words, matrix, answer_length=None, topk=None):
-    """``rank_by_cosine`` before rows were kept in length order: every row of ``matrix``, in any
-    order, is scored, and then a ``flatnonzero`` over the word lengths picks the candidates."""
-    qnorm = np.sqrt(query[..., None, :] @ query[..., :, None])[..., 0, 0]
-    scores = (query @ matrix.T) / (qnorm[..., None] * np.linalg.norm(matrix, axis=1))
-    rows = np.arange(len(words))
-    if answer_length is not None:
-        rows = np.flatnonzero(np.array([len(w) for w in words]) == answer_length)
-    if topk is not None and topk < rows.size:
-        pool = scores[rows]
-        kth = -np.partition(-pool, topk - 1)[topk - 1]
-        rows = rows[pool >= kth]
-    ranked = sorted(((words[i], float(scores[i])) for i in rows), key=lambda ws: (-ws[1], ws[0]))
-    return ranked[:topk]
-
-
 def test_span_ranking_matches_the_full_table_oracle(tied_sources, tied_tables):
-    # from_arrays sorts the shuffled input by length and rank_by_cosine scores one
-    # length's span; the oracle scores the shuffled input whole and filters after.
-    # Each table is also tried without its 3-letter words, so a length is missing
-    # between two present ones.
-    cut_inside_a_tie = 0
+    # from_arrays sorts the shuffled input by length and rank_by_cosine screens one
+    # length's span; the oracle scores the shuffled input whole with the float64
+    # GEMV and filters after.  Each table is also tried without its 3-letter words,
+    # so a length is missing between two present ones.
     for (words, matrix), (_, queries) in zip(tied_sources, tied_tables):
         no_threes = [i for i, w in enumerate(words) if len(w) != 3]
         for words, matrix in ((words, matrix), ([words[i] for i in no_threes], matrix[no_threes])):
             table = PretrainedTable.from_arrays(words, matrix)
             longest = max(map(len, words))
             for q in queries:
+                scores = gemv_cosines(q, matrix)
                 for length in [None, *range(longest + 2)]:  # 0 and longest + 1 are absent
-                    expected = full_table_rank_by_cosine(q, words, matrix, length)
-                    inside = [k for k in range(1, len(expected)) if expected[k - 1][1] == expected[k][1]]
-                    cut_inside_a_tie += len(inside)
-                    for topk in [1, *inside, max(len(expected), 1), len(expected) + 3]:
+                    pool = candidates(words, length)
+                    for topk in [1, 2, 5, max(pool.size, 1), pool.size + 3]:
                         got = rank_by_cosine(q, table, answer_length=length, topk=topk)
-                        assert got == full_table_rank_by_cosine(q, words, matrix, length, topk), (length, topk)
-    assert cut_inside_a_tie > 0
+                        assert_topk_near_oracle(got, words, scores, pool, topk)
+
+
+def adversarial_arrays(kind, dim=500):
+    """Words of 1-6 letters in no length order and rows built to defeat a screen, by ``kind``.
+
+    duplicates: exact copies of rows, some scaled by 2 or 2^40, under other words
+    (their cosines tie exactly); ulp: copies with one entry moved by one ulp;
+    extremes: rows with entries near 1e150, rows mixing entries near 1e-300 with
+    ordinary ones, and a row of entries near 1e-160 whose squares are subnormal;
+    one-row: a table of a single row.
+    """
+    rng = np.random.default_rng(["duplicates", "ulp", "extremes", "one-row"].index(kind))
+    rows = 1 if kind == "one-row" else 60
+    words = []
+    while len(words) < rows:
+        word = "".join(rng.choice(list("abcdefgh"), size=int(rng.integers(1, 7))))
+        if word not in words:
+            words.append(word)
+    matrix = rng.normal(size=(rows, dim))
+    if kind == "duplicates":
+        matrix[30:] = matrix[rng.integers(0, 30, size=30)] * rng.choice([1.0, 2.0, 2.0**40], size=(30, 1))
+    elif kind == "ulp":
+        matrix[30:] = matrix[rng.integers(0, 30, size=30)]
+        at = rng.integers(0, dim, size=30)
+        matrix[30 + np.arange(30), at] = np.nextafter(matrix[30 + np.arange(30), at], rng.choice([-np.inf, np.inf]))
+    elif kind == "extremes":
+        matrix[:10] *= 1e150
+        matrix[10:20, 5:] *= 1e-300
+        matrix[20] = rng.uniform(1.0, 2.0, size=dim) * 1e-160
+    return words, matrix
+
+
+@pytest.mark.parametrize("kind", ["duplicates", "ulp", "extremes", "one-row"])
+def test_ranking_matches_the_gemv_oracle_on_adversarial_tables(kind):
+    # the band must lose nothing: rank_by_cosine equals rescoring and sorting every
+    # candidate, bit for bit, and agrees with the float64 GEMV up to near-ties;
+    # rank_of_correct equals the count over every rescored row and lies within
+    # the GEMV's rank bounds
+    words, matrix = adversarial_arrays(kind)
+    table = PretrainedTable.from_arrays(words, matrix)
+    rng = np.random.default_rng(5)
+    queries = [rng.normal(size=table.dimension), matrix[0], matrix[-1] * 3.0, table.matrix[len(table) // 2]]
+    for q in queries:
+        gemv, exact = gemv_cosines(q, matrix), rescored_cosines(q, table)
+        assert np.all(np.abs(cosine_to_all(q, table) - gemv_cosines(q, table.matrix)) <= band_width(q, table) / 2)
+        for length in [None, *range(8)]:
+            pool, span = candidates(words, length), table.candidate_rows(length)
+            ordered = sorted(zip(table.words[span], exact[span].tolist()), key=lambda ws: (-ws[1], ws[0]))
+            for topk in sorted({1, 2, 3, 10, max(pool.size, 1), pool.size + 3}):
+                got = rank_by_cosine(q, table, answer_length=length, topk=topk)
+                assert got == ordered[:topk], (length, topk)
+                assert_topk_near_oracle(got, words, gemv, pool, topk)
+            screen = cosine_to_all(q, table, span)
+            for word in table.words[span]:
+                record = rank_of_correct(q, screen, table, word, length)
+                mine = exact[table.word_to_row[word]]
+                count = 1 + sum(s > mine or (s == mine and w < word) for w, s in ordered)
+                assert record.rank == count, (word, length)
+                low, high = oracle_rank_bounds(words, gemv, pool, word)
+                assert low <= record.rank <= high, (word, length)
+
+
+def test_band_width_is_the_float32_bound_at_paper_width():
+    # δ ≈ γ_500(2^-24) + 2^-23 ≈ 2.99e-5 and ε ≈ 5.7e-14 for ordinary norms
+    table = PretrainedTable.from_arrays(["a", "b"], np.random.default_rng(0).normal(size=(2, 500)))
+    width = band_width(np.ones(500), table)
+    assert 2 * 2.99e-5 < width < 2 * 3.0e-5
+    # squares near the smallest subnormal: the norm may understate the row, and the width grows
+    tiny = PretrainedTable.from_arrays(["c", *table.words], np.vstack([np.full(500, 3e-162), table.matrix]))
+    assert width < band_width(np.ones(500), tiny) < math.inf
+    # a product of norms that may round as a subnormal bounds nothing: every row is rescored
+    q = np.full(500, 1e-150)
+    assert band_width(q, tiny) == math.inf
+    exact = rescored_cosines(q, tiny)
+    assert rank_by_cosine(q, tiny, topk=1) == [min(zip(tiny.words, exact.tolist()), key=lambda ws: (-ws[1], ws[0]))]
 
 
 def test_from_arrays_orders_rows_by_length_in_input_order(tied_sources):

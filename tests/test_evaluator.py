@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import NEAR_TIE, candidates, gemv_cosines, oracle_rank_bounds, rescored_cosines
 from revdict.corpus import CrosswordClue, DefinitionPair, clues_to_pairs, length_histogram
 from revdict.embeddings import PretrainedTable, cosine_to_all
 from revdict.encoder import DefinitionModel, EncoderMode
@@ -36,14 +37,16 @@ def angled_table(words, cosines_with_x_axis):
 class TestRankOfCorrect:
     def test_self_vector_ranks_first(self):
         table = angled_table(["a", "b", "c"], [0.9, 0.5, 0.1])
-        rec = rank_of_correct(cosine_to_all(table.matrix[table.word_to_row["b"]].copy(), table), table, "b")
+        q = table.matrix[table.word_to_row["b"]].copy()
+        rec = rank_of_correct(q, cosine_to_all(q, table), table, "b")
         assert rec.rank == 1
         assert rec.candidate_count == 3
         assert not rec.excluded
 
     def test_middle_cosine_ranks_second(self):
         table = angled_table(["a", "b", "c"], [0.9, 0.5, 0.1])
-        rec = rank_of_correct(cosine_to_all(np.array([1.0, 0.0]), table), table, "b")
+        q = np.array([1.0, 0.0])
+        rec = rank_of_correct(q, cosine_to_all(q, table), table, "b")
         assert rec.rank == 2
 
     def test_exact_tie_breaks_lexicographically(self):
@@ -51,34 +54,37 @@ class TestRankOfCorrect:
         table = PretrainedTable.from_arrays(
             ["cat", "abe", "zoo"], np.array([[1.0, 1.0], [2.0, 2.0], [-1.0, 0.0]])
         )
-        rec = rank_of_correct(cosine_to_all(np.array([1.0, 0.5]), table), table, "cat")
+        q = np.array([1.0, 0.5])
+        rec = rank_of_correct(q, cosine_to_all(q, table), table, "cat")
         assert rec.rank == 2  # "abe" wins the tie
-        rec = rank_of_correct(cosine_to_all(np.array([1.0, 0.5]), table), table, "abe")
+        rec = rank_of_correct(q, cosine_to_all(q, table), table, "abe")
         assert rec.rank == 1
 
     def test_filter_excluding_correct_scores_worst_plus_one(self):
         table = angled_table(["cat", "mouse", "horse"], [0.9, 0.5, 0.1])
-        scores = cosine_to_all(np.array([1.0, 0.0]), table, table.candidate_rows(5))
-        rec = rank_of_correct(scores, table, "cat", answer_length=5)
+        q = np.array([1.0, 0.0])
+        rec = rank_of_correct(q, cosine_to_all(q, table, table.candidate_rows(5)), table, "cat", answer_length=5)
         assert rec.excluded
         assert rec.candidate_count == 2
         assert rec.rank == 3
 
     def test_unknown_correct_word_rejected(self):
         table = angled_table(["a", "b"], [0.9, 0.1])
+        q = np.array([1.0, 0.0])
         with pytest.raises(DataError):
-            rank_of_correct(cosine_to_all(np.array([1.0, 0.0]), table), table, "nope")
+            rank_of_correct(q, cosine_to_all(q, table), table, "nope")
 
     def test_scores_must_cover_the_candidates(self):
         # with a length, the scores are those of its span, not of every row
         table = angled_table(["cat", "mouse", "horse"], [0.9, 0.5, 0.1])
+        q = np.array([1.0, 0.0])
         with pytest.raises(ValueError, match=r"\(3,\) scores for 2 candidates"):
-            rank_of_correct(cosine_to_all(np.array([1.0, 0.0]), table), table, "mouse", answer_length=5)
+            rank_of_correct(q, cosine_to_all(q, table), table, "mouse", answer_length=5)
 
 
 def loop_rank_of_correct(y, table, correct, candidate_filter=None, item_id=""):
-    """The rank count ``rank_of_correct`` replaced: a filter loop and a zip over the pool."""
-    scores = cosine_to_all(y, table)
+    """The rank count ``rank_of_correct`` replaced: every row rescored, a filter loop and a zip over the pool."""
+    scores = rescored_cosines(y, table)
     if candidate_filter is None:
         pool = np.arange(len(table.words))
     else:
@@ -99,60 +105,46 @@ def test_rank_count_matches_the_loop(tied_tables):
     for table, queries in tied_tables:
         present = list(table.spans)
         for y in queries:
-            scores = cosine_to_all(y, table)
+            scores = rescored_cosines(y, table)
             for length in [None, *present, max(present) + 1]:
                 keep = None if length is None else (lambda w, n=length: len(w) == n)
                 span_scores = cosine_to_all(y, table, table.candidate_rows(length))
                 for word in table.words:
                     expected = loop_rank_of_correct(y, table, word, keep, item_id=word)
-                    got = rank_of_correct(span_scores, table, word, answer_length=length, item_id=word)
+                    got = rank_of_correct(y, span_scores, table, word, answer_length=length, item_id=word)
                     assert got == expected, (word, length)
                     excluded += got.excluded
                     tied += np.count_nonzero(scores == scores[table.word_to_row[word]]) > 1
     assert excluded > 0 and tied > 0
 
 
-def full_table_rank_of_correct(y, words, matrix, correct, answer_length=None):
-    """``rank_of_correct`` before rows were kept in length order: the cosines of every row of
-    ``matrix``, in any order, and a ``flatnonzero`` over the word lengths for the candidates."""
-    qnorm = np.sqrt(y[..., None, :] @ y[..., :, None])[..., 0, 0]
-    scores = (y @ matrix.T) / (qnorm[..., None] * np.linalg.norm(matrix, axis=1))
-    rows = np.arange(len(words))
-    if answer_length is not None:
-        rows = np.flatnonzero(np.array([len(w) for w in words]) == answer_length)
-    if answer_length is not None and len(correct) != answer_length:
-        return RankRecord(correct, rows.size + 1, rows.size, excluded=True)
-    pool_scores = scores[rows]
-    correct_score = scores[words.index(correct)]
-    greater = int(np.count_nonzero(pool_scores > correct_score))
-    tied_before = sum(1 for i in rows[pool_scores == correct_score] if words[i] < correct)
-    return RankRecord(correct, 1 + greater + tied_before, rows.size)
-
-
 def test_span_rank_matches_the_full_table_oracle(tied_sources, tied_tables):
-    # the shuffled input sorted by from_arrays and scored one span at a time ranks
-    # every word as the whole unsorted input scored at once did; each table is also
-    # tried without its 3-letter words, so a length is missing between two others
-    tied = 0
+    # the shuffled input sorted by from_arrays and screened one span at a time ranks
+    # every word within the bounds that the float64 GEMV over the whole unsorted
+    # input allows (exact when no other score is within NEAR_TIE of the word's);
+    # each table is also tried without its 3-letter words, so a length is missing
+    # between two others
     for (words, matrix), (_, queries) in zip(tied_sources, tied_tables):
         no_threes = [i for i, w in enumerate(words) if len(w) != 3]
         for words, matrix in ((words, matrix), ([words[i] for i in no_threes], matrix[no_threes])):
             table = PretrainedTable.from_arrays(words, matrix)
             for y in queries:
+                gemv = gemv_cosines(y, matrix)
                 for length in [None, *range(max(map(len, words)) + 2)]:
-                    rows = table.candidate_rows(length)
-                    scores = cosine_to_all(y, table, rows)
+                    pool = candidates(words, length)
+                    scores = cosine_to_all(y, table, table.candidate_rows(length))
                     for word in words:
-                        expected = full_table_rank_of_correct(y, words, matrix, word, length)
-                        assert rank_of_correct(scores, table, word, length, item_id=word) == expected, (word, length)
-                        if not expected.excluded:
-                            tied += np.count_nonzero(scores == scores[table.word_to_row[word] - rows.start]) > 1
-    assert tied > 0
+                        record = rank_of_correct(y, scores, table, word, length, item_id=word)
+                        assert record.candidate_count == pool.size
+                        if length is not None and len(word) != length:
+                            assert record.excluded and record.rank == pool.size + 1
+                            continue
+                        low, high = oracle_rank_bounds(words, gemv, pool, word)
+                        assert not record.excluded and low <= record.rank <= high, (word, length)
 
 
-# scores this close to the correct one may order differently in a batch row
-# than in a solo encode, which rounds differently in the last bits
-NEAR_TIE = 1e-12
+# NEAR_TIE: scores this close to the correct one may order differently in a
+# batch row than in a solo encode, which rounds differently in the last bits
 
 
 def item_fields(item, mode):
@@ -187,7 +179,7 @@ def near_tie_items(checkpoint, items, mode):
     for index, (item, y) in enumerate(zip(items, solo_vectors(checkpoint, items, mode))):
         _, correct, wanted = item_fields(item, mode)
         table = checkpoint.pretrained
-        scores = cosine_to_all(y, table)
+        scores = rescored_cosines(y, table)
         gaps = np.abs(scores[table.candidate_rows(wanted)] - scores[table.word_to_row[correct]])
         if np.any((gaps > 0.0) & (gaps <= NEAR_TIE)):
             near.append(index)
@@ -320,7 +312,7 @@ def test_batched_scorer_matches_the_per_item_oracle(tied_tables, mode, eval_mode
         near += len(skip)
         excluded += sum(r.excluded for r in records)
         for item, y in zip(items, solo_vectors(ckpt, items, eval_mode)):
-            scores = cosine_to_all(y, table)
+            scores = rescored_cosines(y, table)
             correct = scores[table.word_to_row[item_fields(item, eval_mode)[1]]]
             tied += np.count_nonzero(scores == correct) > 1
     assert near == 0, f"{near} items within {NEAR_TIE} of a competitor"

@@ -1,9 +1,11 @@
 """Config parsing, Adam, training-loop, and checkpoint round-trip tests."""
 
 import copy
+import sys
 import tracemalloc
 import zlib
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from conftest import framed_header, read_checkpoint_file, write_checkpoint_file
 from revdict import objective, trainer
 from revdict.corpus import DefinitionPair, EncodedPair
 from revdict.encoder import DefinitionModel, EncoderMode
-from revdict.embeddings import PretrainedTable, cosine_to_all
+from revdict.embeddings import PretrainedTable, cosine_to_all, rank_by_cosine
 from revdict.errors import ConfigError, DataError, NonFiniteLossError
 from revdict.evaluator import evaluate, median_rank, rank_of_correct
 from revdict.objective import LossKind, RowGradient, backward
@@ -329,7 +331,7 @@ def oracle_dev_ranks(model, dev, pretrained):
     ranks = []
     for pair in dev:
         y = model.encode_ids(np.asarray(pair.gloss_ids, dtype=np.int64), np.array([len(pair.gloss_ids)]))
-        ranks.append(rank_of_correct(cosine_to_all(y, pretrained), pretrained, pretrained.words[pair.head_id]).rank)
+        ranks.append(rank_of_correct(y, cosine_to_all(y, pretrained), pretrained, pretrained.words[pair.head_id]).rank)
     return ranks
 
 
@@ -530,6 +532,26 @@ class TestCheckpointIO:
             tracemalloc.stop()
         arrays = [*loaded.model.param_dict().values(), loaded.pretrained.matrix]
         assert peak <= 1.2 * sum(a.nbytes for a in arrays)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads RssFile from /proc/self/status")
+    def test_answering_queries_leaves_no_table_pages_resident(self, tmp_path):
+        # the table stays in the file; each ranking reads its band's rows from the mapping
+        # and drops the pages after, so 2,000 answers add no file pages to the process
+        def rss_file_kb():
+            status = Path("/proc/self/status").read_text().splitlines()
+            return int(next(line for line in status if line.startswith("RssFile:")).split()[1])
+
+        ckpt = large_checkpoint(rows=20_480, dim=128)
+        path = tmp_path / "large.ckpt"
+        save_checkpoint(path, ckpt)
+        del ckpt
+        table = load_checkpoint(path).pretrained
+        queries = np.random.default_rng(4).normal(size=(2_001, 128))
+        rank_by_cosine(queries[0], table, topk=10)
+        before = rss_file_kb()
+        for query in queries[1:]:
+            rank_by_cosine(query, table, topk=10)
+        assert rss_file_kb() - before < 5 * 1024
 
     def test_save_peak_memory_is_below_one_table(self, tmp_path):
         ckpt = large_checkpoint(rows=16_384, dim=256)
