@@ -17,17 +17,25 @@ float32 product.  Stage 2, ``rescore``, computes the float64 cosine of only
 the rows whose screen score lies close enough to the answer to matter;
 ``band_width`` bounds the screen's error, so the ranking is exactly the one
 that rescoring every candidate would give.  The float64 rows are read only
-for that band, so a checkpoint's table can stay in its file, mapped, with
-only the screen in memory (``trainer.load_checkpoint``).
+for that band, so a checkpoint's table can stay in its file, with only the
+screen in memory (``trainer.load_checkpoint``).
+
+A checkpoint's two large arrays, the pretrained table and the learned gloss
+embedding, are ``FileMatrix`` mappings of its file, and both are read one
+row at a time by position (``FileMatrix.read``), never through the mapping.
+Each row read is checked against what the load computed from it: a table
+row against its screen row, an embedding row against its fingerprint
+(``row_fingerprints``).
 """
 
 from __future__ import annotations
 
 import math
-import mmap
+import os
+import weakref
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -44,6 +52,40 @@ U32 = 2.0**-24
 U64 = 2.0**-53
 
 
+class FileMatrix(np.memmap):
+    """A read-only mapping of an (n, D) float64 array in an open file, with its own descriptor on that file.
+
+    ``read`` copies rows by position through the descriptor, never through
+    the mapping: a read maps no page, so the rows a process reads do not
+    pile up in it, and a file cut short while it is loaded is a DataError
+    naming it, not a SIGBUS.  The descriptor stays on the file that was
+    mapped, so a file renamed over its path later is not read.  It is closed
+    when the mapping is collected.  A view of the mapping, or an array
+    computed from it, has no descriptor and is read as any array is.
+    """
+
+    descriptor: int | None = None
+
+    def __new__(cls, handle: BinaryIO, offset: int, shape: tuple[int, ...]) -> "FileMatrix":
+        self = super().__new__(cls, handle, "<f8", "r", offset=offset, shape=shape)
+        self.descriptor = os.dup(handle.fileno())
+        weakref.finalize(self, os.close, self.descriptor)
+        return self
+
+    def read(self, index: np.ndarray) -> np.ndarray:
+        """Copies of the rows at ``index``: one ``os.preadv`` into each output row, at ``offset + i·D·8``."""
+        rows = np.empty((len(index), self.shape[1]))
+        for row, i in zip(rows, np.asarray(index).tolist()):
+            if os.preadv(self.descriptor, [row], self.offset + i * row.nbytes) != row.nbytes:
+                raise DataError(f"{self.filename}: row {i} runs past the end of the file")
+        return rows
+
+
+def _file_backed(matrix: np.ndarray) -> bool:
+    """Whether ``matrix`` is a whole ``FileMatrix``, whose rows are read by position."""
+    return getattr(matrix, "descriptor", None) is not None
+
+
 @dataclass
 class PretrainedTable:
     """Immutable word -> D-vector table with cached row norms and a float32 screen.
@@ -54,11 +96,11 @@ class PretrainedTable:
     ValueError unless the matrix is (len(words), D), the words are unique and
     in that order, and every row has a finite nonzero norm.
 
-    ``matrix`` is an array in memory or a read-only ``np.memmap`` of a
-    checkpoint file.  The constructor makes one pass over its rows, a block
-    at a time; ``blocks``, when given, yields those rows in order in place of
-    slices of the matrix, so a checkpoint load can stream them from the file
-    while it checks their CRC-32 and never read the mapping whole.
+    ``matrix`` is an array in memory or a ``FileMatrix`` of a checkpoint
+    file.  The constructor makes one pass over its rows, a block at a time;
+    ``blocks``, when given, yields those rows in order in place of slices of
+    the matrix, so a checkpoint load can stream them from the file while it
+    checks their CRC-32 and never read the mapping whole.
     """
 
     words: list[str]
@@ -70,7 +112,7 @@ class PretrainedTable:
     spans: dict[int, slice] = field(init=False)  # each word length present -> its rows, ascending
 
     def __post_init__(self, blocks: Iterable[np.ndarray] | None) -> None:
-        self.matrix = np.asanyarray(self.matrix, dtype=np.float64)  # a memmap stays one
+        self.matrix = np.asanyarray(self.matrix, dtype=np.float64)  # a FileMatrix stays one
         if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.words):
             raise ValueError("matrix must be (len(words), D)")
         self.word_to_row = {w: i for i, w in enumerate(self.words)}
@@ -129,22 +171,13 @@ class PretrainedTable:
     def gather(self, index: np.ndarray) -> np.ndarray:
         """Copies of the float64 rows at ``index``, checked against their screen rows.
 
-        A mapped table copies one row at a time and drops the mapping's pages
-        from memory after each: a read maps not one page but the pages around
-        it (on Linux 6.18 and ext4, about 1.6 MB a row), so the rows that
-        queries read neither pile up in the process nor add up within one
-        band.  A row whose float32 unit vector is no longer its screen row
-        has changed since the table was built, as when a loaded checkpoint is
-        rewritten in place: a DataError naming the file.
+        A file-backed table reads them by position (``FileMatrix.read``).  A
+        row whose float32 unit vector is no longer its screen row has changed
+        since the table was built, as when a loaded checkpoint is rewritten in
+        place: a DataError naming the file.
         """
-        mapped = isinstance(self.matrix, np.memmap)
-        if not mapped:
-            rows = self.matrix[index]
-        else:
-            rows = np.empty((len(index), self.dimension))
-            for k, i in enumerate(index):
-                rows[k] = self.matrix[i]
-                self.matrix.base.madvise(mmap.MADV_DONTNEED)
+        mapped = _file_backed(self.matrix)
+        rows = self.matrix.read(index) if mapped else self.matrix[index]
         with np.errstate(over="ignore", invalid="ignore"):  # a changed row may hold anything
             unchanged = np.array_equal((rows / self.norms[index, None]).astype(np.float32), self.screen[index])
         if not unchanged:
@@ -232,12 +265,50 @@ def load_pretrained(
     return PretrainedTable(words, np.stack(rows)), stats
 
 
+def row_fingerprints(rows: np.ndarray) -> np.ndarray:
+    """One float64 per (n, D) row: the row-wise sum of the row times fixed weights 1 + j/D.
+
+    Each row is summed on its own, so a row gets the same bits in a block of
+    any number of rows.  The weights differ from entry to entry and are all
+    positive, so negating a row, swapping two of its unequal entries or
+    moving one entry changes its fingerprint (bar a rounding coincidence),
+    and any inf or nan entry makes it inf or nan.  An entry overflowing the
+    sum makes it inf too, so fingerprints are compared by their bits.
+    """
+    weights = 1.0 + np.arange(rows.shape[-1]) / rows.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (rows * weights).sum(axis=-1)
+
+
 @dataclass
 class LearnedTable:
-    """Trainable gloss-token embedding matrix; the PAD row stays all-zero."""
+    """Trainable gloss-token embedding matrix; the PAD row stays all-zero.
+
+    ``matrix`` is an array in memory, or a ``FileMatrix`` of a checkpoint
+    file together with ``fingerprints``, each row's ``row_fingerprints`` as
+    the load read it.
+    """
 
     matrix: np.ndarray  # (vocab, E) float64
     pad_id: int
+    fingerprints: np.ndarray | None = None  # (vocab,) float64, for a file-backed matrix
+
+    def lookup(self, token_ids: np.ndarray) -> np.ndarray:
+        """The (..., B, L, E) embedding rows of (B, L) ``token_ids``.
+
+        An in-memory matrix is one ``np.take``, which also carries the leading
+        replica axes of ``objective._replica_losses``.  A file-backed one reads
+        each distinct id's row once by position and checks it against its
+        fingerprint: a row that no longer matches, as when a loaded checkpoint
+        is rewritten in place, is a DataError naming the file.
+        """
+        if not _file_backed(self.matrix):
+            return np.take(self.matrix, token_ids, axis=-2)
+        unique, inverse = np.unique(token_ids, return_inverse=True)
+        rows = self.matrix.read(unique)
+        if row_fingerprints(rows).tobytes() != self.fingerprints[unique].tobytes():
+            raise DataError(f"{self.matrix.filename}: embedding rows changed after the model was loaded")
+        return rows[inverse.reshape(np.shape(token_ids))]
 
 
 def _query_norms(query: np.ndarray) -> np.ndarray:

@@ -10,7 +10,9 @@ A gloss is embedded token by token and folded into one vector:
 The result is projected through a tanh layer into the pretrained embedding
 space.  Training, inference and the gradient check share one recurrence
 (``run_lstm_states``), one read-out (``read_out``, with its adjoint) and
-one forward (``forward``) that strings them together.  The parameter
+one forward (``forward``) that strings them together; its embedding
+gather is ``LearnedTable.lookup``, which reads a loaded checkpoint's rows
+from the file by position and checks each one.  The parameter
 layout is stated once: ``directions`` names a mode's LSTM runs,
 ``named_params`` names the arrays in ``param_dict`` order (the parameters,
 their gradients and their shapes alike) and ``param_shapes`` gives each
@@ -221,7 +223,7 @@ def forward(model: DefinitionModel, token_ids: np.ndarray, lengths: np.ndarray, 
     ``objective._replica_losses``); without ``record`` each run is its
     states, not an LSTMTrace.
     """
-    x = np.take(model.embeddings.matrix, token_ids, axis=-2)
+    x = model.embeddings.lookup(token_ids)
     inputs = [x, reverse_steps(x, lengths)] if len(model.lstms) > 1 else [x]
     runs = [run(params, x_dir, lengths, record) for params, x_dir in zip(model.lstms, inputs)]
     pre = read_out(model.mode, lengths, *(r.h if record else r for r in runs))

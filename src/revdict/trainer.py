@@ -11,15 +11,19 @@ array's shape and CRC-32), then each array's float64 bytes in C order, back
 to back in sorted name order; every number is little-endian.  Identical
 runs give bitwise-identical files.  Saving streams each array with no copy;
 loading checks every size against the file's before it allocates, reads
-each model array once straight into place, checks every CRC-32 and refuses
-a header key or array that the layout does not name.  The pretrained table
-stays in the file: loading maps it read-only and streams it once through a
-block buffer, checking its CRC-32 and building its norms and float32 screen
-as it goes, so only the screen is resident and ranking reads the float64
-rows of the few candidates it rescores.  The table is stored in
-word-length row order, and loading refuses a table in any other order
-rather than copy it to sort it.  The meta repeats no fact that its config
-or vocabulary fixes, and a save runs the load's checks first, so it writes
+each small model array once straight into place, checks every CRC-32 and
+refuses a header key or array that the layout does not name.  The two large
+arrays stay in the file: loading maps the pretrained table and the learned
+gloss embedding read-only (``FileMatrix``) and streams each once through a
+block buffer, checking its CRC-32 as it goes.  The table's pass builds its
+norms and float32 screen; the embedding's checks that it is finite and takes
+each row's fingerprint.  So only the screen, the fingerprints and the LSTM
+and projection arrays are resident: ranking reads the float64 rows of the
+few candidates it rescores, and encoding the rows of the gloss's tokens,
+each by position.  The table is stored in word-length row order, and
+loading refuses a table in any other order rather than copy it to sort it.
+The meta repeats no fact that its config or vocabulary fixes, and a save
+runs the load's checks first, on the table it already holds, so it writes
 nothing a load refuses.
 """
 
@@ -37,7 +41,7 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from .corpus import BUCKET_SIZE, DefinitionPair, EncodedPair, MINIBATCH_SIZE, bucket_and_batch
-from .embeddings import LEARNED_DIM, NORM_BLOCK_ROWS, PretrainedTable
+from .embeddings import LEARNED_DIM, NORM_BLOCK_ROWS, FileMatrix, PretrainedTable, row_fingerprints
 from .encoder import HIDDEN_SIZE, DefinitionModel, EncoderMode, param_shapes
 from .errors import ConfigError, DataError, NonFiniteLossError, decoding
 from .evaluator import median_rank, rank_of_correct, score_batches
@@ -51,6 +55,9 @@ EPSILON = 1e-8
 # parameter, its gradient and moments and the scratch rows stay in cache
 # (of 2^11..2^17, 2^15 was fastest on a 17,852 x 500 table on a 4 MB-L2 x86)
 ADAM_BLOCK = 1 << 15
+
+# the arrays a load leaves in the file and reads by position: the table and the gloss embedding
+FILE_BACKED = ("pretrained", "param/emb")
 
 CHECKPOINT_MAGIC = b"REVDICT\x00"
 CHECKPOINT_FORMAT = "revdict-checkpoint"
@@ -364,6 +371,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     so what a load would refuse is refused here with the same error and
     nothing is written; so is a model whose mode or PAD id disagrees with the
     config or the vocabulary, which a load derives them from (a ValueError).
+    The table's own checks ran when it was built, so it is used as it is.
     """
     model, mode = ckpt.model, ckpt.config.encoder_mode
     if model.mode.value != mode:
@@ -382,7 +390,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     }
     arrays = {f"param/{k}": v for k, v in model.param_dict().items()}
     arrays["pretrained"] = ckpt.pretrained.matrix
-    _checkpoint_from(meta, arrays)
+    _checkpoint_from(meta, arrays, pretrained=ckpt.pretrained)
     # a C-ordered little-endian float64 array is its own buffer; only another layout is copied
     data = {name: np.ascontiguousarray(array, "<f8").reshape(-1).view(np.uint8) for name, array in arrays.items()}
     meta["arrays"] = {name: {"shape": list(arrays[name].shape), "crc32": zlib.crc32(data[name])} for name in data}
@@ -411,11 +419,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint file; a malformed or foreign one is a DataError.
 
     The file must be exactly as long as its header says, which is checked
-    before any array is allocated.  Each model array is then read once,
-    straight into the array it ends up in, and its CRC-32 is checked.  The
-    pretrained table's matrix is a read-only ``np.memmap`` of the file, and
-    the table's constructor takes its rows from one streamed pass that ends
-    with the CRC-32 check.  A parameter holding an inf or nan is a
+    before any array is allocated.  Each small model array is then read
+    once, straight into the array it ends up in, and its CRC-32 is checked.
+    The pretrained table's matrix and the gloss embedding are read-only
+    ``FileMatrix`` mappings of the file, each checked by one streamed pass
+    that ends with its CRC-32 check: the table's constructor takes the
+    table's rows, and the embedding's pass checks that its rows are finite
+    and takes their fingerprints.  A parameter holding an inf or nan is a
     NonFiniteLossError.
     """
     try:
@@ -456,11 +466,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                     raise DataError(f"array {name!r} runs past the end of the file")
             if end != file_size:
                 raise DataError(f"checkpoint is {file_size} bytes, but its header describes {end}")
-            arrays, table_rows = {}, None
+            arrays, streams = {}, {}
             for name, shape, crc, offset in layout:
-                if name == "pretrained":
-                    arrays[name] = np.memmap(handle, "<f8", "r", offset=offset, shape=shape)
-                    table_rows = _stream_rows(handle, offset, shape, crc)
+                if name in FILE_BACKED:
+                    arrays[name] = FileMatrix(handle, offset, shape)
+                    streams[name] = _stream_rows(handle, offset, shape, crc, name)
                     continue
                 handle.seek(offset)
                 array = np.empty(shape, "<f8")
@@ -470,15 +480,15 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 if zlib.crc32(data) != crc:
                     raise DataError(f"array {name!r} fails its CRC-32 check")
                 arrays[name] = array
-            return _checkpoint_from(meta, arrays, table_rows)
+            return _checkpoint_from(meta, arrays, streams)
     except (DataError, NonFiniteLossError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OSError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise DataError(f"{path}: unreadable checkpoint ({exc})") from exc
 
 
-def _stream_rows(handle: BinaryIO, offset: int, shape: tuple[int, ...], crc) -> Iterator[np.ndarray]:
-    """The rows of the (n, D) array at ``offset`` in ``handle``, read through one block buffer.
+def _stream_rows(handle: BinaryIO, offset: int, shape: tuple[int, ...], crc, name: str) -> Iterator[np.ndarray]:
+    """The rows of the (n, D) array ``name`` at ``offset`` in ``handle``, read through one block buffer.
 
     Each block is overwritten by the next, so it is used before the next is
     asked for.  The array's CRC-32 is checked after its last row.
@@ -491,21 +501,29 @@ def _stream_rows(handle: BinaryIO, offset: int, shape: tuple[int, ...], crc) -> 
         block = buffer[: min(NORM_BLOCK_ROWS, rows - lo)]
         data = block.reshape(-1).view(np.uint8)
         if handle.readinto(data) != data.size:
-            raise DataError("array 'pretrained' runs past the end of the file")
+            raise DataError(f"array {name!r} runs past the end of the file")
         running = zlib.crc32(data, running)
         yield block
     if running != crc:
-        raise DataError("array 'pretrained' fails its CRC-32 check")
+        raise DataError(f"array {name!r} fails its CRC-32 check")
 
 
 def _checkpoint_from(
-    meta: dict, arrays: dict[str, np.ndarray], table_rows: Iterator[np.ndarray] | None = None
+    meta: dict,
+    arrays: dict[str, np.ndarray],
+    streams: dict[str, Iterator[np.ndarray]] | None = None,
+    pretrained: PretrainedTable | None = None,
 ) -> Checkpoint:
     """Build a Checkpoint from its meta and arrays, checking every array's shape and that the parameters are finite.
 
-    ``table_rows``, when given, yields the rows of ``arrays["pretrained"]``
-    for the table's constructor (``PretrainedTable``'s ``blocks``).
+    ``streams``, when given, yields the rows of each ``FileMatrix`` in
+    ``arrays`` in blocks (``_stream_rows``), so that each is read once and
+    never through its mapping: the table's rows go to its constructor
+    (``PretrainedTable``'s ``blocks``), and the embedding's are checked and
+    fingerprinted here.  ``pretrained``, when given, is the table that the
+    meta's words and the ``pretrained`` array came from, used as it is.
     """
+    streams = streams or {}
     config = TrainConfig(**meta["config"]).validate()
     mode = EncoderMode(config.encoder_mode)
     for key in ("vocab", "pretrained_words"):  # no input matches a token or word that is not a string
@@ -518,27 +536,36 @@ def _checkpoint_from(
     shapes = param_shapes(mode, len(vocab), config.embed_dim, config.hidden_size, out_dim)
     expected = {"pretrained": (len(meta["pretrained_words"]), out_dim)}
     expected.update({f"param/{name}": shape for name, shape in shapes.items()})
+    fingerprints = []
     for name, shape in expected.items():
         if name not in arrays:
             raise DataError(f"checkpoint has no array {name!r}")
         found = arrays[name]
         if found.shape != shape or found.dtype != np.float64:
             raise DataError(f"array {name!r} is {found.dtype} {found.shape}, expected float64 {shape}")
-        # tanh would hide an inf parameter and answer from the saturated output; min and
-        # max carry any nan and any inf is one of them, so no array-sized temporary is made
-        if name.startswith("param/") and not np.isfinite([found.min(initial=0.0), found.max(initial=0.0)]).all():
-            raise NonFiniteLossError(f"array {name!r} has a non-finite entry")
+        if not name.startswith("param/"):
+            continue
+        for block in streams.get(name, (found,)):
+            # tanh would hide an inf parameter and answer from the saturated output; min and
+            # max carry any nan and any inf is one of them, so no array-sized temporary is made
+            if not np.isfinite([block.min(initial=0.0), block.max(initial=0.0)]).all():
+                raise NonFiniteLossError(f"array {name!r} has a non-finite entry")
+            if name in streams:
+                fingerprints.append(row_fingerprints(block))
     unlisted = sorted(set(arrays) - set(expected))
     if unlisted:
         raise DataError(f"checkpoint has an array {unlisted[0]!r} that its layout does not list")
-    try:  # a table out of word-length order is refused, not copied to sort it
-        pretrained = PretrainedTable(list(meta["pretrained_words"]), arrays["pretrained"], table_rows)
-    except DataError:  # the streamed rows' own check
-        raise
-    except ValueError as exc:
-        raise DataError(f"array 'pretrained': {exc}") from exc
+    if pretrained is None:
+        try:  # a table out of word-length order is refused, not copied to sort it
+            pretrained = PretrainedTable(list(meta["pretrained_words"]), arrays["pretrained"], streams.get("pretrained"))
+        except DataError:  # the streamed rows' own check
+            raise
+        except ValueError as exc:
+            raise DataError(f"array 'pretrained': {exc}") from exc
 
     model = DefinitionModel.from_params(mode, vocab.pad_id, {name: arrays[f"param/{name}"] for name in shapes})
+    if "param/emb" in streams:
+        model.embeddings.fingerprints = np.concatenate(fingerprints)
     merges = None
     if meta["merges"] is not None:
         for pair in meta["merges"]:  # the rule MergeTable.load applies to a merge file's lines

@@ -96,6 +96,13 @@ def rewrite_checkpoint(
         target.write_bytes(patch(target.read_bytes()))
 
 
+def array_start(path, name):
+    """The file offset of array ``name``'s first byte in the checkpoint at ``path``."""
+    header, _ = read_checkpoint_file(path)
+    start = PREFIX_SIZE + int.from_bytes(path.read_bytes()[8:16], "little")
+    return start + sum(8 * math.prod(entry["shape"]) for key, entry in header["arrays"].items() if key < name)
+
+
 def array_entry(name, **entry):
     """A ``rewrite_checkpoint`` meta edit of the header's ``arrays`` that replaces array ``name``'s entry."""
     return {"arrays": lambda layout: {**layout, name: entry}}
@@ -681,7 +688,8 @@ class TestTrainEvalQuery:
         # query and eval name the error instead of answering from saturated gates
         checkpoint = load_checkpoint(trained)
         checkpoint.model.lstms[0].w[:] = 1e300
-        checkpoint.model.embeddings.matrix[:] = 1e10
+        emb = checkpoint.model.embeddings
+        emb.matrix = np.full(emb.matrix.shape, 1e10)  # the loaded matrix is a read-only mapping of the file
         broken = workspace / "overflow.ckpt"
         save_checkpoint(broken, checkpoint)
         capsys.readouterr()
@@ -711,7 +719,10 @@ class TestTrainEvalQuery:
         assert [f"{w}\t{v!r}" for w, v in rank_by_cosine(uncut, checkpoint.pretrained, topk=7)] != long_block
 
     def query_blocks(self, capsys):
-        out = capsys.readouterr().out
+        return self.query_blocks_of(capsys.readouterr().out)
+
+    @staticmethod
+    def query_blocks_of(out):
         return [block.splitlines() for block in out.split("\n\n") if block.strip()]
 
     def test_query_prints_topk_lines(self, workspace, trained, capsys, monkeypatch):
@@ -764,8 +775,7 @@ class TestTrainEvalQuery:
         # at the same size while query has the file loaded, the next line that rescores it
         # sees the row no longer match its screen row and stops with exit 2, naming the file
         header, _ = read_checkpoint_file(trained)
-        start = PREFIX_SIZE + int.from_bytes(trained.read_bytes()[8:16], "little")
-        start += sum(8 * math.prod(entry["shape"]) for name, entry in header["arrays"].items() if name < "pretrained")
+        start = array_start(trained, "pretrained")
         width = 8 * header["arrays"]["pretrained"]["shape"][1]
 
         def lines():
@@ -782,6 +792,63 @@ class TestTrainEvalQuery:
         capsys.readouterr()
         assert run(["query", "--checkpoint", str(trained)]) == 2
         assert capsys.readouterr().err == f"data error: {trained}: pretrained rows changed after the table was loaded\n"
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda row: -row,
+            lambda row: row[[1, 0, *range(2, row.size)]],
+            lambda row: row * np.r_[1.0 + 2.0**-20, np.ones(row.size - 1)],
+        ],
+        ids=["negated", "two-entries-swapped", "one-entry-scaled-by-one-plus-2-to-the-minus-20"],
+    )
+    def test_embedding_rows_rewritten_in_place_after_load_are_a_data_error(
+        self, workspace, trained, capsys, monkeypatch, rewrite
+    ):
+        # the gloss embedding stays in the file too; each line reads its tokens' rows by
+        # position and checks their fingerprints, so a rewritten row of a token the next
+        # line uses stops query with exit 2, naming the file
+        header, _ = read_checkpoint_file(trained)
+        width = 8 * header["arrays"]["param/emb"]["shape"][1]
+        at = array_start(trained, "param/emb") + width * header["vocab"].index("feline")
+
+        def lines():
+            yield "small feline\n"
+            with open(trained, "r+b") as handle:
+                handle.seek(at)
+                row = np.frombuffer(handle.read(width))
+                assert rewrite(row).tobytes() != row.tobytes()
+                handle.seek(at)
+                handle.write(rewrite(row).tobytes())
+            yield "small feline\n"
+
+        monkeypatch.setattr("sys.stdin", lines())
+        capsys.readouterr()
+        assert run(["query", "--checkpoint", str(trained)]) == 2
+        out, err = capsys.readouterr()
+        assert len(self.query_blocks_of(out)) == 1  # the first line was answered from the rows as loaded
+        assert err == f"data error: {trained}: embedding rows changed after the model was loaded\n"
+
+    @pytest.mark.parametrize("cut", ["param/emb", "pretrained"], ids=["embedding", "table"])
+    def test_checkpoint_truncated_while_loaded_is_a_data_error(self, workspace, trained, cut):
+        # truncating a loaded checkpoint at the start of an array cuts off rows the next line
+        # reads; a read through a mapping would kill the process (SIGBUS), so query runs in a
+        # child process
+        size = array_start(trained, cut)
+        child = (
+            "import os, sys\n"
+            "from revdict.cli import run\n"
+            "def lines():\n"
+            "    yield 'small feline\\n'\n"
+            f"    os.truncate({str(trained)!r}, {size})\n"
+            "    yield 'small feline\\n'\n"
+            "sys.stdin = lines()\n"
+            f"sys.exit(run(['query', '--checkpoint', {str(trained)!r}]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert len(self.query_blocks_of(proc.stdout)) == 1
+        assert re.fullmatch(f"data error: {re.escape(str(trained))}: row \\d+ runs past the end of the file\n", proc.stderr)
 
 
 def damaged_copies(path, seed):

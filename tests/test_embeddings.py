@@ -19,6 +19,7 @@ from revdict.embeddings import (
     cosine_to_all,
     load_pretrained,
     rank_by_cosine,
+    row_fingerprints,
 )
 from revdict.errors import DataError, NonFiniteLossError
 from revdict.evaluator import rank_of_correct
@@ -390,6 +391,32 @@ def test_blocked_norms_equal_the_whole_table_norm_bitwise(rows):
     matrix = rng.normal(size=(rows, 300)) * np.exp(rng.uniform(-20, 20, size=(rows, 1)))
     table = PretrainedTable.from_arrays([f"w{i:05d}" for i in range(rows)], matrix)
     assert table.norms.tobytes() == np.linalg.norm(matrix, axis=1).tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows", [1, NORM_BLOCK_ROWS, 2 * NORM_BLOCK_ROWS + 37], ids=["one-row", "one-block", "partial-last-block"]
+)
+def test_row_fingerprints_take_the_same_bits_in_any_block(rows):
+    # a load fingerprints a block of NORM_BLOCK_ROWS rows at a time, a lookup the few rows it reads
+    rng = np.random.default_rng(rows)
+    matrix = rng.normal(size=(rows, 500)) * np.exp(rng.uniform(-20, 20, size=(rows, 1)))
+    whole = row_fingerprints(matrix)
+    blocks = [row_fingerprints(matrix[lo : lo + NORM_BLOCK_ROWS]) for lo in range(0, rows, NORM_BLOCK_ROWS)]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+    picked = rng.permutation(rows)[:7]
+    assert row_fingerprints(matrix[picked]).tobytes() == whole[picked].tobytes()
+    assert np.concatenate([row_fingerprints(matrix[i : i + 1]) for i in picked]).tobytes() == whole[picked].tobytes()
+
+
+def test_row_fingerprints_change_when_a_row_is_negated_permuted_or_nudged():
+    # an XOR or a wrapping integer sum of a row's 64-bit words is blind to negation:
+    # it flips all D sign bits, an even number at D = 500
+    rows = np.random.default_rng(8).normal(size=(200, 500))
+    before = row_fingerprints(rows)
+    swapped = rows[:, [1, 0, *range(2, 500)]]
+    nudged = rows * np.r_[1.0 + 2.0**-20, np.ones(499)]
+    for changed in (-rows, swapped, nudged):
+        assert np.all(row_fingerprints(changed) != before)
 
 
 def test_rows_out_of_length_order_are_refused():

@@ -389,6 +389,12 @@ def writestr_checkpoint(path, ckpt, meta):
     write_checkpoint_file(path, {**meta, "arrays": layout}, data)
 
 
+def rss_file_kb():
+    """This process's resident file-backed pages, in kB."""
+    status = Path("/proc/self/status").read_text().splitlines()
+    return int(next(line for line in status if line.startswith("RssFile:")).split()[1])
+
+
 def large_checkpoint(rows, dim, vocab_size=10, embed_dim=6):
     """An untrained checkpoint over a ``rows`` x ``dim`` table of same-length words."""
     rng = np.random.default_rng(21)
@@ -533,14 +539,53 @@ class TestCheckpointIO:
         arrays = [*loaded.model.param_dict().values(), loaded.pretrained.matrix]
         assert peak <= 1.2 * sum(a.nbytes for a in arrays)
 
+    def test_load_peak_memory_stays_below_the_embedding(self, tmp_path):
+        # the gloss embedding stays in the file like the table: a load streams it through
+        # one block buffer, so its peak is far below the array it would otherwise copy
+        ckpt = large_checkpoint(rows=4, dim=4, vocab_size=20_000, embed_dim=128)
+        path = tmp_path / "wide.ckpt"
+        save_checkpoint(path, ckpt)
+        emb_bytes = ckpt.model.embeddings.matrix.nbytes
+        del ckpt
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(a.nbytes for a in loaded.model.param_dict().values()) == emb_bytes
+        assert peak < emb_bytes
+
+    def test_loaded_embedding_lookup_equals_the_in_memory_take(self, tmp_path):
+        ckpt, _ = self.make_checkpoint()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        loaded = load_checkpoint(path).model.embeddings
+        ids = np.random.default_rng(3).integers(0, len(ckpt.vocab), size=(5, 7))  # repeats included
+        assert loaded.lookup(ids).tobytes() == np.take(ckpt.model.embeddings.matrix, ids, axis=0).tobytes()
+        assert loaded.lookup(ids[:1, :1]).shape == (1, 1, ckpt.config.embed_dim)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads RssFile from /proc/self/status")
+    def test_encoding_glosses_leaves_no_embedding_pages_resident(self, tmp_path):
+        # each encode reads its tokens' embedding rows by position, so 2,000 glosses over
+        # a 20k-token vocabulary add no file pages to the process
+        ckpt = large_checkpoint(rows=4, dim=4, vocab_size=20_000, embed_dim=128)
+        path = tmp_path / "wide.ckpt"
+        save_checkpoint(path, ckpt)
+        del ckpt
+        model = load_checkpoint(path).model
+        rng = np.random.default_rng(5)
+        glosses = [rng.integers(0, 20_000, size=int(rng.integers(1, 13))) for _ in range(2_001)]
+        model.encode_ids(glosses[0], np.array([glosses[0].size]))
+        before = rss_file_kb()
+        for ids in glosses[1:]:
+            model.encode_ids(ids, np.array([ids.size]))
+        assert rss_file_kb() - before < 5 * 1024
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads RssFile from /proc/self/status")
     def test_answering_queries_leaves_no_table_pages_resident(self, tmp_path):
-        # the table stays in the file; each ranking reads its band's rows from the mapping
-        # and drops the pages after, so 2,000 answers add no file pages to the process
-        def rss_file_kb():
-            status = Path("/proc/self/status").read_text().splitlines()
-            return int(next(line for line in status if line.startswith("RssFile:")).split()[1])
-
+        # the table stays in the file; each ranking reads its band's rows by position,
+        # not through the mapping, so 2,000 answers add no file pages to the process
         ckpt = large_checkpoint(rows=20_480, dim=128)
         path = tmp_path / "large.ckpt"
         save_checkpoint(path, ckpt)
@@ -561,7 +606,8 @@ class TestCheckpointIO:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < ckpt.pretrained.matrix.nbytes
+        # a save checks the table it holds; a second table's float32 screen alone is half a table
+        assert peak < ckpt.pretrained.matrix.nbytes / 2
 
     def test_finite_check_makes_no_array_sized_temporary(self, tmp_path):
         ckpt = large_checkpoint(rows=4, dim=4, vocab_size=100, embed_dim=20_000)
