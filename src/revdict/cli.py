@@ -33,8 +33,7 @@ from .tokenizer import (
     build_word_vocab,
     encode_gloss,
     learn_bpe,
-    segment_tokens,
-    segment_word,
+    segment_distinct,
 )
 from .trainer import load_checkpoint, read_config, save_checkpoint, train
 
@@ -84,9 +83,10 @@ def _gloss_frequencies(pairs: list[DefinitionPair], merges: MergeTable | None) -
     words = Counter(token for pair in pairs for token in pair.gloss)
     if merges is None:
         return words
+    subwords = segment_distinct(words, merges)
     freqs: Counter = Counter()
     for word, count in words.items():
-        for subword in segment_word(word, merges):
+        for subword in subwords[word]:
             freqs[subword] += count
     return freqs
 
@@ -109,8 +109,9 @@ def _cmd_learn_bpe(args) -> int:
 def _cmd_apply_bpe(args) -> int:
     pairs, _ = load_definitions(args.input)
     table = MergeTable.load(args.merges)
+    subwords = segment_distinct((token for pair in pairs for token in pair.gloss), table)
     segmented = [
-        DefinitionPair(head=pair.head, gloss=tuple(segment_tokens(pair.gloss, table)))
+        DefinitionPair(head=pair.head, gloss=tuple(s for token in pair.gloss for s in subwords[token]))
         for pair in pairs
     ]
     save_definitions(args.output, segmented)

@@ -55,13 +55,14 @@ U64 = 2.0**-53
 class FileMatrix(np.memmap):
     """A read-only mapping of an (n, D) float64 array in an open file, with its own descriptor on that file.
 
-    ``read`` copies rows by position through the descriptor, never through
-    the mapping: a read maps no page, so the rows a process reads do not
-    pile up in it, and a file cut short while it is loaded is a DataError
-    naming it, not a SIGBUS.  The descriptor stays on the file that was
-    mapped, so a file renamed over its path later is not read.  It is closed
-    when the mapping is collected.  A view of the mapping, or an array
-    computed from it, has no descriptor and is read as any array is.
+    ``read`` and ``read_span`` copy rows by position through the
+    descriptor, never through the mapping: a read maps no page, so the rows
+    a process reads do not pile up in it, and a file cut short while it is
+    loaded is a DataError naming it, not a SIGBUS.  The descriptor stays on
+    the file that was mapped, so a file renamed over its path later is not
+    read.  It is closed when the mapping is collected.  A view of the
+    mapping, or an array computed from it, has no descriptor and is read as
+    any array is.
     """
 
     descriptor: int | None = None
@@ -78,6 +79,14 @@ class FileMatrix(np.memmap):
         for row, i in zip(rows, np.asarray(index).tolist()):
             if os.preadv(self.descriptor, [row], self.offset + i * row.nbytes) != row.nbytes:
                 raise DataError(f"{self.filename}: row {i} runs past the end of the file")
+        return rows
+
+    def read_span(self, lo: int, hi: int) -> np.ndarray:
+        """A copy of rows ``lo`` to ``hi - 1``: one ``os.preadv`` at ``offset + lo·D·8``."""
+        rows = np.empty((hi - lo, self.shape[1]))
+        got = os.preadv(self.descriptor, [rows], self.offset + lo * rows.itemsize * self.shape[1])
+        if got != rows.nbytes:
+            raise DataError(f"{self.filename}: row {lo + got // rows[0].nbytes} runs past the end of the file")
         return rows
 
 

@@ -5,7 +5,10 @@ word-final marker fused onto the last character ("dogs" -> d o g s#), and
 the most frequent adjacent symbol pair is merged repeatedly.  Count ties
 prefer the alphabetically earliest left symbol, then the earliest right
 symbol; the learner finds that pair with a max-heap of (-count, pair)
-whose stale entries are dropped when they surface.
+whose stale entries are dropped when they surface.  A merge rewrites each
+word holding its pair in one left-to-right pass and moves only the counts
+of the pairs beside each merged occurrence, as Sennrich et al.'s
+reference learner does.
 
 A word is segmented as if every merge of the table were replayed on it in
 order, but only the merges that change it are run ("skip-replay"): the
@@ -16,13 +19,14 @@ comes, which replay would leave as a no-op, so the result equals replay
 for every table, including tables that emit one symbol from two different
 pairs or list a pair twice.  Segmented words are rendered with a trailing
 "@@" on every non-final subword, e.g. "commencing" -> "comm@@ en@@ cing".
+``segment_distinct`` segments each distinct word of a text once.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -147,10 +151,12 @@ def learn_bpe(word_frequencies: Mapping[str, int], num_merges: int = BPE_MERGES)
     stops after ``num_merges`` merges or once the best pair occurs fewer
     than twice.
     """
-    words = [_initial_symbols(w) for w in word_frequencies]
+    words = [list(_initial_symbols(w)) for w in word_frequencies]
     freqs = [int(word_frequencies[w]) for w in word_frequencies]
 
-    pair_counts: Counter[tuple[str, str]] = Counter()
+    pair_counts: defaultdict[tuple[str, str], int] = defaultdict(int)
+    # a superset index: every word holding a pair is listed under it, and a
+    # word listed under a pair it no longer holds is passed over harmlessly
     where: dict[tuple[str, str], set[int]] = {}
     for idx, symbols in enumerate(words):
         for pair in zip(symbols, symbols[1:]):
@@ -174,28 +180,44 @@ def learn_bpe(word_frequencies: Mapping[str, int], num_merges: int = BPE_MERGES)
         best = heap[0][1]
         merges.append(best)
 
-        touched: set[tuple[str, str]] = set()
-        for idx in sorted(where.get(best, ())):
-            old = words[idx]
-            new = _merge_symbols(old, best)
-            for pair in zip(old, old[1:]):
-                pair_counts[pair] -= freqs[idx]
-                if pair_counts[pair] <= 0:
-                    del pair_counts[pair]
-                occupants = where.get(pair)
-                if occupants is not None:
-                    occupants.discard(idx)
-                    if not occupants:
-                        del where[pair]
-                touched.add(pair)
-            for pair in zip(new, new[1:]):
-                pair_counts[pair] += freqs[idx]
-                where.setdefault(pair, set()).add(idx)
-                touched.add(pair)
+        # one left-to-right pass per word, as _merge_symbols makes it; each
+        # merge changes only the pairs beside it, whose counts move by the
+        # word's frequency.  The left neighbour is the last symbol emitted, so
+        # runs such as "a b a b" and "a a a" net out right.
+        a, b = best
+        fused = a + b
+        delta: defaultdict[tuple[str, str], int] = defaultdict(int)
+        for idx in where.pop(best):
+            old, f = words[idx], freqs[idx]
+            new: list[str] = []
+            i, n = 0, len(old)
+            while i < n:
+                if old[i] == a and i + 1 < n and old[i + 1] == b:
+                    delta[best] -= f
+                    if new:
+                        delta[new[-1], a] -= f
+                        delta[new[-1], fused] += f
+                        where.setdefault((new[-1], fused), set()).add(idx)
+                    if i + 2 < n:
+                        delta[b, old[i + 2]] -= f
+                        delta[fused, old[i + 2]] += f
+                        where.setdefault((fused, old[i + 2]), set()).add(idx)
+                    new.append(fused)
+                    i += 2
+                else:
+                    new.append(old[i])
+                    i += 1
             words[idx] = new
-        for pair in touched:
-            if pair in pair_counts:
-                heapq.heappush(heap, (-pair_counts[pair], pair))
+        # a pair whose count did not change keeps its entry, which is still current
+        for pair, change in delta.items():
+            if change:
+                count = pair_counts.get(pair, 0) + change
+                if count > 0:
+                    pair_counts[pair] = count
+                    heapq.heappush(heap, (-count, pair))
+                else:
+                    del pair_counts[pair]
+                    where.pop(pair, None)
     return MergeTable(merges=merges)
 
 
@@ -238,6 +260,15 @@ def render_subwords(subwords: list[str]) -> list[str]:
 def segment_word(word: str, table: MergeTable) -> list[str]:
     """Segment and serialize a word, e.g. "abd" -> ["ab@@", "d"]."""
     return render_subwords(apply_bpe(word, table))
+
+
+def segment_distinct(words: Iterable[str], table: MergeTable) -> dict[str, list[str]]:
+    """Each distinct word of ``words`` mapped to ``segment_word`` of it, which runs once per word."""
+    segmented: dict[str, list[str]] = {}
+    for word in words:
+        if word not in segmented:
+            segmented[word] = segment_word(word, table)
+    return segmented
 
 
 def segment_tokens(tokens: Iterable[str], table: MergeTable) -> list[str]:

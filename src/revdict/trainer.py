@@ -9,7 +9,8 @@ A checkpoint is one flat file: an 8-byte magic, the header's length (8
 bytes) and CRC-32 (4 bytes), the UTF-8 JSON header (the meta plus each
 array's shape and CRC-32), then each array's float64 bytes in C order, back
 to back in sorted name order; every number is little-endian.  Identical
-runs give bitwise-identical files.  Saving streams each array with no copy;
+runs give bitwise-identical files.  Saving streams each array with no copy,
+and an array still in a loaded checkpoint's file a block of rows at a time;
 loading checks every size against the file's before it allocates, reads
 each small model array once straight into place, checks every CRC-32 and
 refuses a header key or array that the layout does not name.  The two large
@@ -41,7 +42,7 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from .corpus import BUCKET_SIZE, DefinitionPair, EncodedPair, MINIBATCH_SIZE, bucket_and_batch
-from .embeddings import LEARNED_DIM, NORM_BLOCK_ROWS, FileMatrix, PretrainedTable, row_fingerprints
+from .embeddings import LEARNED_DIM, NORM_BLOCK_ROWS, FileMatrix, PretrainedTable, _file_backed, row_fingerprints
 from .encoder import HIDDEN_SIZE, DefinitionModel, EncoderMode, param_shapes
 from .errors import ConfigError, DataError, NonFiniteLossError, decoding
 from .evaluator import median_rank, rank_of_correct, score_batches
@@ -365,13 +366,16 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     """Write a checkpoint file whose bytes depend only on its contents.
 
     Each array is streamed from its own buffer, so no copy of the table is
-    made.  The file is written to a temporary file beside ``path`` and
-    renamed over it, so a failed write leaves any previous file at ``path``
-    whole.  The load's checks run first on the meta and arrays to be written,
-    so what a load would refuse is refused here with the same error and
-    nothing is written; so is a model whose mode or PAD id disagrees with the
-    config or the vocabulary, which a load derives them from (a ValueError).
-    The table's own checks ran when it was built, so it is used as it is.
+    made.  An array mapped from a loaded checkpoint is read from its file a
+    block of rows at a time, never through the mapping, so a source file cut
+    short since the load is a DataError, not a SIGBUS.  The file is written
+    to a temporary file beside ``path`` and renamed over it, so a failed
+    write leaves any previous file at ``path`` whole.  The load's checks run
+    first on the meta and arrays to be written, so what a load would refuse
+    is refused here with the same error and nothing is written; so is a
+    model whose mode or PAD id disagrees with the config or the vocabulary,
+    which a load derives them from (a ValueError).  The table's own checks
+    ran when it was built, so it is used as it is.
     """
     model, mode = ckpt.model, ckpt.config.encoder_mode
     if model.mode.value != mode:
@@ -390,10 +394,14 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     }
     arrays = {f"param/{k}": v for k, v in model.param_dict().items()}
     arrays["pretrained"] = ckpt.pretrained.matrix
-    _checkpoint_from(meta, arrays, pretrained=ckpt.pretrained)
-    # a C-ordered little-endian float64 array is its own buffer; only another layout is copied
-    data = {name: np.ascontiguousarray(array, "<f8").reshape(-1).view(np.uint8) for name, array in arrays.items()}
-    meta["arrays"] = {name: {"shape": list(arrays[name].shape), "crc32": zlib.crc32(data[name])} for name in data}
+    streams = {name: _read_rows(array) for name, array in arrays.items() if _file_backed(array)}
+    _checkpoint_from(meta, arrays, streams, pretrained=ckpt.pretrained)
+    meta["arrays"] = {}
+    for name, array in arrays.items():
+        crc = 0
+        for chunk in _stored_bytes(array):
+            crc = zlib.crc32(chunk, crc)
+        meta["arrays"][name] = {"shape": list(array.shape), "crc32": crc}
     header = json.dumps(meta, sort_keys=True).encode("utf-8")
     path = Path(path)
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -401,12 +409,29 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         with open(partial, "wb") as handle:
             handle.write(CHECKPOINT_MAGIC + len(header).to_bytes(8, "little"))
             handle.write(zlib.crc32(header).to_bytes(4, "little") + header)
-            for name in sorted(data):
-                handle.write(data[name])
+            for name in sorted(arrays):
+                for chunk in _stored_bytes(arrays[name]):
+                    handle.write(chunk)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+
+
+def _read_rows(matrix: FileMatrix) -> Iterator[np.ndarray]:
+    """The rows of ``matrix`` in blocks, each copied by ``FileMatrix.read_span``, so a file cut short is a DataError."""
+    for lo in range(0, len(matrix), NORM_BLOCK_ROWS):
+        yield matrix.read_span(lo, min(lo + NORM_BLOCK_ROWS, len(matrix)))
+
+
+def _stored_bytes(array: np.ndarray) -> Iterator[np.ndarray]:
+    """The bytes a checkpoint stores for ``array``, C-ordered little-endian float64, in one or more chunks.
+
+    A C-ordered little-endian float64 array is its own buffer; only another
+    layout is copied.  A ``FileMatrix`` is read a block of rows at a time.
+    """
+    for block in _read_rows(array) if _file_backed(array) else (array,):
+        yield np.ascontiguousarray(block, "<f8").reshape(-1).view(np.uint8)
 
 
 # meta keys that save_checkpoint writes into the header beside "arrays"

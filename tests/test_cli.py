@@ -189,6 +189,27 @@ class TestSegmentationCommands:
             assert head == pair.head
             assert unsegment_text(gloss) == " ".join(pair.gloss)
 
+    def test_apply_segments_each_word_once_and_writes_what_per_token_segmentation_writes(self, workspace, monkeypatch):
+        # the merges are learned on DEFS alone, so the added lines hold words the table never saw
+        merges, defs = workspace / "merges.txt", workspace / "more.tsv"
+        assert run(["learn-bpe", "--input", str(workspace / "defs.tsv"), "--merges", "15", "--output", str(merges)]) == 0
+        defs.write_text(DEFS + "cat\tsmall small feline feline feline\nzebra\tstriped wild equine quagga\n")
+        pairs, _ = load_definitions(defs)
+        table = MergeTable.load(merges)
+        expected = "".join(f"{pair.head}\t{' '.join(segment_tokens(pair.gloss, table))}\n" for pair in pairs)
+        calls = []
+
+        def counting(word, table):
+            calls.append(word)
+            return segment_word(word, table)
+
+        monkeypatch.setattr("revdict.tokenizer.segment_word", counting)
+        segmented = workspace / "seg.tsv"
+        assert run(["apply-bpe", "--input", str(defs), "--merges", str(merges), "--output", str(segmented)]) == 0
+        assert segmented.read_bytes() == expected.encode("utf-8")
+        assert sorted(calls) == sorted({w for pair in pairs for w in pair.gloss})
+        assert len(calls) < sum(len(pair.gloss) for pair in pairs)
+
     def test_build_vocab_word_and_bpe(self, workspace):
         vocab_path = workspace / "vocab.txt"
         assert run(["build-vocab", "--input", str(workspace / "defs.tsv"), "--output", str(vocab_path), "--cap", "6"]) == 0
@@ -221,7 +242,7 @@ class TestSegmentationCommands:
             calls.append(word)
             return segment_word(word, table)
 
-        monkeypatch.setattr("revdict.cli.segment_word", counting)
+        monkeypatch.setattr("revdict.tokenizer.segment_word", counting)
         vocab_path, expected_path = workspace / "vocab.txt", workspace / "expected.txt"
         for path in (merges, no_merges):
             table = MergeTable.load(path)
@@ -849,6 +870,29 @@ class TestTrainEvalQuery:
         assert proc.returncode == 2, proc.stderr
         assert len(self.query_blocks_of(proc.stdout)) == 1
         assert re.fullmatch(f"data error: {re.escape(str(trained))}: row \\d+ runs past the end of the file\n", proc.stderr)
+
+    @pytest.mark.parametrize("cut", ["param/emb", "pretrained"], ids=["embedding", "table"])
+    def test_saving_a_checkpoint_truncated_while_loaded_is_a_data_error(self, workspace, trained, cut):
+        # the save checks, checksums and writes the rows of the arrays mapped from the loaded file;
+        # a read of a cut-off row through a mapping would kill the process (SIGBUS), so it runs in a
+        # child process
+        size, copy = array_start(trained, cut), workspace / "copy.ckpt"
+        child = (
+            "import os, sys\n"
+            "from revdict.errors import DataError\n"
+            "from revdict.trainer import load_checkpoint, save_checkpoint\n"
+            f"checkpoint = load_checkpoint({str(trained)!r})\n"
+            f"os.truncate({str(trained)!r}, {size})\n"
+            "try:\n"
+            f"    save_checkpoint({str(copy)!r}, checkpoint)\n"
+            "except DataError as exc:\n"
+            "    sys.exit(f'data error: {exc}')\n"
+        )
+        before = sorted(workspace.iterdir())
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert re.fullmatch(f"data error: {re.escape(str(trained))}: row \\d+ runs past the end of the file\n", proc.stderr)
+        assert sorted(workspace.iterdir()) == before
 
 
 def damaged_copies(path, seed):
