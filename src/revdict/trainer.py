@@ -30,7 +30,6 @@ nothing a load refuses.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -163,9 +162,10 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
+        # np.zeros takes zeroed pages from the allocator, where zeros_like writes every byte
         return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
+            m={k: np.zeros(p.shape) for k, p in params.items()},
+            v={k: np.zeros(p.shape) for k, p in params.items()},
         )
 
 
@@ -177,46 +177,46 @@ def adam_update(
 ) -> None:
     """One bias-corrected Adam step, updating ``params`` in place.
 
-    Every entry takes the step, also where its gradient is zero.  The rule
-    runs over ADAM_BLOCK-element slices of each flattened parameter, in
-    scratch rows of one block, so no parameter-sized temporary is made.  A
-    RowGradient's rows are written into a zeroed gradient block as the walk
-    reaches them and cleared after, so no dense gradient exists either.
     Per element it is exactly ``m = b1 m + (1-b1) g; v = b2 v + ((1-b2) g) g;
-    p -= (lr (m/bias1)) / (sqrt(v/bias2) + eps)``, operation for operation.
+    p -= (lr (m/bias1)) / (sqrt(v/bias2) + eps)``, operation for operation,
+    for every entry, in one-block scratch rows over ADAM_BLOCK-element slices
+    of each flattened parameter.  Only a RowGradient's rows take the gradient
+    terms; the others' ``m = b1 m; v = b2 v`` is the same, since adding +0
+    changes no value but -0.0, and ``b1 m`` (m starts at +0, and 0.9 times a
+    nonzero never rounds to 0) and ``b2 v`` are never -0.0.
     """
     state.t += 1
     bias1 = 1.0 - BETA1**state.t
     bias2 = 1.0 - BETA2**state.t
-    step, denom, zero_grad = np.zeros((3, ADAM_BLOCK))
+    step, denom = np.empty((2, ADAM_BLOCK))
     for name, param in params.items():
-        p, m, v = (_flat_view(a) for a in (param, state.m[name], state.v[name]))
+        if not all(a.flags.c_contiguous for a in (param, state.m[name], state.v[name])):
+            raise ValueError("adam_update needs C-contiguous parameters and moments")
+        p, m, v = (a.reshape(-1) for a in (param, state.m[name], state.v[name]))
         grad = grads[name]
-        sparse = isinstance(grad, RowGradient)
-        if sparse:
+        if isinstance(grad, RowGradient):
             width = p.size // grad.shape[0]
-            at = (grad.rows[:, None] * width + np.arange(width)).ravel()  # ascending
+            at = (grad.rows[:, None] * width + np.arange(width)).ravel()  # ascending, no repeats
             values = grad.values.reshape(-1)
         else:
-            g = grad.reshape(-1)
+            at, values = None, grad.reshape(-1)
         for start in range(0, p.size, ADAM_BLOCK):
             stop = min(start + ADAM_BLOCK, p.size)
-            size = stop - start
             pb, mb, vb = p[start:stop], m[start:stop], v[start:stop]
-            if sparse:
-                lo, hi = np.searchsorted(at, (start, stop))
-                gb = zero_grad[:size]
-                gb[at[lo:hi] - start] = values[lo:hi]
+            if at is None:
+                gb, touched = values[start:stop], slice(None)  # numpy skips the write-back of mb[:] += gm
             else:
-                gb = g[start:stop]
-            sb, db = step[:size], denom[:size]
+                lo, hi = np.searchsorted(at, (start, stop))
+                gb, touched = values[lo:hi], at[lo:hi] - start
+            gm, gv = step[: gb.size], denom[: gb.size]
             mb *= BETA1
-            np.multiply(gb, 1.0 - BETA1, out=sb)
-            mb += sb
             vb *= BETA2
-            np.multiply(gb, 1.0 - BETA2, out=sb)
-            sb *= gb
-            vb += sb
+            np.multiply(gb, 1.0 - BETA1, out=gm)
+            np.multiply(gb, 1.0 - BETA2, out=gv)
+            gv *= gb
+            mb[touched] += gm
+            vb[touched] += gv
+            sb, db = step[: pb.size], denom[: pb.size]
             np.divide(mb, bias1, out=sb)
             sb *= lr
             np.divide(vb, bias2, out=db)
@@ -224,14 +224,6 @@ def adam_update(
             db += EPSILON
             sb /= db
             pb -= sb
-            if sparse:
-                gb[at[lo:hi] - start] = 0.0
-
-
-def _flat_view(array: np.ndarray) -> np.ndarray:
-    if not array.flags.c_contiguous:
-        raise ValueError("adam_update needs C-contiguous parameters and moments")
-    return array.reshape(-1)
 
 
 @dataclass
@@ -288,6 +280,10 @@ def train(
     The curve holds one dev median rank per completed epoch.  Ties in dev
     median keep the earlier epoch.  With epochs=0 the initialized model is
     returned, its dev median measured once, and the curve is empty.
+
+    Training holds the parameters and Adam's two moments, plus one copy of
+    the parameters, overwritten by each later best, once an epoch before the
+    last is the best so far; a best last epoch returns the live model.
     """
     config.validate()
     if not train_pairs:
@@ -315,21 +311,7 @@ def train(
     params = model.param_dict()
     adam = AdamState.for_params(params)
 
-    def snapshot(epoch: int, dev_median: float) -> Checkpoint:
-        return Checkpoint(
-            model=copy.deepcopy(model),
-            config=config,
-            vocab=vocab,
-            merges=merges,
-            pretrained=pretrained,
-            epoch=epoch,
-            dev_median_rank=dev_median,
-        )
-
-    if config.epochs == 0:
-        return snapshot(0, _dev_median(model, encoded_dev, pretrained)), []
-
-    best: Checkpoint | None = None
+    best_epoch, best_params = 0, None
     curve: list[float] = []
     for epoch in range(1, config.epochs + 1):
         batches = bucket_and_batch(
@@ -355,11 +337,24 @@ def train(
             except NonFiniteLossError as exc:
                 raise NonFiniteLossError(f"epoch {epoch} batch {index}: {exc}") from exc
             adam_update(params, grads, adam, config.learning_rate)
-        dev_median = _dev_median(model, encoded_dev, pretrained)
-        curve.append(dev_median)
-        if best is None or dev_median < best.dev_median_rank:
-            best = snapshot(epoch, dev_median)
-    return best, curve
+        curve.append(_dev_median(model, encoded_dev, pretrained))
+        if epoch == 1 or curve[-1] < curve[best_epoch - 1]:
+            best_epoch = epoch
+            if epoch < config.epochs:  # later epochs move the live model: keep this one's parameters
+                best_params = best_params or {name: np.empty_like(p) for name, p in params.items()}
+                for name, p in params.items():
+                    np.copyto(best_params[name], p)
+    if best_epoch < config.epochs:
+        model = DefinitionModel.from_params(model.mode, vocab.pad_id, best_params)
+    return Checkpoint(
+        model=model,
+        config=config,
+        vocab=vocab,
+        merges=merges,
+        pretrained=pretrained,
+        epoch=best_epoch,
+        dev_median_rank=curve[best_epoch - 1] if curve else _dev_median(model, encoded_dev, pretrained),
+    ), curve
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
@@ -395,7 +390,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     arrays = {f"param/{k}": v for k, v in model.param_dict().items()}
     arrays["pretrained"] = ckpt.pretrained.matrix
     streams = {name: _read_rows(array) for name, array in arrays.items() if _file_backed(array)}
-    _checkpoint_from(meta, arrays, streams, pretrained=ckpt.pretrained)
+    _checkpoint_from(meta, arrays, streams, pretrained=ckpt.pretrained, model=model)
     meta["arrays"] = {}
     for name, array in arrays.items():
         crc = 0
@@ -538,6 +533,7 @@ def _checkpoint_from(
     arrays: dict[str, np.ndarray],
     streams: dict[str, Iterator[np.ndarray]] | None = None,
     pretrained: PretrainedTable | None = None,
+    model: DefinitionModel | None = None,
 ) -> Checkpoint:
     """Build a Checkpoint from its meta and arrays, checking every array's shape and that the parameters are finite.
 
@@ -545,8 +541,9 @@ def _checkpoint_from(
     ``arrays`` in blocks (``_stream_rows``), so that each is read once and
     never through its mapping: the table's rows go to its constructor
     (``PretrainedTable``'s ``blocks``), and the embedding's are checked and
-    fingerprinted here.  ``pretrained``, when given, is the table that the
-    meta's words and the ``pretrained`` array came from, used as it is.
+    fingerprinted here.  ``pretrained`` and ``model``, when given, are the
+    table and model that the meta's words and the arrays came from, used as
+    they are, so a save's check takes no fingerprints.
     """
     streams = streams or {}
     config = TrainConfig(**meta["config"]).validate()
@@ -575,7 +572,7 @@ def _checkpoint_from(
             # max carry any nan and any inf is one of them, so no array-sized temporary is made
             if not np.isfinite([block.min(initial=0.0), block.max(initial=0.0)]).all():
                 raise NonFiniteLossError(f"array {name!r} has a non-finite entry")
-            if name in streams:
+            if name in streams and model is None:
                 fingerprints.append(row_fingerprints(block))
     unlisted = sorted(set(arrays) - set(expected))
     if unlisted:
@@ -588,9 +585,10 @@ def _checkpoint_from(
         except ValueError as exc:
             raise DataError(f"array 'pretrained': {exc}") from exc
 
-    model = DefinitionModel.from_params(mode, vocab.pad_id, {name: arrays[f"param/{name}"] for name in shapes})
-    if "param/emb" in streams:
-        model.embeddings.fingerprints = np.concatenate(fingerprints)
+    if model is None:
+        model = DefinitionModel.from_params(mode, vocab.pad_id, {name: arrays[f"param/{name}"] for name in shapes})
+        if "param/emb" in streams:
+            model.embeddings.fingerprints = np.concatenate(fingerprints)
     merges = None
     if meta["merges"] is not None:
         for pair in meta["merges"]:  # the rule MergeTable.load applies to a merge file's lines

@@ -14,7 +14,7 @@ from conftest import framed_header, read_checkpoint_file, write_checkpoint_file
 from revdict import objective, trainer
 from revdict.corpus import DefinitionPair, EncodedPair
 from revdict.encoder import DefinitionModel, EncoderMode
-from revdict.embeddings import PretrainedTable, cosine_to_all, rank_by_cosine
+from revdict.embeddings import PretrainedTable, cosine_to_all, rank_by_cosine, row_fingerprints
 from revdict.errors import ConfigError, DataError, NonFiniteLossError
 from revdict.evaluator import evaluate, median_rank, rank_of_correct
 from revdict.objective import LossKind, RowGradient, backward
@@ -57,6 +57,14 @@ def toy_world(seed=0, n_pairs=12, n_heads=10, out_dim=6, epochs=2, **config_kw):
     )
     defaults.update(config_kw)
     return pairs, table, vocab, TrainConfig(**defaults)
+
+
+def wide_world(seed, epochs, **config_kw):
+    """``toy_world`` with 20,000 more vocabulary tokens and E=32, so the gloss embedding is most of the parameters."""
+    pairs, table, vocab, cfg = toy_world(seed=seed, epochs=epochs, embed_dim=32, **config_kw)
+    counts = Counter(t for p in pairs for t in p.gloss)
+    counts.update({f"x{i}": 1 for i in range(20_000)})
+    return pairs, table, build_word_vocab(counts, cap=len(counts) + 2), cfg
 
 
 class TestTrainConfig:
@@ -252,6 +260,42 @@ class TestTrainingStepOracle:
         assert np.all(params["emb"][[0, 1, 4, 5]] != start[[0, 1, 4, 5]])
         assert np.all(params["emb"][[2, 3]] == start[[2, 3]])  # never a nonzero gradient, so m stays 0
 
+    def test_row_restricted_terms_match_the_dense_oracle_over_many_steps(self, monkeypatch):
+        # only a RowGradient's rows take the gradient terms; over 60 steps the other rows'
+        # moments only decay, down to subnormals that stop shrinking, and must still hold
+        # the dense rule's bits, as must -0.0 and +0.0 gradient entries; 5-wide rows in
+        # 16-element blocks straddle block boundaries, and the 185-entry table ends in a
+        # partial block
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", 16)
+        rng = np.random.default_rng(6)
+        start = {"emb": rng.normal(size=(37, 5)), "w": rng.normal(size=(3, 7))}
+        params, oracle_params = copy.deepcopy(start), copy.deepcopy(start)
+        state, oracle_state = AdamState.for_params(params), AdamState.for_params(oracle_params)
+        idle = np.arange(10, 16)  # each touched once, at step row - 10, then never again
+        tiny = [1e-306, -1e-306, 4e-322, -4e-322, 5e-323, -0.0]  # m subnormal within 60 steps, or at once; +0
+        for step in range(60):
+            rows = np.setdiff1d(np.flatnonzero(rng.random(37) < 0.2), idle)
+            if step % 3 == 0:
+                rows = np.union1d(rows, [3, 36])  # row 3 is elements 15..19, across a block boundary
+            values = rng.normal(size=(len(rows), 5))
+            values[rng.random(values.shape) < 0.2] = -0.0
+            values[rng.random(values.shape) < 0.1] = 0.0
+            if step < len(idle):
+                rows, values = np.append(rows, idle[step]), np.vstack([values, np.full(5, tiny[step])])
+                order = np.argsort(rows)  # a RowGradient's rows ascend
+                rows, values = rows[order], values[order]
+            grad = RowGradient(rows=rows, values=values, shape=(37, 5))
+            dense_w = rng.normal(size=(3, 7))
+            adam_update(params, {"emb": grad, "w": dense_w}, state, lr=0.01)
+            dense_adam_update(oracle_params, {"emb": grad.dense(), "w": dense_w}, oracle_state, lr=0.01)
+            for name in start:
+                assert params[name].tobytes() == oracle_params[name].tobytes(), (step, name)
+                assert state.m[name].tobytes() == oracle_state.m[name].tobytes(), (step, name)
+                assert state.v[name].tobytes() == oracle_state.v[name].tobytes(), (step, name)
+        idle_m = state.m["emb"][idle]
+        assert np.all((idle_m[:5] != 0.0) & (np.abs(idle_m[:5]) < np.finfo(np.float64).tiny)), "m is subnormal"
+        assert np.all(idle_m[5] == 0.0) and not np.signbit(idle_m[5]).any()  # a -0.0 gradient leaves m at +0
+
     def test_non_contiguous_parameter_rejected(self):
         # a flattened copy would take the step and be thrown away
         params = {"w": np.zeros((4, 6))[:, ::2]}
@@ -288,6 +332,34 @@ class TestTrainLoop:
         assert len(curve) == 4
         assert ckpt.dev_median_rank == min(curve)
         assert ckpt.epoch == curve.index(min(curve)) + 1
+
+    @pytest.mark.parametrize("seed, learning_rate, best", [(0, 0.01, 1), (1, 0.05, 2)])
+    def test_an_earlier_best_epoch_returns_that_epochs_parameters(self, seed, learning_rate, best):
+        # epoch e shuffles with seed + e, so the first k epochs of any run are the same;
+        # the epochs=k run returns its live model, the longer one the copy it kept
+        pairs, table, vocab, cfg = wide_world(seed, epochs=3, learning_rate=learning_rate)
+        ckpt, curve = train(cfg, pairs, pairs, table, vocab)
+        assert ckpt.epoch == best < cfg.epochs
+        short, short_curve = train(cfg.override(epochs=best), pairs, pairs, table, vocab)
+        assert short_curve == curve[:best] and short.epoch == best
+        assert ckpt.dev_median_rank == short.dev_median_rank
+        for name, array in ckpt.model.param_dict().items():
+            assert array.tobytes() == short.model.param_dict()[name].tobytes(), name
+
+    @pytest.mark.parametrize("epochs, bound", [(1, 3.5), (3, 4.5)])
+    def test_peak_memory_is_params_moments_and_at_most_one_copy(self, epochs, bound):
+        # one epoch holds the parameters and two moments; several epochs, whose dev median
+        # falls after epoch 1, add one copy of the best epoch's parameters (measured: 3.1-3.3x
+        # and 4.1x; the bounds leave room for the first call's allocations in a process)
+        pairs, table, vocab, cfg = wide_world(1, epochs=epochs, learning_rate=0.05)
+        tracemalloc.start()
+        try:
+            ckpt, curve = train(cfg, pairs, pairs, table, vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert epochs == 1 or min(curve[1:]) < curve[0]
+        assert peak < bound * sum(a.nbytes for a in ckpt.model.param_dict().values())
 
     def test_rank_loss_runs_and_is_deterministic(self):
         pairs, table, vocab, cfg = toy_world(loss_kind="rank", epochs=2)
@@ -608,6 +680,26 @@ class TestCheckpointIO:
             tracemalloc.stop()
         # a save checks the table it holds; a second table's float32 screen alone is half a table
         assert peak < ckpt.pretrained.matrix.nbytes / 2
+
+    def test_saving_a_loaded_checkpoint_checks_its_rows_but_takes_no_fingerprints(self, tmp_path, monkeypatch):
+        # the load fingerprints each embedding row for the model it builds; a save builds
+        # no model, so it only checks the rows it streams from the file, which must be finite
+        ckpt, _ = self.make_checkpoint()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        calls = []
+        monkeypatch.setattr(trainer, "row_fingerprints", lambda rows: calls.append(len(rows)) or row_fingerprints(rows))
+        loaded = load_checkpoint(path)
+        assert sum(calls) == len(ckpt.vocab)
+        calls.clear()
+        save_checkpoint(tmp_path / "copy.ckpt", loaded)
+        assert calls == [] and (tmp_path / "copy.ckpt").read_bytes() == path.read_bytes()
+        with open(path, "r+b") as handle:  # an inf written into the file after the load
+            handle.seek(loaded.model.embeddings.matrix.offset + 8)
+            handle.write(np.array([np.inf]).tobytes())
+        with pytest.raises(NonFiniteLossError, match="array 'param/emb' has a non-finite entry"):
+            save_checkpoint(tmp_path / "bad.ckpt", loaded)
+        assert calls == [] and not (tmp_path / "bad.ckpt").exists()
 
     def test_finite_check_makes_no_array_sized_temporary(self, tmp_path):
         ckpt = large_checkpoint(rows=4, dim=4, vocab_size=100, embed_dim=20_000)
