@@ -44,9 +44,10 @@ class EncoderMode(str, Enum):
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) never overflows; both branches are the textbook halves
+    # exp(-|z|) never overflows; the numerator is 1 for z >= 0 (as ez <= 1) and ez below,
+    # the textbook halves 1/(1+ez) and ez/(1+ez) without a data-dependent branch
     ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    return np.maximum(ez, z >= 0) / (1.0 + ez)
 
 
 @dataclass

@@ -15,17 +15,18 @@ loading checks every size against the file's before it allocates, reads
 each small model array once straight into place, checks every CRC-32 and
 refuses a header key or array that the layout does not name.  The two large
 arrays stay in the file: loading maps the pretrained table and the learned
-gloss embedding read-only (``FileMatrix``) and streams each once through a
-block buffer, checking its CRC-32 as it goes.  The table's pass builds its
-norms and float32 screen; the embedding's checks that it is finite and takes
-each row's fingerprint.  So only the screen, the fingerprints and the LSTM
-and projection arrays are resident: ranking reads the float64 rows of the
-few candidates it rescores, and encoding the rows of the gloss's tokens,
-each by position.  The table is stored in word-length row order, and
-loading refuses a table in any other order rather than copy it to sort it.
-The meta repeats no fact that its config or vocabulary fixes, and a save
-runs the load's checks first, on the table it already holds, so it writes
-nothing a load refuses.
+gloss embedding read-only (``FileMatrix``) and streams each once through
+two block buffers: a reader thread reads each block and folds it into the
+array's CRC-32 while the block before it is worked on.  The table's pass
+builds its norms and float32 screen; the embedding's checks that it is
+finite and takes each row's fingerprint.  So only the screen, the
+fingerprints and the LSTM and projection arrays are resident: ranking reads
+the float64 rows of the few candidates it rescores, and encoding the rows of
+the gloss's tokens, each by position.  The table is stored in word-length
+row order, and loading refuses a table in any other order rather than copy
+it to sort it.  The meta repeats no fact that its config or vocabulary
+fixes, and a save runs the load's checks first, on the table it already
+holds, so it writes nothing a load refuses.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ import json
 import math
 import os
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -487,43 +489,66 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             if end != file_size:
                 raise DataError(f"checkpoint is {file_size} bytes, but its header describes {end}")
             arrays, streams = {}, {}
-            for name, shape, crc, offset in layout:
-                if name in FILE_BACKED:
-                    arrays[name] = FileMatrix(handle, offset, shape)
-                    streams[name] = _stream_rows(handle, offset, shape, crc, name)
-                    continue
-                handle.seek(offset)
-                array = np.empty(shape, "<f8")
-                data = array.reshape(-1).view(np.uint8)
-                if handle.readinto(data) != data.size:
-                    raise DataError(f"array {name!r} runs past the end of the file")
-                if zlib.crc32(data) != crc:
-                    raise DataError(f"array {name!r} fails its CRC-32 check")
-                arrays[name] = array
-            return _checkpoint_from(meta, arrays, streams)
+            try:
+                for name, shape, crc, offset in layout:
+                    if name in FILE_BACKED:
+                        arrays[name] = FileMatrix(handle, offset, shape)
+                        streams[name] = _stream_rows(handle.fileno(), offset, shape, crc, name)
+                        continue
+                    handle.seek(offset)
+                    array = np.empty(shape, "<f8")
+                    data = array.reshape(-1).view(np.uint8)
+                    if handle.readinto(data) != data.size:
+                        raise DataError(f"array {name!r} runs past the end of the file")
+                    if zlib.crc32(data) != crc:
+                        raise DataError(f"array {name!r} fails its CRC-32 check")
+                    arrays[name] = array
+                return _checkpoint_from(meta, arrays, streams)
+            finally:  # a stream left part-read stops its reader here, before the file closes
+                for stream in streams.values():
+                    stream.close()
     except (DataError, NonFiniteLossError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OSError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise DataError(f"{path}: unreadable checkpoint ({exc})") from exc
 
 
-def _stream_rows(handle: BinaryIO, offset: int, shape: tuple[int, ...], crc, name: str) -> Iterator[np.ndarray]:
-    """The rows of the (n, D) array ``name`` at ``offset`` in ``handle``, read through one block buffer.
+def _stream_rows(descriptor: int, offset: int, shape: tuple[int, ...], crc, name: str) -> Iterator[np.ndarray]:
+    """The rows of the (n, D) array ``name`` at ``offset`` in the file open on ``descriptor``, a block at a time.
 
-    Each block is overwritten by the next, so it is used before the next is
-    asked for.  The array's CRC-32 is checked after its last row.
+    Two block buffers take turns.  While the caller works on one block, a
+    reader thread reads the next into the other buffer (``os.preadv``) and
+    folds it into the array's running CRC-32; both release the GIL, so the
+    read and the check overlap the caller's work.  A buffer is refilled only
+    once the block after the one it holds is asked for, so each block is
+    used before the next is asked for.  The CRC-32 covers exactly the bytes
+    handed out and is checked after the last row.  Closing the generator
+    waits for its reader, so close it before the descriptor.
     """
     rows, dim = shape
-    buffer = np.empty((min(rows, NORM_BLOCK_ROWS), dim), "<f8")
-    handle.seek(offset)
+    starts = range(0, rows, NORM_BLOCK_ROWS)
+    buffers = np.empty((2, min(rows, NORM_BLOCK_ROWS), dim), "<f8")
     running = 0
-    for lo in range(0, rows, NORM_BLOCK_ROWS):
-        block = buffer[: min(NORM_BLOCK_ROWS, rows - lo)]
+
+    def read(k: int) -> np.ndarray:
+        nonlocal running
+        block = buffers[k % 2][: min(NORM_BLOCK_ROWS, rows - starts[k])]
         data = block.reshape(-1).view(np.uint8)
-        if handle.readinto(data) != data.size:
+        if os.preadv(descriptor, [data], offset + starts[k] * dim * 8) != data.size:
             raise DataError(f"array {name!r} runs past the end of the file")
         running = zlib.crc32(data, running)
-        yield block
+        return block
+
+    with ThreadPoolExecutor(max_workers=1) as reader:
+        pending = reader.submit(read, 0) if starts else None
+        for k in range(len(starts)):
+            try:
+                block = pending.result()
+            finally:  # a failed read's future holds its error, whose traceback would hold this frame
+                pending = None
+            if k + 1 < len(starts):
+                pending = reader.submit(read, k + 1)
+            yield block
     if running != crc:
         raise DataError(f"array {name!r} fails its CRC-32 check")
 

@@ -178,6 +178,24 @@ def encode(mode, params, x, lengths, back=None):
     return pre
 
 
+def where_sigmoid(z):
+    """The two textbook halves picked by ``np.where``: the branching form ``sigmoid`` replaced, kept as its oracle."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+
+@pytest.mark.parametrize("shape", [(1, 1536), (16, 1536), (16, 72)])
+def test_sigmoid_equals_the_where_form_bitwise(shape):
+    rng = np.random.default_rng(shape[1])
+    for scale in (0.1, 1.0, 4.0, 30.0, 400.0):
+        z = rng.normal(size=shape) * scale
+        assert sigmoid(z).tobytes() == where_sigmoid(z).tobytes(), scale
+    # signed zeros, saturation, the last normal and the subnormals, infinities and nan
+    edges = [0.0, -0.0, 36.8, -36.8, 745.2, -745.2, 800.0, -800.0, 2.0**-1022, 5e-324, np.inf, np.nan]
+    z = np.resize(np.array(edges + [-e for e in edges]), shape)
+    assert sigmoid(z).tobytes() == where_sigmoid(z).tobytes()
+
+
 class TestLstmStep:
     def test_zero_parameters_give_zero_state(self):
         p = zero_params(3, 2)

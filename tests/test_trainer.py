@@ -1,7 +1,11 @@
 """Config parsing, Adam, training-loop, and checkpoint round-trip tests."""
 
 import copy
+import gc
+import os
 import sys
+import threading
+import time
 import tracemalloc
 import zlib
 from collections import Counter
@@ -11,7 +15,7 @@ import numpy as np
 import pytest
 from conftest import framed_header, read_checkpoint_file, write_checkpoint_file
 
-from revdict import objective, trainer
+from revdict import embeddings, objective, trainer
 from revdict.corpus import DefinitionPair, EncodedPair
 from revdict.encoder import DefinitionModel, EncoderMode
 from revdict.embeddings import PretrainedTable, cosine_to_all, rank_by_cosine, row_fingerprints
@@ -780,3 +784,145 @@ class TestCheckpointIO:
             zf.writestr("meta.json", "{}")
         with pytest.raises(DataError, match="not a revdict checkpoint"):
             load_checkpoint(path)
+
+
+def block_rows(monkeypatch, rows):
+    """Set the rows per block of a load's streamed pass and of the in-memory table's pass."""
+    monkeypatch.setattr(trainer, "NORM_BLOCK_ROWS", rows)
+    monkeypatch.setattr(embeddings, "NORM_BLOCK_ROWS", rows)
+
+
+def open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def rewrite_array(source, path, name, edit, keep_crc=True):
+    """Copy checkpoint ``source`` to ``path`` with ``edit`` applied to array ``name``'s bytes (a bytearray).
+
+    With ``keep_crc`` the header keeps the array's old CRC-32, which the edited bytes then fail.
+    """
+    header, arrays = read_checkpoint_file(source)
+    data = bytearray(arrays[name])
+    edit(data)
+    arrays[name] = bytes(data)
+    if not keep_crc:
+        header["arrays"][name]["crc32"] = zlib.crc32(arrays[name])
+    write_checkpoint_file(path, header, arrays)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts descriptors in /proc/self/fd")
+class TestStreamedLoad:
+    """The load's reader thread: each of the two large arrays is read and CRC-checked a block ahead of its use."""
+
+    BLOCK = 7  # rows per block, so the table and the embedding each take several blocks
+
+    @pytest.fixture
+    def saved(self, tmp_path, monkeypatch):
+        block_rows(monkeypatch, self.BLOCK)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, large_checkpoint(rows=60, dim=5, vocab_size=40, embed_dim=6))
+        return path
+
+    def fails_cleanly(self, path, error, message):
+        """Load ``path``, which must raise ``error`` with ``message``, and leave no thread or descriptor behind.
+
+        The reader has stopped by the time the error leaves the load.  The
+        garbage collector is off, so nothing the load opened waits for it.
+        """
+        threads, descriptors = threading.active_count(), open_descriptors()
+        gc.disable()
+        try:
+            try:
+                load_checkpoint(path)
+            except error as exc:
+                assert str(exc) == f"{path}: {message}"
+                assert threading.active_count() == threads
+            else:
+                raise AssertionError(f"{path} loaded")
+            assert open_descriptors() == descriptors
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [(0, "param/emb"), (3, "param/emb"), (6, "pretrained"), (14, "pretrained")],
+        ids=["emb-first-block", "emb-later-block", "table-first-block", "table-last-block"],
+    )
+    def test_a_short_read_is_a_data_error(self, saved, monkeypatch, call, name):
+        # the embedding's 40 rows take reads 0-5 and the table's 60 rows reads 6-14 (name order: the
+        # embedding's pass runs first); read ``call`` returns 8 bytes short, as at the end of a file
+        preadv, calls = os.preadv, []
+
+        def short(fd, buffers, offset):
+            calls.append(offset)
+            got = preadv(fd, buffers, offset)
+            return got - 8 if len(calls) == call + 1 else got
+
+        monkeypatch.setattr(trainer.os, "preadv", short)
+        self.fails_cleanly(saved, DataError, f"array {name!r} runs past the end of the file")
+        assert len(calls) == call + 1  # nothing is read after the short read
+
+    @pytest.mark.parametrize(
+        "name, at",
+        [("param/emb", 8 * 6 * 20), ("pretrained", 8 * 5 * 59)],  # row 20 of 40 at E=6, row 59 of 60 at D=5
+        ids=["emb-middle-block", "table-last-block"],
+    )
+    def test_a_flipped_byte_fails_the_crc_check(self, saved, tmp_path, name, at):
+        broken = tmp_path / "broken.ckpt"
+
+        def flip(data):  # the lowest mantissa byte of a row's first entry, so every entry stays finite
+            data[at] ^= 1
+
+        rewrite_array(saved, broken, name, flip)
+        self.fails_cleanly(broken, DataError, f"array {name!r} fails its CRC-32 check")
+
+    def test_a_non_finite_embedding_entry_in_the_first_block(self, saved, tmp_path):
+        # the reader has the second block in hand when the first block's check raises
+        broken = tmp_path / "broken.ckpt"
+
+        def inf(data):  # row 0's second entry
+            data[8:16] = np.array([np.inf]).tobytes()
+
+        rewrite_array(saved, broken, "param/emb", inf, keep_crc=False)
+        self.fails_cleanly(broken, NonFiniteLossError, "array 'param/emb' has a non-finite entry")
+
+    def test_a_load_leaves_no_reader_running(self, saved):
+        threads = threading.active_count()
+        load_checkpoint(saved)
+        assert threading.active_count() == threads
+
+    def test_each_block_is_left_alone_until_the_next_is_asked_for(self, saved):
+        # the reader fills the other buffer meanwhile; a slow caller still sees each block as read
+        header, arrays = read_checkpoint_file(saved)
+        rows = np.frombuffer(arrays["pretrained"], "<f8").reshape(header["arrays"]["pretrained"]["shape"])
+        offset = len(saved.read_bytes()) - sum(map(len, arrays.values()))
+        offset += sum(len(arrays[name]) for name in sorted(arrays) if name < "pretrained")
+        crc = header["arrays"]["pretrained"]["crc32"]
+        with open(saved, "rb") as handle:
+            stream = trainer._stream_rows(handle.fileno(), offset, rows.shape, crc, "pretrained")
+            lo = 0
+            for block in stream:
+                time.sleep(0.002)
+                assert block.tobytes() == rows[lo : lo + len(block)].tobytes()
+                lo += len(block)
+        assert lo == len(rows)
+
+    @pytest.mark.parametrize(
+        "rows_per_block", [1, 7, trainer.NORM_BLOCK_ROWS, None], ids=["1", "7", "default", "whole"]
+    )
+    def test_a_loaded_table_equals_the_in_memory_build_bitwise(self, tmp_path, monkeypatch, rows_per_block):
+        ckpt = large_checkpoint(rows=2 * trainer.NORM_BLOCK_ROWS + 37, dim=30, vocab_size=300, embed_dim=20)
+        rng = np.random.default_rng(9)  # entries over many magnitudes
+        words = ckpt.pretrained.words
+        matrix = ckpt.pretrained.matrix * np.exp(rng.uniform(-20, 20, (len(words), 1)))
+        ckpt.pretrained = PretrainedTable.from_arrays(words, matrix)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        block_rows(monkeypatch, len(matrix))
+        oracle = PretrainedTable.from_arrays(words, matrix)  # one block: the whole-table norm and divide
+        block_rows(monkeypatch, rows_per_block or len(matrix))
+        loaded = load_checkpoint(path)
+        assert loaded.pretrained.norms.tobytes() == oracle.norms.tobytes() == np.linalg.norm(matrix, axis=1).tobytes()
+        assert loaded.pretrained.screen.tobytes() == oracle.screen.tobytes()
+        emb = ckpt.model.embeddings.matrix
+        assert loaded.model.embeddings.fingerprints.tobytes() == row_fingerprints(emb).tobytes()
