@@ -11,6 +11,8 @@ import os
 import sys
 from collections import Counter
 
+import numpy as np
+
 from .corpus import (
     DefinitionPair,
     clean_crosswords,
@@ -35,7 +37,7 @@ from .tokenizer import (
     learn_bpe,
     segment_distinct,
 )
-from .trainer import load_checkpoint, read_config, save_checkpoint, train
+from .trainer import blas_threads, load_checkpoint, read_config, save_checkpoint, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,6 +91,21 @@ def _gloss_frequencies(pairs: list[DefinitionPair], merges: MergeTable | None) -
         for subword in subwords[word]:
             freqs[subword] += count
     return freqs
+
+
+def _blas_note(table_entries: int) -> str:
+    """The numpy and BLAS build, the caller's BLAS threads, training's, and whether Adam overlaps the next batch."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config rather than return it
+        build = "BLAS build unknown"
+    plan = blas_threads(table_entries)
+    if plan is None:
+        return f"blas: numpy {np.__version__}, {build}, threads unknown, Adam serial"
+    caller, training, overlaps = plan
+    adam = "overlapped" if overlaps else "serial"
+    return f"blas: numpy {np.__version__}, {build}, {caller} threads, {training} in training, Adam {adam}"
 
 
 def _load_pairs(path: str) -> list[DefinitionPair]:
@@ -195,6 +212,7 @@ def _cmd_train(args) -> int:
     _note(f"dev: {len(dev_pairs)} pairs ({rejected_dev} rejected, {missing_dev} without vectors)")
 
     vocab = build_word_vocab(_gloss_frequencies(train_pairs, merges), cap=args.cap)
+    _note(_blas_note(len(vocab) * config.embed_dim))
     checkpoint, curve = train(config, train_pairs, dev_pairs, pretrained, vocab, merges)
     save_checkpoint(args.output, checkpoint)
     with open(f"{args.output}.metrics", "w", encoding="utf-8", newline="\n") as handle:

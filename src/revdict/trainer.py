@@ -31,19 +31,28 @@ holds, so it writes nothing a load refuses.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
 import math
 import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import copy_context
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .corpus import BUCKET_SIZE, DefinitionPair, EncodedPair, MINIBATCH_SIZE, bucket_and_batch
-from .embeddings import LEARNED_DIM, NORM_BLOCK_ROWS, FileMatrix, PretrainedTable, _file_backed, row_fingerprints
+from .embeddings import (
+    LEARNED_DIM, NORM_BLOCK_ROWS, FileMatrix, LearnedTable, PretrainedTable, _file_backed, row_fingerprints,
+)
 from .encoder import HIDDEN_SIZE, DefinitionModel, EncoderMode, param_shapes
 from .errors import ConfigError, DataError, NonFiniteLossError, decoding
 from .evaluator import median_rank, rank_of_correct, score_batches
@@ -176,7 +185,9 @@ def adam_update(
     grads: dict[str, np.ndarray | RowGradient],
     state: AdamState,
     lr: float,
-) -> None:
+    worker: Executor | None = None,
+    ahead: np.ndarray | None = None,
+) -> tuple[np.ndarray, Future] | None:
     """One bias-corrected Adam step, updating ``params`` in place.
 
     Per element it is exactly ``m = b1 m + (1-b1) g; v = b2 v + ((1-b2) g) g;
@@ -186,46 +197,91 @@ def adam_update(
     terms; the others' ``m = b1 m; v = b2 v`` is the same, since adding +0
     changes no value but -0.0, and ``b1 m`` (m starts at +0, and 0.9 times a
     nonzero never rounds to 0) and ``b2 v`` are never -0.0.
+
+    With a one-thread ``worker``, the slices are cut into two runs of about
+    equal size, the first stepped by the worker and the second by the
+    caller; no slice is cut, so an array under ADAM_BLOCK elements goes whole
+    to one thread.  ``ahead``, the ascending ``emb`` rows the next batch reads
+    (it needs a ``worker`` and a RowGradient for ``emb``), defers the table:
+    those rows are stepped from a copy of their entries, in the two runs,
+    and the call returns their new parameter rows with the future of the
+    worker's pass over the whole table, which it starts after its run.  That
+    pass steps every row in place, the ahead rows too, to the same bits as
+    the copy, so the next batch can read the copy while it runs.  Each
+    element takes the same operations in every case, so the bits never
+    depend on how the step was split.
     """
+    if ahead is not None and worker is None:
+        raise ValueError("adam_update defers the table only to a worker")
     state.t += 1
-    bias1 = 1.0 - BETA1**state.t
-    bias2 = 1.0 - BETA2**state.t
-    step, denom = np.empty((2, ADAM_BLOCK))
-    for name, param in params.items():
-        if not all(a.flags.c_contiguous for a in (param, state.m[name], state.v[name])):
-            raise ValueError("adam_update needs C-contiguous parameters and moments")
-        p, m, v = (a.reshape(-1) for a in (param, state.m[name], state.v[name]))
-        grad = grads[name]
-        if isinstance(grad, RowGradient):
-            width = p.size // grad.shape[0]
-            at = (grad.rows[:, None] * width + np.arange(width)).ravel()  # ascending, no repeats
-            values = grad.values.reshape(-1)
+    step = partial(_step_slices, lr=lr, bias1=1.0 - BETA1**state.t, bias2=1.0 - BETA2**state.t)
+    slices = [
+        s for name in params if ahead is None or name != "emb"
+        for s in _slices(params[name], state.m[name], state.v[name], grads[name])
+    ]
+    if ahead is not None:
+        rows, values = grads["emb"].rows, grads["emb"].values
+        inside = np.isin(rows, ahead, assume_unique=True)
+        copies = [a[ahead] for a in (params["emb"], state.m["emb"], state.v["emb"])]
+        near = RowGradient(rows=np.searchsorted(ahead, rows[inside]), values=values[inside], shape=copies[0].shape)
+        slices.extend(_slices(*copies, near))
+    if worker is None:
+        step(slices)
+        return None
+    sizes = list(accumulate(s[0].size for s in slices))
+    # the worker runs in a copy of the caller's context, so numpy's error state (np.errstate) is the caller's
+    cut = bisect(sizes, sizes[-1] / 2) if sizes and _worth_a_hand_off(sizes[-1]) else 0
+    share = worker.submit(copy_context().run, step, slices[:cut]) if cut else None
+    if ahead is not None:
+        table = (params["emb"], state.m["emb"], state.v["emb"], grads["emb"])
+        rest = worker.submit(copy_context().run, step, _slices(*table))
+    step(slices[cut:])
+    if share is not None:
+        share.result()
+    return (copies[0], rest) if ahead is not None else None
+
+
+def _slices(param: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarray | RowGradient) -> Iterator[tuple]:
+    """Views of one parameter's ADAM_BLOCK-element slices: parameter, moments, gradient entries and where they go."""
+    if not all(a.flags.c_contiguous for a in (param, m, v)):
+        raise ValueError("adam_update needs C-contiguous parameters and moments")
+    p, m, v = (a.reshape(-1) for a in (param, m, v))
+    if isinstance(grad, RowGradient):
+        width = math.prod(grad.shape[1:])
+        at = (grad.rows[:, None] * width + np.arange(width)).ravel()  # ascending, no repeats
+        values = grad.values.reshape(-1)
+    else:
+        at, values = None, grad.reshape(-1)
+    for start in range(0, p.size, ADAM_BLOCK):
+        stop = min(start + ADAM_BLOCK, p.size)
+        if at is None:
+            gb, touched = values[start:stop], slice(None)  # numpy skips the write-back of mb[:] += gm
         else:
-            at, values = None, grad.reshape(-1)
-        for start in range(0, p.size, ADAM_BLOCK):
-            stop = min(start + ADAM_BLOCK, p.size)
-            pb, mb, vb = p[start:stop], m[start:stop], v[start:stop]
-            if at is None:
-                gb, touched = values[start:stop], slice(None)  # numpy skips the write-back of mb[:] += gm
-            else:
-                lo, hi = np.searchsorted(at, (start, stop))
-                gb, touched = values[lo:hi], at[lo:hi] - start
-            gm, gv = step[: gb.size], denom[: gb.size]
-            mb *= BETA1
-            vb *= BETA2
-            np.multiply(gb, 1.0 - BETA1, out=gm)
-            np.multiply(gb, 1.0 - BETA2, out=gv)
-            gv *= gb
-            mb[touched] += gm
-            vb[touched] += gv
-            sb, db = step[: pb.size], denom[: pb.size]
-            np.divide(mb, bias1, out=sb)
-            sb *= lr
-            np.divide(vb, bias2, out=db)
-            np.sqrt(db, out=db)
-            db += EPSILON
-            sb /= db
-            pb -= sb
+            lo, hi = np.searchsorted(at, (start, stop))
+            gb, touched = values[lo:hi], at[lo:hi] - start
+        yield p[start:stop], m[start:stop], v[start:stop], gb, touched
+
+
+def _step_slices(slices, lr: float, bias1: float, bias2: float) -> None:
+    """Adam's per-element step on each ``_slices`` slice, in place, through this call's own one-block scratch rows."""
+    step, denom = np.empty((2, ADAM_BLOCK))
+    for pb, mb, vb, gb, touched in slices:
+        gm, gv = step[: gb.size], denom[: gb.size]
+        mb *= BETA1
+        vb *= BETA2
+        np.multiply(gb, 1.0 - BETA1, out=gm)
+        np.multiply(gb, 1.0 - BETA2, out=gv)
+        gv *= gb
+        mb[touched] += gm
+        vb[touched] += gv
+        sb, db = step[: pb.size], denom[: pb.size]
+        np.divide(mb, bias1, out=sb)
+        sb *= lr
+        np.divide(vb, bias2, out=db)
+        np.sqrt(db, out=db)
+        db += EPSILON
+        sb /= db
+        pb -= sb
 
 
 @dataclass
@@ -286,6 +342,16 @@ def train(
     Training holds the parameters and Adam's two moments, plus one copy of
     the parameters, overwritten by each later best, once an epoch before the
     last is the best so far; a best last epoch returns the live model.
+
+    Where numpy's bundled OpenBLAS lets its thread count be set, training
+    runs at one BLAS thread, and the caller's count is put back on return.
+    Each step then leaves the table of a gloss embedding of more than one
+    Adam block to a worker thread, which steps it while the next batch's
+    forward and backward run; that batch reads its own rows, stepped ahead
+    (``adam_update``).  An epoch's last step is whole, so the dev pass and
+    the kept copy see every row stepped.  The bits equal a serial run at
+    one BLAS thread, whatever the caller's count.  Elsewhere each step is
+    whole and serial, at the caller's count.
     """
     config.validate()
     if not train_pairs:
@@ -315,39 +381,54 @@ def train(
 
     best_epoch, best_params = 0, None
     curve: list[float] = []
-    for epoch in range(1, config.epochs + 1):
-        batches = bucket_and_batch(
-            encoded_train,
-            pad_id=vocab.pad_id,
-            bucket_size=config.bucket,
-            minibatch=config.minibatch,
-            shuffle_seed=config.seed + epoch,
-        )
-        neg_rng = np.random.default_rng([config.seed, epoch, 1])
-        for index, batch in enumerate(batches):
-            targets = pretrained.matrix[batch.head_ids]
-            negatives = None
-            if loss_kind is LossKind.RANK:
-                neg_rows = [
-                    sample_negative(len(pretrained), int(h), neg_rng) for h in batch.head_ids
-                ]
-                negatives = pretrained.matrix[neg_rows]
-            try:
-                _, grads = backward(
-                    model, batch.token_ids, batch.lengths, targets, loss_kind, negatives
-                )
-            except NonFiniteLossError as exc:
-                raise NonFiniteLossError(f"epoch {epoch} batch {index}: {exc}") from exc
-            adam_update(params, grads, adam, config.learning_rate)
-        curve.append(_dev_median(model, encoded_dev, pretrained))
-        if epoch == 1 or curve[-1] < curve[best_epoch - 1]:
-            best_epoch = epoch
-            if epoch < config.epochs:  # later epochs move the live model: keep this one's parameters
-                best_params = best_params or {name: np.empty_like(p) for name, p in params.items()}
-                for name, p in params.items():
-                    np.copyto(best_params[name], p)
-    if best_epoch < config.epochs:
-        model = DefinitionModel.from_params(model.mode, vocab.pad_id, best_params)
+    with _adam_worker() as worker:
+        defer = worker is not None and _worth_a_hand_off(params["emb"].size)
+        for epoch in range(1, config.epochs + 1):
+            batches = bucket_and_batch(
+                encoded_train,
+                pad_id=vocab.pad_id,
+                bucket_size=config.bucket,
+                minibatch=config.minibatch,
+                shuffle_seed=config.seed + epoch,
+            )
+            neg_rng = np.random.default_rng([config.seed, epoch, 1])
+            # with the table deferred, each batch but an epoch's first runs on ``local``, whose table
+            # is the ``rows`` it reads, stepped ahead while the worker steps the whole table
+            local, rows, table_pass = model, None, None
+            for index, batch in enumerate(batches):
+                targets = pretrained.matrix[batch.head_ids]
+                negatives = None
+                if loss_kind is LossKind.RANK:
+                    neg_rows = [
+                        sample_negative(len(pretrained), int(h), neg_rng) for h in batch.head_ids
+                    ]
+                    negatives = pretrained.matrix[neg_rows]
+                token_ids = batch.token_ids if rows is None else np.searchsorted(rows, batch.token_ids)
+                try:
+                    _, grads = backward(local, token_ids, batch.lengths, targets, loss_kind, negatives)
+                except NonFiniteLossError as exc:
+                    raise NonFiniteLossError(f"epoch {epoch} batch {index}: {exc}") from exc
+                if rows is not None:
+                    table_pass.result()
+                    emb = grads["emb"]
+                    grads["emb"] = RowGradient(rows=rows[emb.rows], values=emb.values, shape=params["emb"].shape)
+                if not defer or index + 1 == len(batches):
+                    adam_update(params, grads, adam, config.learning_rate, worker)
+                    local, rows = model, None
+                else:
+                    rows = np.union1d(batches[index + 1].token_ids, vocab.pad_id)
+                    ahead, table_pass = adam_update(params, grads, adam, config.learning_rate, worker, rows)
+                    local = replace(model, embeddings=LearnedTable(ahead, int(np.searchsorted(rows, vocab.pad_id))))
+            curve.append(_dev_median(model, encoded_dev, pretrained))
+            if epoch == 1 or curve[-1] < curve[best_epoch - 1]:
+                best_epoch = epoch
+                if epoch < config.epochs:  # later epochs move the live model: keep this one's parameters
+                    best_params = best_params or {name: np.empty_like(p) for name, p in params.items()}
+                    for name, p in params.items():
+                        np.copyto(best_params[name], p)
+        if best_epoch < config.epochs:
+            model = DefinitionModel.from_params(model.mode, vocab.pad_id, best_params)
+        dev_median = curve[best_epoch - 1] if curve else _dev_median(model, encoded_dev, pretrained)
     return Checkpoint(
         model=model,
         config=config,
@@ -355,8 +436,64 @@ def train(
         merges=merges,
         pretrained=pretrained,
         epoch=best_epoch,
-        dev_median_rank=curve[best_epoch - 1] if curve else _dev_median(model, encoded_dev, pretrained),
+        dev_median_rank=dev_median,
     ), curve
+
+
+def blas_threads(table_entries: int) -> tuple[int, int, bool] | None:
+    """What ``train`` does with BLAS threads and Adam for a gloss table of ``table_entries`` entries.
+
+    The caller's BLAS thread count, the count ``train`` runs at, and whether
+    Adam's table pass overlaps the next batch; None where ``train`` cannot
+    set the count, and steps serially.
+    """
+    controls = _openblas_threads()
+    return None if controls is None else (controls[0](), 1, _worth_a_hand_off(table_entries))
+
+
+def _worth_a_hand_off(entries: int) -> bool:
+    """Whether stepping ``entries`` entries is worth a hand-off to the worker, which costs about one block's step."""
+    return entries > ADAM_BLOCK
+
+
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of the OpenBLAS bundled in numpy's wheel, or None where there is none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libs / "libscipy_openblas*"))):
+        lib = ctypes.CDLL(path)
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def _adam_worker() -> Iterator[Executor | None]:
+    """A one-thread executor for Adam, with BLAS at one thread, for the length of ``train``.
+
+    At one BLAS thread the second core is free for Adam's table pass, and
+    the training bits no longer depend on the caller's thread count, which
+    is restored on the way out.  Where the OpenBLAS controls are not found
+    it yields None, and ``train`` steps serially at the caller's count:
+    overlap at two BLAS threads was slower than no overlap.  Leaving waits
+    for the worker, so no step outlives ``train``, even when it raises.
+    """
+    controls = _openblas_threads()
+    if controls is None:
+        yield None
+        return
+    get, put = controls
+    caller = get()
+    put(1)
+    try:
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="revdict-adam") as worker:
+            yield worker
+    finally:
+        put(caller)
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:

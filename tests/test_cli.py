@@ -25,6 +25,7 @@ from revdict.tokenizer import (
     segment_word,
     unsegment_text,
 )
+from revdict import trainer
 from revdict.trainer import META_KEYS, load_checkpoint, save_checkpoint
 
 SUMMARY = re.compile(r"^median_rank=\S+ acc@10=\S+ acc@100=\S+ rank_variance=\S+$")
@@ -464,6 +465,26 @@ class TestTrainEvalQuery:
         assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 0
         err = capsys.readouterr().err
         assert "crosswords: 2 clues (1 duplicate, 1 multi-word answer, 1 empty rows dropped)" in err
+
+    @pytest.mark.parametrize("block, found, plan", [
+        (None, True, r"\d+ threads, 1 in training, Adam serial"),  # the table is one Adam block
+        (16, True, r"\d+ threads, 1 in training, Adam overlapped"),
+        (16, False, r"threads unknown, Adam serial"),
+    ])
+    def test_train_prints_its_blas_line(self, workspace, capsys, monkeypatch, block, found, plan):
+        # the load record names the numpy and BLAS build, the caller's BLAS thread count,
+        # the count training runs at and whether Adam overlaps the next batch
+        controls = trainer._openblas_threads()
+        if found and controls is None:
+            pytest.skip("numpy's bundled OpenBLAS thread controls are not found")
+        monkeypatch.setattr(trainer, "_openblas_threads", lambda: controls if found else None)
+        if block is not None:
+            monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
+        config = write_config(workspace, epochs=1)
+        assert run(["train", "--config", str(config), "--output", str(workspace / "m.ckpt")]) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("blas:")]
+        assert len(lines) == 1
+        assert re.fullmatch(rf"blas: numpy {re.escape(np.__version__)}, [^,]+, {plan}", lines[0])
 
     def test_non_finite_embeddings_are_a_data_error(self, workspace, capsys):
         bad = workspace / "bad_vecs.txt"
@@ -959,12 +980,14 @@ def test_module_entry_point_usage_error():
 
 
 def test_training_bits_hold_across_processes_with_threaded_blas(tmp_path):
-    # two fresh processes, each with two BLAS threads, at a width where BLAS
-    # splits its GEMMs between them: the checkpoints and curves are equal bytes
+    # two fresh processes, one at one BLAS thread and one at two, on glosses long
+    # enough that the two counts give other bits (they did before training set
+    # one thread), and a table of more than one Adam block, so its pass is
+    # deferred: the checkpoints and curves are equal bytes
     rng = np.random.default_rng(2024)
-    words = [f"w{k}" for k in range(60)]
+    words = [f"w{k}" for k in range(200)]
     heads = [f"h{k}" for k in range(36)]
-    glosses = ["\t".join((head, " ".join(rng.choice(words, size=int(rng.integers(2, 9)))))) for head in heads]
+    glosses = ["\t".join((head, " ".join(rng.choice(words, size=int(rng.integers(2, 41)))))) for head in heads]
     (tmp_path / "train.tsv").write_text("\n".join(glosses[:30]) + "\n")
     (tmp_path / "dev.tsv").write_text("\n".join(glosses[30:]) + "\n")
     (tmp_path / "vecs.txt").write_text("".join(f"{h} {' '.join(map(str, rng.normal(size=16).tolist()))}\n" for h in heads))
@@ -972,14 +995,13 @@ def test_training_bits_hold_across_processes_with_threaded_blas(tmp_path):
         tmp_path, train=tmp_path / "train.tsv", dev=tmp_path / "dev.tsv", embed_dim=256, hidden_size=256,
         learning_rate=0.002, minibatch=16, bucket=32, encoder_mode="bidirectional",
     )
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
     outputs = [tmp_path / f"run{k}.ckpt" for k in range(2)]
     runs = [
         subprocess.Popen(
             [sys.executable, "-m", "revdict", "train", "--config", str(config), "--output", str(output)],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         )
-        for output in outputs
+        for threads, output in zip((1, 2), outputs)
     ]
     for proc in runs:
         assert proc.wait(timeout=120) == 0, proc.stderr.read()

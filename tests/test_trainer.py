@@ -9,6 +9,7 @@ import time
 import tracemalloc
 import zlib
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from conftest import framed_header, read_checkpoint_file, write_checkpoint_file
 
 from revdict import embeddings, objective, trainer
-from revdict.corpus import DefinitionPair, EncodedPair
+from revdict.corpus import DefinitionPair, EncodedPair, bucket_and_batch
 from revdict.encoder import DefinitionModel, EncoderMode
 from revdict.embeddings import PretrainedTable, cosine_to_all, rank_by_cosine, row_fingerprints
 from revdict.errors import ConfigError, DataError, NonFiniteLossError
@@ -305,6 +306,182 @@ class TestTrainingStepOracle:
         params = {"w": np.zeros((4, 6))[:, ::2]}
         with pytest.raises(ValueError, match="C-contiguous"):
             adam_update(params, {"w": np.ones((4, 3))}, AdamState.for_params(params), lr=0.1)
+
+
+class TestSplitAdam:
+    """``adam_update`` split over two threads, and with the table deferred, against the dense step, bit for bit."""
+
+    V, E, PAD = 37, 5, 36
+
+    def test_split_steps_match_the_dense_oracle_over_many_steps(self, monkeypatch):
+        # 16-element blocks: 5-wide rows straddle block boundaries (row 3 is elements 15..19),
+        # the table ends in a partial block and "b" is under one block
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", 16)
+        stepped = []  # (thread, elements) of each run of slices
+        step_slices = trainer._step_slices
+
+        def recording(slices, **kw):
+            slices = list(slices)
+            stepped.append((threading.get_ident(), sum(s[0].size for s in slices)))
+            step_slices(slices, **kw)
+
+        monkeypatch.setattr(trainer, "_step_slices", recording)
+        rng = np.random.default_rng(13)
+        start = {"emb": rng.normal(size=(self.V, self.E)), "w": rng.normal(size=(6, 9)), "b": rng.normal(size=4)}
+        params, oracle_params = copy.deepcopy(start), copy.deepcopy(start)
+        state, oracle_state = AdamState.for_params(params), AdamState.for_params(oracle_params)
+        fixed = [np.array([], dtype=np.int64), np.arange(self.V), np.array([self.PAD]), np.array([3]), np.array([2, 3, 4])]
+        gradient_rows_inside = gradient_rows_outside = 0
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            for step in range(66):
+                ahead = fixed[step] if step < len(fixed) else np.flatnonzero(rng.random(self.V) < 0.3)
+                if step % 4 == 1:
+                    ahead = np.union1d(ahead, self.PAD)
+                rows = np.flatnonzero(rng.random(self.V) < 0.25)
+                values = rng.normal(size=(rows.size, self.E))
+                values[rng.random(values.shape) < 0.1] = -0.0
+                grad = RowGradient(rows=rows, values=values, shape=(self.V, self.E))
+                grads = {"emb": grad, "w": rng.normal(size=(6, 9)), "b": rng.normal(size=4)}
+                dense_adam_update(oracle_params, {**grads, "emb": grad.dense()}, oracle_state, lr=0.01)
+                if step % 6 == 5:  # the whole step, on two threads
+                    assert adam_update(params, grads, state, 0.01, worker) is None
+                elif step % 6 == 2:  # the serial step
+                    assert adam_update(params, grads, state, 0.01) is None
+                else:
+                    inside = np.isin(rows, ahead)
+                    gradient_rows_inside += inside.any()
+                    gradient_rows_outside += (~inside).any()
+                    rows_ahead, table_pass = adam_update(params, grads, state, 0.01, worker, ahead)
+                    assert rows_ahead.tobytes() == oracle_params["emb"][ahead].tobytes(), step
+                    table_pass.result()
+                for name in start:
+                    assert params[name].tobytes() == oracle_params[name].tobytes(), (step, name)
+                    assert state.m[name].tobytes() == oracle_state.m[name].tobytes(), (step, name)
+                    assert state.v[name].tobytes() == oracle_state.v[name].tobytes(), (step, name)
+        assert gradient_rows_inside > 10 and gradient_rows_outside > 10
+        threads = {thread for thread, elements in stepped if elements}
+        assert threading.get_ident() in threads and len(threads) == 2  # the caller and the worker both stepped
+
+    def test_the_two_runs_are_about_even_and_cut_no_slice(self, monkeypatch):
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", 16)
+        stepped = []
+        stepping = lambda slices, **kw: stepped.append((threading.get_ident(), [s[0].size for s in slices]))
+        monkeypatch.setattr(trainer, "_step_slices", stepping)
+        params = {"big": np.zeros(100), "small": np.zeros(7)}
+        grads = {name: np.ones_like(p) for name, p in params.items()}
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            adam_update(params, grads, AdamState.for_params(params), 0.1, worker)
+        (_, second), (_, first) = sorted(stepped, key=lambda run: run[0] == threading.get_ident(), reverse=True)
+        assert first + second == [16] * 6 + [4, 7]  # the worker takes the first run of slices
+        assert abs(sum(first) - sum(second)) <= 16
+
+
+def serial_train(config, train_pairs, dev_pairs, pretrained, vocab):
+    """The training loop before Adam overlapped the next batch, kept as its oracle.
+
+    Every step is whole and in the caller's thread.  Returns the best
+    epoch's parameters, the curve and the best epoch.
+    """
+    encoded_train = encode_pairs(train_pairs, vocab, pretrained)
+    encoded_dev = encode_pairs(dev_pairs, vocab, pretrained)
+    model = DefinitionModel.create(
+        len(vocab), vocab.pad_id, config.encoder_mode, config.embed_dim, config.hidden_size, pretrained.dimension,
+        seed=config.seed,
+    )
+    params = model.param_dict()
+    adam = AdamState.for_params(params)
+    loss_kind = LossKind(config.loss_kind)
+    snapshots, curve = [], []
+    for epoch in range(1, config.epochs + 1):
+        batches = bucket_and_batch(
+            encoded_train, pad_id=vocab.pad_id, bucket_size=config.bucket, minibatch=config.minibatch,
+            shuffle_seed=config.seed + epoch,
+        )
+        neg_rng = np.random.default_rng([config.seed, epoch, 1])
+        for batch in batches:
+            negatives = None
+            if loss_kind is LossKind.RANK:
+                negatives = pretrained.matrix[
+                    [objective.sample_negative(len(pretrained), int(h), neg_rng) for h in batch.head_ids]
+                ]
+            targets = pretrained.matrix[batch.head_ids]
+            _, grads = backward(model, batch.token_ids, batch.lengths, targets, loss_kind, negatives)
+            adam_update(params, grads, adam, config.learning_rate)
+        curve.append(trainer._dev_median(model, encoded_dev, pretrained))
+        snapshots.append({name: p.copy() for name, p in params.items()})
+    best = curve.index(min(curve))
+    return snapshots[best], curve, best + 1
+
+
+@pytest.fixture
+def blas_controls():
+    """The bundled OpenBLAS's thread-count getter and setter; the count is put back after the test."""
+    controls = trainer._openblas_threads()
+    if controls is None:
+        pytest.skip("numpy's bundled OpenBLAS thread controls are not found")
+    get, put = controls
+    caller = get()
+    yield get, put
+    put(caller)
+
+
+class TestOverlappedTraining:
+    @pytest.mark.parametrize(
+        "world, best, block",
+        [
+            (lambda: wide_world(0, epochs=3, learning_rate=0.01), 1, None),
+            (lambda: wide_world(1, epochs=3, learning_rate=0.05), 2, None),
+            # 16-element blocks: the 10x6 table is more than one block, so it is deferred
+            (lambda: toy_world(seed=4, epochs=3, loss_kind="rank", encoder_mode="bidirectional", learning_rate=0.05), 1, 16),
+            (lambda: toy_world(seed=4, epochs=3, loss_kind="rank", encoder_mode="bidirectional", learning_rate=0.05), 1, None),
+        ],
+    )
+    def test_train_equals_the_serial_loop_at_one_blas_thread(self, blas_controls, monkeypatch, world, best, block):
+        _, put = blas_controls
+        pairs, table, vocab, cfg = world()
+        if block is not None:
+            monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
+        overlapped = []
+        monkeypatch.setattr(trainer, "adam_update", lambda *a: overlapped.append(a[5:] != ()) or adam_update(*a))
+        put(2)
+        ckpt, curve = train(cfg, pairs, pairs, table, vocab)
+        if len(vocab) * cfg.embed_dim > trainer.ADAM_BLOCK:
+            assert sum(overlapped) == len(overlapped) - cfg.epochs  # each epoch's last batch is stepped whole
+        else:  # a table of one block is never deferred
+            assert not any(overlapped)
+        put(1)
+        oracle, oracle_curve, oracle_best = serial_train(cfg, pairs, pairs, table, vocab)
+        assert curve == oracle_curve and ckpt.epoch == oracle_best == best < cfg.epochs
+        assert ckpt.dev_median_rank == min(oracle_curve)
+        for name, array in ckpt.model.param_dict().items():
+            assert array.tobytes() == oracle[name].tobytes(), name
+
+    def test_raising_and_finishing_leave_no_thread_and_the_callers_blas_threads(self, blas_controls, monkeypatch):
+        get, put = blas_controls
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", 16)  # so the table's pass is deferred when the error leaves
+        pairs, table, vocab, cfg = toy_world(epochs=2)
+        put(2)
+        threads = threading.active_count()
+        # 1e300 steps leave the parameters finite but overflow the next batch's LSTM input projection
+        with pytest.raises(NonFiniteLossError, match=r"epoch 1 batch [12]: non-finite LSTM pre-activation"):
+            train(cfg.override(learning_rate=1e300), pairs, pairs[:4], table, vocab)
+        assert threading.active_count() == threads and get() == 2
+        train(cfg, pairs, pairs[:4], table, vocab)
+        assert threading.active_count() == threads and get() == 2
+
+    def test_without_the_blas_controls_train_steps_serially(self, monkeypatch):
+        monkeypatch.setattr(trainer, "_openblas_threads", lambda: None)
+        assert trainer.blas_threads(10**6) is None
+        pairs, table, vocab, cfg = wide_world(1, epochs=3, learning_rate=0.05)
+        calls = []
+        monkeypatch.setattr(trainer, "adam_update", lambda *a: calls.append(a[4:]) or adam_update(*a))
+        threads = threading.active_count()
+        ckpt, curve = train(cfg, pairs, pairs, table, vocab)
+        assert calls and set(calls) == {(None,)} and threading.active_count() == threads
+        oracle, oracle_curve, oracle_best = serial_train(cfg, pairs, pairs, table, vocab)
+        assert curve == oracle_curve and ckpt.epoch == oracle_best
+        for name, array in ckpt.model.param_dict().items():
+            assert array.tobytes() == oracle[name].tobytes(), name
 
 
 class TestTrainLoop:
