@@ -108,10 +108,13 @@ def _blas_note(table_entries: int) -> str:
     return f"blas: numpy {np.__version__}, {build}, {caller} threads, {training} in training, Adam {adam}"
 
 
-def _load_pairs(path: str) -> list[DefinitionPair]:
-    pairs, _ = load_definitions(path)
-    if not pairs:
+def _load_pairs(path: str, required: bool = True) -> list[DefinitionPair]:
+    """A definitions file's pairs, noting how many malformed lines it rejected; none is a DataError if ``required``."""
+    pairs, rejected = load_definitions(path)
+    if required and not pairs:
         raise DataError(f"{path}: no definition pairs")
+    if rejected:
+        _note(f"rejected {rejected} malformed lines")
     return pairs
 
 
@@ -124,7 +127,7 @@ def _cmd_learn_bpe(args) -> int:
 
 
 def _cmd_apply_bpe(args) -> int:
-    pairs, _ = load_definitions(args.input)
+    pairs = _load_pairs(args.input, required=False)
     table = MergeTable.load(args.merges)
     subwords = segment_distinct((token for pair in pairs for token in pair.gloss), table)
     segmented = [
@@ -231,9 +234,7 @@ def _cmd_eval(args) -> int:
         items = [clue for clue in clues if clue.answer in checkpoint.pretrained]
         skipped = len(clues) - len(items)
     else:
-        pairs, rejected = load_definitions(args.test)
-        if rejected:
-            _note(f"rejected {rejected} malformed lines")
+        pairs = _load_pairs(args.test, required=False)
         items = [pair for pair in pairs if pair.head in checkpoint.pretrained]
         skipped = len(pairs) - len(items)
     if skipped:

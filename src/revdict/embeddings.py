@@ -21,11 +21,11 @@ for that band, so a checkpoint's table can stay in its file, with only the
 screen in memory (``trainer.load_checkpoint``).
 
 A checkpoint's two large arrays, the pretrained table and the learned gloss
-embedding, are ``FileMatrix`` mappings of its file, and both are read one
-row at a time by position (``FileMatrix.read``), never through the mapping.
-Each row read is checked against what the load computed from it: a table
-row against its screen row, an embedding row against its fingerprint
-(``row_fingerprints``).
+embedding, are ``FileMatrix`` mappings of its file, read by position, never
+through the mapping: a row at a time (``FileMatrix.read``), or a block at a
+time by a checkpoint load or save (``trainer._stream_rows``).  Each row read
+is checked against what the load computed from it: a table row against its
+screen row, an embedding row against its fingerprint (``row_fingerprints``).
 """
 
 from __future__ import annotations
@@ -56,21 +56,22 @@ U64 = 2.0**-53
 class FileMatrix(np.memmap):
     """A read-only mapping of an (n, D) float64 array in an open file, with its own descriptor on that file.
 
-    ``read`` and ``read_span`` copy rows by position through the
-    descriptor, never through the mapping: a read maps no page, so the rows
-    a process reads do not pile up in it, and a file cut short while it is
-    loaded is a DataError naming it, not a SIGBUS.  The descriptor stays on
-    the file that was mapped, so a file renamed over its path later is not
-    read.  It is closed when the mapping is collected.  A view of the
-    mapping, or an array computed from it, has no descriptor and is read as
-    any array is.
+    ``read`` copies rows by position through the descriptor, never through
+    the mapping: a read maps no page, so the rows a process reads do not
+    pile up in it, and a file cut short while it is loaded is a DataError
+    naming it, not a SIGBUS.  The descriptor stays on the file that was
+    mapped, so a file renamed over its path later is not read.  It is
+    closed when the mapping is collected.  ``crc32`` is the CRC-32 of the
+    array's bytes that the file's header gives.  A view of the mapping, or
+    an array computed from it, has no descriptor and is read as any array is.
     """
 
     descriptor: int | None = None
+    crc32: int | None = None
 
-    def __new__(cls, handle: BinaryIO, offset: int, shape: tuple[int, ...]) -> "FileMatrix":
+    def __new__(cls, handle: BinaryIO, offset: int, shape: tuple[int, ...], crc32: int) -> "FileMatrix":
         self = super().__new__(cls, handle, "<f8", "r", offset=offset, shape=shape)
-        self.descriptor = os.dup(handle.fileno())
+        self.descriptor, self.crc32 = os.dup(handle.fileno()), crc32
         weakref.finalize(self, os.close, self.descriptor)
         return self
 
@@ -80,14 +81,6 @@ class FileMatrix(np.memmap):
         for row, i in zip(rows, np.asarray(index).tolist()):
             if os.preadv(self.descriptor, [row], self.offset + i * row.nbytes) != row.nbytes:
                 raise DataError(f"{self.filename}: row {i} runs past the end of the file")
-        return rows
-
-    def read_span(self, lo: int, hi: int) -> np.ndarray:
-        """A copy of rows ``lo`` to ``hi - 1``: one ``os.preadv`` at ``offset + lo·D·8``."""
-        rows = np.empty((hi - lo, self.shape[1]))
-        got = os.preadv(self.descriptor, [rows], self.offset + lo * rows.itemsize * self.shape[1])
-        if got != rows.nbytes:
-            raise DataError(f"{self.filename}: row {lo + got // rows[0].nbytes} runs past the end of the file")
         return rows
 
 

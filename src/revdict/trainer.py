@@ -10,7 +10,8 @@ bytes) and CRC-32 (4 bytes), the UTF-8 JSON header (the meta plus each
 array's shape and CRC-32), then each array's float64 bytes in C order, back
 to back in sorted name order; every number is little-endian.  Identical
 runs give bitwise-identical files.  Saving streams each array with no copy,
-and an array still in a loaded checkpoint's file a block of rows at a time;
+and copies an array still in a loaded checkpoint's file in one pass of the
+load's block reader, which checks it against the CRC-32 the load kept;
 loading checks every size against the file's before it allocates, reads
 each small model array once straight into place, checks every CRC-32 and
 refuses a header key or array that the layout does not name.  The two large
@@ -39,7 +40,7 @@ import os
 import zlib
 from bisect import bisect
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from contextvars import copy_context
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
@@ -396,13 +397,13 @@ def train(
             # is the ``rows`` it reads, stepped ahead while the worker steps the whole table
             local, rows, table_pass = model, None, None
             for index, batch in enumerate(batches):
-                targets = pretrained.matrix[batch.head_ids]
+                targets = pretrained.gather(batch.head_ids)
                 negatives = None
                 if loss_kind is LossKind.RANK:
                     neg_rows = [
                         sample_negative(len(pretrained), int(h), neg_rng) for h in batch.head_ids
                     ]
-                    negatives = pretrained.matrix[neg_rows]
+                    negatives = pretrained.gather(np.array(neg_rows))
                 token_ids = batch.token_ids if rows is None else np.searchsorted(rows, batch.token_ids)
                 try:
                     _, grads = backward(local, token_ids, batch.lengths, targets, loss_kind, negatives)
@@ -500,16 +501,17 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     """Write a checkpoint file whose bytes depend only on its contents.
 
     Each array is streamed from its own buffer, so no copy of the table is
-    made.  An array mapped from a loaded checkpoint is read from its file a
-    block of rows at a time, never through the mapping, so a source file cut
-    short since the load is a DataError, not a SIGBUS.  The file is written
-    to a temporary file beside ``path`` and renamed over it, so a failed
-    write leaves any previous file at ``path`` whole.  The load's checks run
-    first on the meta and arrays to be written, so what a load would refuse
-    is refused here with the same error and nothing is written; so is a
-    model whose mode or PAD id disagrees with the config or the vocabulary,
-    which a load derives them from (a ValueError).  The table's own checks
-    ran when it was built, so it is used as it is.
+    made.  An array mapped from a loaded checkpoint is copied from its file
+    in one ``_stream_rows`` pass, never through the mapping, under the CRC-32
+    its load checked, so a source file cut short or changed since the load
+    is a DataError naming it, not a SIGBUS.  The file is written to a
+    temporary file beside ``path`` and renamed over it, so a failed write
+    leaves any previous file at ``path`` whole.  The load's checks run first
+    on the meta and arrays to be written, so what a load would refuse is
+    refused here with the same error and nothing is written; so is a model
+    whose mode or PAD id disagrees with the config or the vocabulary, which a
+    load derives them from (a ValueError).  The table was checked when it was
+    built and a loaded array when it was loaded, so both are used as they are.
     """
     model, mode = ckpt.model, ckpt.config.encoder_mode
     if model.mode.value != mode:
@@ -528,13 +530,10 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     }
     arrays = {f"param/{k}": v for k, v in model.param_dict().items()}
     arrays["pretrained"] = ckpt.pretrained.matrix
-    streams = {name: _read_rows(array) for name, array in arrays.items() if _file_backed(array)}
-    _checkpoint_from(meta, arrays, streams, pretrained=ckpt.pretrained, model=model)
+    _checkpoint_from(meta, arrays, pretrained=ckpt.pretrained, model=model)
     meta["arrays"] = {}
-    for name, array in arrays.items():
-        crc = 0
-        for chunk in _stored_bytes(array):
-            crc = zlib.crc32(chunk, crc)
+    for name, array in arrays.items():  # a loaded array's CRC-32 is the one its load checked
+        crc = array.crc32 if _file_backed(array) else zlib.crc32(_stored_bytes(array))
         meta["arrays"][name] = {"shape": list(array.shape), "crc32": crc}
     header = json.dumps(meta, sort_keys=True).encode("utf-8")
     path = Path(path)
@@ -543,29 +542,25 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         with open(partial, "wb") as handle:
             handle.write(CHECKPOINT_MAGIC + len(header).to_bytes(8, "little"))
             handle.write(zlib.crc32(header).to_bytes(4, "little") + header)
-            for name in sorted(arrays):
-                for chunk in _stored_bytes(arrays[name]):
-                    handle.write(chunk)
+            for name, array in sorted(arrays.items()):
+                if not _file_backed(array):
+                    handle.write(_stored_bytes(array))
+                    continue
+                with closing(_stream_rows(array, name)) as blocks:  # stops the reader, also when a write fails
+                    try:
+                        for block in blocks:
+                            handle.write(_stored_bytes(block))
+                    except DataError as exc:
+                        raise DataError(f"{array.filename}: {exc}") from exc
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
 
 
-def _read_rows(matrix: FileMatrix) -> Iterator[np.ndarray]:
-    """The rows of ``matrix`` in blocks, each copied by ``FileMatrix.read_span``, so a file cut short is a DataError."""
-    for lo in range(0, len(matrix), NORM_BLOCK_ROWS):
-        yield matrix.read_span(lo, min(lo + NORM_BLOCK_ROWS, len(matrix)))
-
-
-def _stored_bytes(array: np.ndarray) -> Iterator[np.ndarray]:
-    """The bytes a checkpoint stores for ``array``, C-ordered little-endian float64, in one or more chunks.
-
-    A C-ordered little-endian float64 array is its own buffer; only another
-    layout is copied.  A ``FileMatrix`` is read a block of rows at a time.
-    """
-    for block in _read_rows(array) if _file_backed(array) else (array,):
-        yield np.ascontiguousarray(block, "<f8").reshape(-1).view(np.uint8)
+def _stored_bytes(array: np.ndarray) -> np.ndarray:
+    """The bytes a checkpoint stores for ``array``, C-ordered little-endian float64; only another layout is copied."""
+    return np.ascontiguousarray(array, "<f8").reshape(-1).view(np.uint8)
 
 
 # meta keys that save_checkpoint writes into the header beside "arrays"
@@ -629,8 +624,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             try:
                 for name, shape, crc, offset in layout:
                     if name in FILE_BACKED:
-                        arrays[name] = FileMatrix(handle, offset, shape)
-                        streams[name] = _stream_rows(handle.fileno(), offset, shape, crc, name)
+                        arrays[name] = FileMatrix(handle, offset, shape, crc)
+                        streams[name] = _stream_rows(arrays[name], name)
                         continue
                     handle.seek(offset)
                     array = np.empty(shape, "<f8")
@@ -650,19 +645,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise DataError(f"{path}: unreadable checkpoint ({exc})") from exc
 
 
-def _stream_rows(descriptor: int, offset: int, shape: tuple[int, ...], crc, name: str) -> Iterator[np.ndarray]:
-    """The rows of the (n, D) array ``name`` at ``offset`` in the file open on ``descriptor``, a block at a time.
+def _stream_rows(matrix: FileMatrix, name: str) -> Iterator[np.ndarray]:
+    """The rows of ``matrix``, the array ``name`` of a checkpoint, read from its file a block at a time.
 
     Two block buffers take turns.  While the caller works on one block, a
-    reader thread reads the next into the other buffer (``os.preadv``) and
-    folds it into the array's running CRC-32; both release the GIL, so the
-    read and the check overlap the caller's work.  A buffer is refilled only
-    once the block after the one it holds is asked for, so each block is
-    used before the next is asked for.  The CRC-32 covers exactly the bytes
-    handed out and is checked after the last row.  Closing the generator
-    waits for its reader, so close it before the descriptor.
+    reader thread reads the next into the other buffer (``os.preadv`` on the
+    matrix's descriptor) and folds it into the array's running CRC-32; both
+    release the GIL, so the read and the check overlap the caller's work.  A
+    buffer is refilled only once the block after the one it holds is asked
+    for, so each block is used before the next is asked for.  The CRC-32
+    covers exactly the bytes handed out and is checked against
+    ``matrix.crc32`` after the last row.  Closing the generator waits for its
+    reader, so no read outlives it.
     """
-    rows, dim = shape
+    (rows, dim), descriptor, offset = matrix.shape, matrix.descriptor, matrix.offset
     starts = range(0, rows, NORM_BLOCK_ROWS)
     buffers = np.empty((2, min(rows, NORM_BLOCK_ROWS), dim), "<f8")
     running = 0
@@ -686,7 +682,7 @@ def _stream_rows(descriptor: int, offset: int, shape: tuple[int, ...], crc, name
             if k + 1 < len(starts):
                 pending = reader.submit(read, k + 1)
             yield block
-    if running != crc:
+    if running != matrix.crc32:
         raise DataError(f"array {name!r} fails its CRC-32 check")
 
 
@@ -703,9 +699,10 @@ def _checkpoint_from(
     ``arrays`` in blocks (``_stream_rows``), so that each is read once and
     never through its mapping: the table's rows go to its constructor
     (``PretrainedTable``'s ``blocks``), and the embedding's are checked and
-    fingerprinted here.  ``pretrained`` and ``model``, when given, are the
-    table and model that the meta's words and the arrays came from, used as
-    they are, so a save's check takes no fingerprints.
+    fingerprinted here.  A ``FileMatrix`` with no stream is not read: the
+    load that made it checked it, and a save's copy checks its CRC-32.
+    ``pretrained`` and ``model``, when given, are the table and model that
+    the meta's words and the arrays came from, used as they are.
     """
     streams = streams or {}
     config = TrainConfig(**meta["config"]).validate()
@@ -727,14 +724,14 @@ def _checkpoint_from(
         found = arrays[name]
         if found.shape != shape or found.dtype != np.float64:
             raise DataError(f"array {name!r} is {found.dtype} {found.shape}, expected float64 {shape}")
-        if not name.startswith("param/"):
+        if not name.startswith("param/") or (name not in streams and _file_backed(found)):
             continue
         for block in streams.get(name, (found,)):
             # tanh would hide an inf parameter and answer from the saturated output; min and
             # max carry any nan and any inf is one of them, so no array-sized temporary is made
             if not np.isfinite([block.min(initial=0.0), block.max(initial=0.0)]).all():
                 raise NonFiniteLossError(f"array {name!r} has a non-finite entry")
-            if name in streams and model is None:
+            if name in streams:
                 fingerprints.append(row_fingerprints(block))
     unlisted = sorted(set(arrays) - set(expected))
     if unlisted:

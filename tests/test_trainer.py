@@ -1,8 +1,11 @@
 """Config parsing, Adam, training-loop, and checkpoint round-trip tests."""
 
 import copy
+import errno
 import gc
+import io
 import os
+import re
 import sys
 import threading
 import time
@@ -19,7 +22,7 @@ from conftest import framed_header, read_checkpoint_file, write_checkpoint_file
 from revdict import embeddings, objective, trainer
 from revdict.corpus import DefinitionPair, EncodedPair, bucket_and_batch
 from revdict.encoder import DefinitionModel, EncoderMode
-from revdict.embeddings import PretrainedTable, cosine_to_all, rank_by_cosine, row_fingerprints
+from revdict.embeddings import FileMatrix, PretrainedTable, cosine_to_all, rank_by_cosine, row_fingerprints
 from revdict.errors import ConfigError, DataError, NonFiniteLossError
 from revdict.evaluator import evaluate, median_rank, rank_of_correct
 from revdict.objective import LossKind, RowGradient, backward
@@ -554,11 +557,42 @@ class TestTrainLoop:
         ckpt, _ = train(cfg, pairs, pairs, table, vocab)
         assert ckpt.dev_median_rank <= ckpt0.dev_median_rank
 
-    def test_non_finite_loss_names_the_batch(self):
+    def test_non_finite_loss_names_the_batch(self, monkeypatch):
+        # a nan projection bias makes every output of the first batch nan (tanh would hide an inf)
         pairs, table, vocab, cfg = toy_world()
-        table.matrix[:, :] = np.inf
+        create = DefinitionModel.create
+
+        def poisoned(*args, **kwargs):
+            model = create(*args, **kwargs)
+            model.projection.bias[:] = np.nan
+            return model
+
+        monkeypatch.setattr(DefinitionModel, "create", poisoned)
         with pytest.raises(NonFiniteLossError, match=r"epoch 1 batch 0"):
             train(cfg, pairs, pairs[:4], table, vocab)
+
+    def test_a_table_changed_after_it_was_built_is_a_data_error(self):
+        # targets are gathered and checked against the table's screen rows
+        pairs, table, vocab, cfg = toy_world()
+        table.matrix[:, :] = np.inf
+        with pytest.raises(DataError, match="^pretrained table: pretrained rows changed after the table was loaded$"):
+            train(cfg, pairs, pairs[:4], table, vocab)
+
+    def test_training_on_a_loaded_table_reads_it_only_by_position(self, tmp_path, monkeypatch):
+        # targets and negatives are read by position (PretrainedTable.gather), never through the
+        # mapping, and training on the loaded table writes the bytes the in-memory table gives
+        pairs, table, vocab, cfg = toy_world(loss_kind="rank")
+        ckpt, _ = train(cfg, pairs, pairs[:4], table, vocab)
+        save_checkpoint(tmp_path / "memory.ckpt", ckpt)
+        loaded = load_checkpoint(tmp_path / "memory.ckpt").pretrained
+
+        def through_the_mapping(self, index):
+            raise AssertionError(f"read rows {index!r} through the mapping")
+
+        monkeypatch.setattr(FileMatrix, "__getitem__", through_the_mapping)
+        again, _ = train(cfg, pairs, pairs[:4], loaded, vocab)
+        save_checkpoint(tmp_path / "loaded.ckpt", again)
+        assert (tmp_path / "loaded.ckpt").read_bytes() == (tmp_path / "memory.ckpt").read_bytes()
 
     def test_empty_sets_rejected(self):
         pairs, table, vocab, cfg = toy_world()
@@ -864,7 +898,7 @@ class TestCheckpointIO:
 
     def test_saving_a_loaded_checkpoint_checks_its_rows_but_takes_no_fingerprints(self, tmp_path, monkeypatch):
         # the load fingerprints each embedding row for the model it builds; a save builds
-        # no model, so it only checks the rows it streams from the file, which must be finite
+        # no model, and checks the rows it copies from the file against the CRC-32 the load checked
         ckpt, _ = self.make_checkpoint()
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, ckpt)
@@ -878,7 +912,7 @@ class TestCheckpointIO:
         with open(path, "r+b") as handle:  # an inf written into the file after the load
             handle.seek(loaded.model.embeddings.matrix.offset + 8)
             handle.write(np.array([np.inf]).tobytes())
-        with pytest.raises(NonFiniteLossError, match="array 'param/emb' has a non-finite entry"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: array 'param/emb' fails its CRC-32 check$"):
             save_checkpoint(tmp_path / "bad.ckpt", loaded)
         assert calls == [] and not (tmp_path / "bad.ckpt").exists()
 
@@ -1000,22 +1034,22 @@ class TestStreamedLoad:
         save_checkpoint(path, large_checkpoint(rows=60, dim=5, vocab_size=40, embed_dim=6))
         return path
 
-    def fails_cleanly(self, path, error, message):
-        """Load ``path``, which must raise ``error`` with ``message``, and leave no thread or descriptor behind.
+    def fails_cleanly(self, call, error, message):
+        """Run ``call``, a load or a save, which must raise ``error`` with ``message``, and leave no thread or descriptor.
 
-        The reader has stopped by the time the error leaves the load.  The
-        garbage collector is off, so nothing the load opened waits for it.
+        The reader has stopped by the time the error leaves the call.  The
+        garbage collector is off, so nothing the call opened waits for it.
         """
         threads, descriptors = threading.active_count(), open_descriptors()
         gc.disable()
         try:
             try:
-                load_checkpoint(path)
+                call()
             except error as exc:
-                assert str(exc) == f"{path}: {message}"
+                assert str(exc) == message
                 assert threading.active_count() == threads
             else:
-                raise AssertionError(f"{path} loaded")
+                raise AssertionError("no error")
             assert open_descriptors() == descriptors
         finally:
             gc.enable()
@@ -1036,7 +1070,7 @@ class TestStreamedLoad:
             return got - 8 if len(calls) == call + 1 else got
 
         monkeypatch.setattr(trainer.os, "preadv", short)
-        self.fails_cleanly(saved, DataError, f"array {name!r} runs past the end of the file")
+        self.fails_cleanly(lambda: load_checkpoint(saved), DataError, f"{saved}: array {name!r} runs past the end of the file")
         assert len(calls) == call + 1  # nothing is read after the short read
 
     @pytest.mark.parametrize(
@@ -1051,7 +1085,7 @@ class TestStreamedLoad:
             data[at] ^= 1
 
         rewrite_array(saved, broken, name, flip)
-        self.fails_cleanly(broken, DataError, f"array {name!r} fails its CRC-32 check")
+        self.fails_cleanly(lambda: load_checkpoint(broken), DataError, f"{broken}: array {name!r} fails its CRC-32 check")
 
     def test_a_non_finite_embedding_entry_in_the_first_block(self, saved, tmp_path):
         # the reader has the second block in hand when the first block's check raises
@@ -1061,12 +1095,79 @@ class TestStreamedLoad:
             data[8:16] = np.array([np.inf]).tobytes()
 
         rewrite_array(saved, broken, "param/emb", inf, keep_crc=False)
-        self.fails_cleanly(broken, NonFiniteLossError, "array 'param/emb' has a non-finite entry")
+        message = f"{broken}: array 'param/emb' has a non-finite entry"
+        self.fails_cleanly(lambda: load_checkpoint(broken), NonFiniteLossError, message)
 
     def test_a_load_leaves_no_reader_running(self, saved):
         threads = threading.active_count()
         load_checkpoint(saved)
         assert threading.active_count() == threads
+
+    def test_a_save_of_a_loaded_checkpoint_reads_each_file_backed_array_once(self, saved, tmp_path, monkeypatch):
+        # the header takes the CRC-32 the load checked, and one streamed pass both copies and checks the rows
+        loaded = load_checkpoint(saved)
+        preadv, read = os.preadv, []
+
+        def counted(fd, buffers, offset):
+            read.append(preadv(fd, buffers, offset))
+            return read[-1]
+
+        monkeypatch.setattr(trainer.os, "preadv", counted)
+        save_checkpoint(tmp_path / "copy.ckpt", loaded)
+        assert sum(read) == loaded.pretrained.matrix.nbytes + loaded.model.embeddings.matrix.nbytes
+        assert (tmp_path / "copy.ckpt").read_bytes() == saved.read_bytes()
+
+    @pytest.mark.parametrize(
+        "call, name", [(3, "param/emb"), (14, "pretrained")], ids=["emb-later-block", "table-last-block"]
+    )
+    def test_a_short_read_fails_the_save(self, saved, tmp_path, monkeypatch, call, name):
+        # as in the load, the embedding's 40 rows take reads 0-5 and the table's 60 rows reads 6-14
+        loaded, before = load_checkpoint(saved), sorted(tmp_path.iterdir())
+        preadv, calls = os.preadv, []
+
+        def short(fd, buffers, offset):
+            calls.append(offset)
+            got = preadv(fd, buffers, offset)
+            return got - 8 if len(calls) == call + 1 else got
+
+        monkeypatch.setattr(trainer.os, "preadv", short)
+        message = f"{saved}: array {name!r} runs past the end of the file"
+        self.fails_cleanly(lambda: save_checkpoint(tmp_path / "copy.ckpt", loaded), DataError, message)
+        assert len(calls) == call + 1 and sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "name, row", [("param/emb", 20), ("pretrained", 59)], ids=["emb-middle-block", "table-last-block"]
+    )
+    def test_a_file_changed_since_the_load_fails_the_save(self, saved, tmp_path, name, row):
+        loaded, before = load_checkpoint(saved), sorted(tmp_path.iterdir())
+        matrix = loaded.pretrained.matrix if name == "pretrained" else loaded.model.embeddings.matrix
+        with open(saved, "r+b") as handle:  # the lowest mantissa byte of the row's first entry
+            handle.seek(matrix.offset + row * matrix.shape[1] * 8)
+            byte = handle.read(1)[0]
+            handle.seek(-1, os.SEEK_CUR)
+            handle.write(bytes([byte ^ 1]))
+        message = f"{saved}: array {name!r} fails its CRC-32 check"
+        self.fails_cleanly(lambda: save_checkpoint(tmp_path / "copy.ckpt", loaded), DataError, message)
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("fail", [2, 16], ids=["emb-first-block", "table-middle-block"])
+    def test_a_failed_write_stops_the_reader(self, saved, tmp_path, monkeypatch, fail):
+        # writes 0 and 1 are the prefix and the header, 2-7 the embedding's blocks, 8-12 the five small
+        # arrays and 13-21 the table's blocks; write ``fail`` raises while the reader holds the next block
+        loaded, before = load_checkpoint(saved), sorted(tmp_path.iterdir())
+        writes = []
+
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                writes.append(len(data))
+                if len(writes) == fail + 1:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+        monkeypatch.setattr(trainer, "open", lambda path, mode: FullDisk(path, mode.replace("b", "")), raising=False)
+        message = "[Errno 28] No space left on device"
+        self.fails_cleanly(lambda: save_checkpoint(tmp_path / "copy.ckpt", loaded), OSError, message)
+        assert len(writes) == fail + 1 and sorted(tmp_path.iterdir()) == before
 
     def test_each_block_is_left_alone_until_the_next_is_asked_for(self, saved):
         # the reader fills the other buffer meanwhile; a slow caller still sees each block as read
@@ -1076,7 +1177,7 @@ class TestStreamedLoad:
         offset += sum(len(arrays[name]) for name in sorted(arrays) if name < "pretrained")
         crc = header["arrays"]["pretrained"]["crc32"]
         with open(saved, "rb") as handle:
-            stream = trainer._stream_rows(handle.fileno(), offset, rows.shape, crc, "pretrained")
+            stream = trainer._stream_rows(FileMatrix(handle, offset, rows.shape, crc), "pretrained")
             lo = 0
             for block in stream:
                 time.sleep(0.002)
