@@ -21,11 +21,12 @@ for that band, so a checkpoint's table can stay in its file, with only the
 screen in memory (``trainer.load_checkpoint``).
 
 A checkpoint's two large arrays, the pretrained table and the learned gloss
-embedding, are ``FileMatrix`` mappings of its file, read by position, never
-through the mapping: a row at a time (``FileMatrix.read``), or a block at a
-time by a checkpoint load or save (``trainer._stream_rows``).  Each row read
-is checked against what the load computed from it: a table row against its
-screen row, an embedding row against its fingerprint (``row_fingerprints``).
+embedding, stay in its file as ``FileMatrix`` descriptors, never mapped, and
+only this module reads them: a row at a time (``FileMatrix.read``), a block
+at a time (``FileMatrix.blocks``) or whole, as a CRC-checked copy
+(``np.asarray``).  Each row read alone is checked against what the load
+computed from it: a table row against its screen row, an embedding row
+against its fingerprint (``row_fingerprints``).
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ from __future__ import annotations
 import math
 import os
 import weakref
-from dataclasses import InitVar, dataclass, field
+import zlib
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -43,7 +46,7 @@ from .errors import DataError, NonFiniteLossError, decoding
 
 LEARNED_DIM = 500
 INIT_SCALE = 0.05
-# rows per block of the constructor's norm and screen pass (and of a checkpoint load's two
+# rows per block of the constructor's norm and screen pass (and of ``FileMatrix.blocks``'s two
 # read buffers), so its temporaries are a block, not the table; each row's norm is its own
 # sum, so the bits are the whole-table call's.  256 rows of 500 are 1 MB, within one core's
 # 2 MB L2; with the load's reader thread, 128 to 1024 rows loaded a 50k x 500 table alike
@@ -53,27 +56,23 @@ U32 = 2.0**-24
 U64 = 2.0**-53
 
 
-class FileMatrix(np.memmap):
-    """A read-only mapping of an (n, D) float64 array in an open file, with its own descriptor on that file.
+class FileMatrix:
+    """An (n, D) float64 array left in an open file: its own descriptor on that file, not a mapping.
 
-    ``read`` copies rows by position through the descriptor, never through
-    the mapping: a read maps no page, so the rows a process reads do not
-    pile up in it, and a file cut short while it is loaded is a DataError
-    naming it, not a SIGBUS.  The descriptor stays on the file that was
-    mapped, so a file renamed over its path later is not read.  It is
-    closed when the mapping is collected.  ``crc32`` is the CRC-32 of the
-    array's bytes that the file's header gives.  A view of the mapping, or
-    an array computed from it, has no descriptor and is read as any array is.
+    Every read is an ``os.preadv`` at ``offset``, so rows read do not pile up
+    in the process, and a file cut short while loaded is a DataError, not a
+    SIGBUS.  The descriptor stays on the file that was opened, even if
+    another is renamed over its path, and is closed when the matrix is
+    collected.  ``crc32`` and ``name`` are the array's CRC-32 and name in the
+    file's header.
     """
 
-    descriptor: int | None = None
-    crc32: int | None = None
+    dtype = np.dtype(np.float64)
 
-    def __new__(cls, handle: BinaryIO, offset: int, shape: tuple[int, ...], crc32: int) -> "FileMatrix":
-        self = super().__new__(cls, handle, "<f8", "r", offset=offset, shape=shape)
-        self.descriptor, self.crc32 = os.dup(handle.fileno()), crc32
+    def __init__(self, handle: BinaryIO, offset: int, shape: tuple[int, ...], crc32: int, name: str) -> None:
+        self.descriptor, self.offset, self.shape = os.dup(handle.fileno()), offset, shape
+        self.filename, self.crc32, self.name = os.path.abspath(handle.name), crc32, name
         weakref.finalize(self, os.close, self.descriptor)
-        return self
 
     def read(self, index: np.ndarray) -> np.ndarray:
         """Copies of the rows at ``index``: one ``os.preadv`` into each output row, at ``offset + i·D·8``."""
@@ -83,10 +82,54 @@ class FileMatrix(np.memmap):
                 raise DataError(f"{self.filename}: row {i} runs past the end of the file")
         return rows
 
+    def blocks(self) -> Iterator[np.ndarray]:
+        """Every row, read from the file a block at a time.
 
-def _file_backed(matrix: np.ndarray) -> bool:
-    """Whether ``matrix`` is a whole ``FileMatrix``, whose rows are read by position."""
-    return getattr(matrix, "descriptor", None) is not None
+        While the caller works on one block, a reader thread reads the next
+        into the other of two buffers and folds it into the running CRC-32,
+        both without the GIL.  A buffer is refilled only once the block after
+        the one it holds is asked for.  The CRC-32 covers exactly the bytes
+        handed out and is checked after the last row.  Closing the generator
+        waits for its reader, so no read outlives it.
+        """
+        (rows, dim), descriptor, offset, name = self.shape, self.descriptor, self.offset, self.name
+        starts = range(0, rows, NORM_BLOCK_ROWS)
+        buffers = np.empty((2, min(rows, NORM_BLOCK_ROWS), dim), "<f8")
+        running = 0
+
+        def read(k: int) -> np.ndarray:
+            nonlocal running
+            block = buffers[k % 2][: min(NORM_BLOCK_ROWS, rows - starts[k])]
+            data = block.reshape(-1).view(np.uint8)
+            if os.preadv(descriptor, [data], offset + starts[k] * dim * 8) != data.size:
+                raise DataError(f"array {name!r} runs past the end of the file")
+            running = zlib.crc32(data, running)
+            return block
+
+        with ThreadPoolExecutor(max_workers=1) as reader:
+            pending = reader.submit(read, 0) if starts else None
+            for k in range(len(starts)):
+                try:
+                    block = pending.result()
+                finally:  # a failed read's future holds its error, whose traceback would hold this frame
+                    pending = None
+                if k + 1 < len(starts):
+                    pending = reader.submit(read, k + 1)
+                yield block
+        if running != self.crc32:
+            raise DataError(f"array {name!r} fails its CRC-32 check")
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """A copy of the whole array, read through ``blocks``; there is no view of it to give (``copy=False``)."""
+        if copy is False:
+            raise ValueError(f"{self.filename}: array {self.name!r} is in its file, so it can only be copied")
+        array = np.empty(self.shape, dtype)
+        try:  # blocks first, so that zip takes the step after its last block, which checks the CRC-32
+            for block, lo in zip(self.blocks(), range(0, self.shape[0], NORM_BLOCK_ROWS)):
+                array[lo : lo + len(block)] = block
+        except DataError as exc:
+            raise DataError(f"{self.filename}: {exc}") from exc
+        return array
 
 
 @dataclass
@@ -100,23 +143,25 @@ class PretrainedTable:
     in that order, and every row has a finite nonzero norm.
 
     ``matrix`` is an array in memory or a ``FileMatrix`` of a checkpoint
-    file.  The constructor makes one pass over its rows, a block at a time;
-    ``blocks``, when given, yields those rows in order in place of slices of
-    the matrix, so a checkpoint load can stream them from the file while it
-    checks their CRC-32 and never read the mapping whole.
+    file.  The constructor makes one pass over its rows, a block at a time:
+    slices of an array, or a ``FileMatrix``'s ``blocks``, so a checkpoint
+    load streams them from the file while it checks their CRC-32.
     """
 
     words: list[str]
-    matrix: np.ndarray  # (n, D) float64
-    blocks: InitVar[Iterable[np.ndarray] | None] = None
+    matrix: np.ndarray | FileMatrix  # (n, D) float64
     word_to_row: dict[str, int] = field(init=False, repr=False)
     norms: np.ndarray = field(init=False)  # (n,) float64, all finite and > 0
     screen: np.ndarray = field(init=False, repr=False)  # (n, D) float32: each row over its norm
     spans: dict[int, slice] = field(init=False)  # each word length present -> its rows, ascending
 
-    def __post_init__(self, blocks: Iterable[np.ndarray] | None) -> None:
-        self.matrix = np.asanyarray(self.matrix, dtype=np.float64)  # a FileMatrix stays one
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.words):
+    def __post_init__(self) -> None:
+        if isinstance(self.matrix, FileMatrix):
+            blocks = self.matrix.blocks()  # a generator: nothing is read before the loop below
+        else:
+            self.matrix = np.asarray(self.matrix, dtype=np.float64)
+            blocks = (self.matrix[lo : lo + NORM_BLOCK_ROWS] for lo in range(0, len(self.words), NORM_BLOCK_ROWS))
+        if len(self.matrix.shape) != 2 or self.matrix.shape[0] != len(self.words):
             raise ValueError("matrix must be (len(words), D)")
         self.word_to_row = {w: i for i, w in enumerate(self.words)}
         if len(self.word_to_row) != len(self.words):
@@ -124,9 +169,7 @@ class PretrainedTable:
         lengths = _lengths(self.words)
         if np.any(lengths[1:] < lengths[:-1]):
             raise ValueError("table rows are not in word-length order")
-        if blocks is None:
-            blocks = (self.matrix[lo : lo + NORM_BLOCK_ROWS] for lo in range(0, len(self.matrix), NORM_BLOCK_ROWS))
-        self.norms = np.empty(len(self.matrix))
+        self.norms = np.empty(len(self.words))
         self.screen = np.empty(self.matrix.shape, np.float32)
         lo = 0
         # an overflowing norm reads inf and a zero one divides 0/0; both are refused below
@@ -179,12 +222,12 @@ class PretrainedTable:
         since the table was built, as when a loaded checkpoint is rewritten in
         place: a DataError naming the file.
         """
-        mapped = _file_backed(self.matrix)
-        rows = self.matrix.read(index) if mapped else self.matrix[index]
+        in_file = isinstance(self.matrix, FileMatrix)
+        rows = self.matrix.read(index) if in_file else self.matrix[index]
         with np.errstate(over="ignore", invalid="ignore"):  # a changed row may hold anything
             unchanged = np.array_equal((rows / self.norms[index, None]).astype(np.float32), self.screen[index])
         if not unchanged:
-            source = self.matrix.filename if mapped else "pretrained table"
+            source = self.matrix.filename if in_file else "pretrained table"
             raise DataError(f"{source}: pretrained rows changed after the table was loaded")
         return rows
 
@@ -292,7 +335,7 @@ class LearnedTable:
     the load read it.
     """
 
-    matrix: np.ndarray  # (vocab, E) float64
+    matrix: np.ndarray | FileMatrix  # (vocab, E) float64
     pad_id: int
     fingerprints: np.ndarray | None = None  # (vocab,) float64, for a file-backed matrix
 
@@ -305,7 +348,7 @@ class LearnedTable:
         fingerprint: a row that no longer matches, as when a loaded checkpoint
         is rewritten in place, is a DataError naming the file.
         """
-        if not _file_backed(self.matrix):
+        if not isinstance(self.matrix, FileMatrix):
             return np.take(self.matrix, token_ids, axis=-2)
         unique, inverse = np.unique(token_ids, return_inverse=True)
         rows = self.matrix.read(unique)

@@ -268,8 +268,11 @@ def finite_diff_check(
     Every entry of every parameter array gets (loss(+eps) - loss(-eps)) /
     2 eps; relative error per entry is |fd - grad| / max(|fd|, |grad|, 1e-8).
     The perturbed models are scored as stacked replicas, as many per pass
-    as fit in REPLICA_ELEMENTS; the model is left bitwise unchanged.
+    as fit in REPLICA_ELEMENTS; the model is left bitwise unchanged.  A
+    loaded model's file-backed arrays are read first, once (``np.asarray``).
     """
+    params = {name: np.asarray(param) for name, param in model.param_dict().items()}
+    model = DefinitionModel.from_params(model.mode, model.embeddings.pad_id, params)
     token_ids = np.asarray(token_ids)
     lengths = np.asarray(lengths)
     loss_kind = LossKind(loss_kind)
@@ -280,7 +283,7 @@ def finite_diff_check(
     activations = len(model.lstms) * token_ids.size * (model.embeddings.matrix.shape[1] + 5 * model.lstms[0].hidden)
 
     worst = 0.0
-    for name, param in model.param_dict().items():
+    for name, param in params.items():
         flat_grad = grad_dict[name].reshape(-1)
         chunk = max(1, REPLICA_ELEMENTS // (2 * (param.size + activations)))
         for start in range(0, param.size, chunk):

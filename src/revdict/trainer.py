@@ -10,15 +10,14 @@ bytes) and CRC-32 (4 bytes), the UTF-8 JSON header (the meta plus each
 array's shape and CRC-32), then each array's float64 bytes in C order, back
 to back in sorted name order; every number is little-endian.  Identical
 runs give bitwise-identical files.  Saving streams each array with no copy,
-and copies an array still in a loaded checkpoint's file in one pass of the
-load's block reader, which checks it against the CRC-32 the load kept;
-loading checks every size against the file's before it allocates, reads
-each small model array once straight into place, checks every CRC-32 and
-refuses a header key or array that the layout does not name.  The two large
-arrays stay in the file: loading maps the pretrained table and the learned
-gloss embedding read-only (``FileMatrix``) and streams each once through
-two block buffers: a reader thread reads each block and folds it into the
-array's CRC-32 while the block before it is worked on.  The table's pass
+and copies an array still in a loaded checkpoint's file in one pass of its
+block reader (``FileMatrix.blocks``), which checks it against the CRC-32 the
+load kept; loading checks every size against the file's before it
+allocates, reads each small model array once straight into place, checks
+every CRC-32 and refuses a header key or array that the layout does not
+name.  The two large arrays stay in the file: loading keeps the pretrained
+table and the learned gloss embedding as ``FileMatrix`` descriptors, maps
+nothing, and streams each once through its block reader.  The table's pass
 builds its norms and float32 screen; the embedding's checks that it is
 finite and takes each row's fingerprint.  So only the screen, the
 fingerprints and the LSTM and projection arrays are resident: ranking reads
@@ -51,9 +50,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .corpus import BUCKET_SIZE, DefinitionPair, EncodedPair, MINIBATCH_SIZE, bucket_and_batch
-from .embeddings import (
-    LEARNED_DIM, NORM_BLOCK_ROWS, FileMatrix, LearnedTable, PretrainedTable, _file_backed, row_fingerprints,
-)
+from .embeddings import LEARNED_DIM, FileMatrix, LearnedTable, PretrainedTable, row_fingerprints
 from .encoder import HIDDEN_SIZE, DefinitionModel, EncoderMode, param_shapes
 from .errors import ConfigError, DataError, NonFiniteLossError, decoding
 from .evaluator import median_rank, rank_of_correct, score_batches
@@ -501,10 +498,10 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     """Write a checkpoint file whose bytes depend only on its contents.
 
     Each array is streamed from its own buffer, so no copy of the table is
-    made.  An array mapped from a loaded checkpoint is copied from its file
-    in one ``_stream_rows`` pass, never through the mapping, under the CRC-32
-    its load checked, so a source file cut short or changed since the load
-    is a DataError naming it, not a SIGBUS.  The file is written to a
+    made.  An array still in a loaded checkpoint's file is copied from it in
+    one pass of ``FileMatrix.blocks``, under the CRC-32 its load checked, so
+    a source file cut short or changed since the load is a DataError naming
+    it.  No ``FileMatrix`` is read whole.  The file is written to a
     temporary file beside ``path`` and renamed over it, so a failed write
     leaves any previous file at ``path`` whole.  The load's checks run first
     on the meta and arrays to be written, so what a load would refuse is
@@ -533,7 +530,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     _checkpoint_from(meta, arrays, pretrained=ckpt.pretrained, model=model)
     meta["arrays"] = {}
     for name, array in arrays.items():  # a loaded array's CRC-32 is the one its load checked
-        crc = array.crc32 if _file_backed(array) else zlib.crc32(_stored_bytes(array))
+        crc = array.crc32 if isinstance(array, FileMatrix) else zlib.crc32(_stored_bytes(array))
         meta["arrays"][name] = {"shape": list(array.shape), "crc32": crc}
     header = json.dumps(meta, sort_keys=True).encode("utf-8")
     path = Path(path)
@@ -543,10 +540,10 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
             handle.write(CHECKPOINT_MAGIC + len(header).to_bytes(8, "little"))
             handle.write(zlib.crc32(header).to_bytes(4, "little") + header)
             for name, array in sorted(arrays.items()):
-                if not _file_backed(array):
+                if not isinstance(array, FileMatrix):
                     handle.write(_stored_bytes(array))
                     continue
-                with closing(_stream_rows(array, name)) as blocks:  # stops the reader, also when a write fails
+                with closing(array.blocks()) as blocks:  # stops the reader, also when a write fails
                     try:
                         for block in blocks:
                             handle.write(_stored_bytes(block))
@@ -575,12 +572,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     The file must be exactly as long as its header says, which is checked
     before any array is allocated.  Each small model array is then read
     once, straight into the array it ends up in, and its CRC-32 is checked.
-    The pretrained table's matrix and the gloss embedding are read-only
-    ``FileMatrix`` mappings of the file, each checked by one streamed pass
-    that ends with its CRC-32 check: the table's constructor takes the
-    table's rows, and the embedding's pass checks that its rows are finite
-    and takes their fingerprints.  A parameter holding an inf or nan is a
-    NonFiniteLossError.
+    The pretrained table's matrix and the gloss embedding stay in the file
+    as ``FileMatrix`` descriptors, each checked by one pass of its
+    ``blocks`` that ends with its CRC-32 check: the table's constructor
+    takes the table's rows, and ``_checkpoint_from`` checks that the
+    embedding's rows are finite and takes their fingerprints.  Each CRC-32
+    in the header must be a JSON integer in [0, 2^32).  A parameter holding
+    an inf or nan is a NonFiniteLossError.
     """
     try:
         with open(path, "rb") as handle:
@@ -614,104 +612,58 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 shape = entry.get("shape") if isinstance(entry, dict) else None
                 if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
                     raise DataError(f"array {name!r} has no shape of nonnegative integers in the header")
-                layout.append((name, tuple(shape), entry.get("crc32"), end))
+                crc = entry.get("crc32")  # a JSON float or bool may equal the bytes' CRC-32, but no save writes one
+                if type(crc) is not int or not 0 <= crc < 2**32:
+                    raise DataError(f"array {name!r} has no CRC-32 as an unsigned 32-bit integer in the header")
+                layout.append((name, tuple(shape), crc, end))
                 end += math.prod(shape) * 8
                 if end > file_size:
                     raise DataError(f"array {name!r} runs past the end of the file")
             if end != file_size:
                 raise DataError(f"checkpoint is {file_size} bytes, but its header describes {end}")
-            arrays, streams = {}, {}
-            try:
-                for name, shape, crc, offset in layout:
-                    if name in FILE_BACKED:
-                        arrays[name] = FileMatrix(handle, offset, shape, crc)
-                        streams[name] = _stream_rows(arrays[name], name)
-                        continue
-                    handle.seek(offset)
-                    array = np.empty(shape, "<f8")
-                    data = array.reshape(-1).view(np.uint8)
-                    if handle.readinto(data) != data.size:
-                        raise DataError(f"array {name!r} runs past the end of the file")
-                    if zlib.crc32(data) != crc:
-                        raise DataError(f"array {name!r} fails its CRC-32 check")
-                    arrays[name] = array
-                return _checkpoint_from(meta, arrays, streams)
-            finally:  # a stream left part-read stops its reader here, before the file closes
-                for stream in streams.values():
-                    stream.close()
+            arrays = {}
+            for name, shape, crc, offset in layout:
+                if name in FILE_BACKED:
+                    arrays[name] = FileMatrix(handle, offset, shape, crc, name)
+                    continue
+                handle.seek(offset)
+                array = np.empty(shape, "<f8")
+                data = array.reshape(-1).view(np.uint8)
+                if handle.readinto(data) != data.size:
+                    raise DataError(f"array {name!r} runs past the end of the file")
+                if zlib.crc32(data) != crc:
+                    raise DataError(f"array {name!r} fails its CRC-32 check")
+                arrays[name] = array
+            return _checkpoint_from(meta, arrays)
     except (DataError, NonFiniteLossError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OSError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise DataError(f"{path}: unreadable checkpoint ({exc})") from exc
 
 
-def _stream_rows(matrix: FileMatrix, name: str) -> Iterator[np.ndarray]:
-    """The rows of ``matrix``, the array ``name`` of a checkpoint, read from its file a block at a time.
-
-    Two block buffers take turns.  While the caller works on one block, a
-    reader thread reads the next into the other buffer (``os.preadv`` on the
-    matrix's descriptor) and folds it into the array's running CRC-32; both
-    release the GIL, so the read and the check overlap the caller's work.  A
-    buffer is refilled only once the block after the one it holds is asked
-    for, so each block is used before the next is asked for.  The CRC-32
-    covers exactly the bytes handed out and is checked against
-    ``matrix.crc32`` after the last row.  Closing the generator waits for its
-    reader, so no read outlives it.
-    """
-    (rows, dim), descriptor, offset = matrix.shape, matrix.descriptor, matrix.offset
-    starts = range(0, rows, NORM_BLOCK_ROWS)
-    buffers = np.empty((2, min(rows, NORM_BLOCK_ROWS), dim), "<f8")
-    running = 0
-
-    def read(k: int) -> np.ndarray:
-        nonlocal running
-        block = buffers[k % 2][: min(NORM_BLOCK_ROWS, rows - starts[k])]
-        data = block.reshape(-1).view(np.uint8)
-        if os.preadv(descriptor, [data], offset + starts[k] * dim * 8) != data.size:
-            raise DataError(f"array {name!r} runs past the end of the file")
-        running = zlib.crc32(data, running)
-        return block
-
-    with ThreadPoolExecutor(max_workers=1) as reader:
-        pending = reader.submit(read, 0) if starts else None
-        for k in range(len(starts)):
-            try:
-                block = pending.result()
-            finally:  # a failed read's future holds its error, whose traceback would hold this frame
-                pending = None
-            if k + 1 < len(starts):
-                pending = reader.submit(read, k + 1)
-            yield block
-    if running != matrix.crc32:
-        raise DataError(f"array {name!r} fails its CRC-32 check")
-
-
 def _checkpoint_from(
     meta: dict,
-    arrays: dict[str, np.ndarray],
-    streams: dict[str, Iterator[np.ndarray]] | None = None,
+    arrays: dict[str, np.ndarray | FileMatrix],
     pretrained: PretrainedTable | None = None,
     model: DefinitionModel | None = None,
 ) -> Checkpoint:
     """Build a Checkpoint from its meta and arrays, checking every array's shape and that the parameters are finite.
 
-    ``streams``, when given, yields the rows of each ``FileMatrix`` in
-    ``arrays`` in blocks (``_stream_rows``), so that each is read once and
-    never through its mapping: the table's rows go to its constructor
-    (``PretrainedTable``'s ``blocks``), and the embedding's are checked and
-    fingerprinted here.  A ``FileMatrix`` with no stream is not read: the
-    load that made it checked it, and a save's copy checks its CRC-32.
+    On a load, each ``FileMatrix`` in ``arrays`` is read once, a block at a
+    time (``FileMatrix.blocks``): the table's rows by its constructor, and
+    the embedding's here, where they are checked and fingerprinted.  On a
+    save (``model`` given) no ``FileMatrix`` is read: the load that made it
+    checked it, and the save's copy checks its CRC-32.
     ``pretrained`` and ``model``, when given, are the table and model that
     the meta's words and the arrays came from, used as they are.
     """
-    streams = streams or {}
     config = TrainConfig(**meta["config"]).validate()
     mode = EncoderMode(config.encoder_mode)
     for key in ("vocab", "pretrained_words"):  # no input matches a token or word that is not a string
         if not isinstance(meta[key], list) or not all(isinstance(item, str) for item in meta[key]):
             raise DataError(f"checkpoint {key!r} is not a list of strings")
     vocab = WordVocab(meta["vocab"])
-    if "pretrained" not in arrays or arrays["pretrained"].ndim != 2:
+    if "pretrained" not in arrays or len(arrays["pretrained"].shape) != 2:
         raise DataError("checkpoint has no 2-D array 'pretrained'")
     out_dim = arrays["pretrained"].shape[1]
     shapes = param_shapes(mode, len(vocab), config.embed_dim, config.hidden_size, out_dim)
@@ -724,21 +676,22 @@ def _checkpoint_from(
         found = arrays[name]
         if found.shape != shape or found.dtype != np.float64:
             raise DataError(f"array {name!r} is {found.dtype} {found.shape}, expected float64 {shape}")
-        if not name.startswith("param/") or (name not in streams and _file_backed(found)):
+        in_file = isinstance(found, FileMatrix)
+        if not name.startswith("param/") or (in_file and model is not None):
             continue
-        for block in streams.get(name, (found,)):
+        for block in found.blocks() if in_file else (found,):
             # tanh would hide an inf parameter and answer from the saturated output; min and
             # max carry any nan and any inf is one of them, so no array-sized temporary is made
             if not np.isfinite([block.min(initial=0.0), block.max(initial=0.0)]).all():
                 raise NonFiniteLossError(f"array {name!r} has a non-finite entry")
-            if name in streams:
+            if in_file:
                 fingerprints.append(row_fingerprints(block))
     unlisted = sorted(set(arrays) - set(expected))
     if unlisted:
         raise DataError(f"checkpoint has an array {unlisted[0]!r} that its layout does not list")
     if pretrained is None:
         try:  # a table out of word-length order is refused, not copied to sort it
-            pretrained = PretrainedTable(list(meta["pretrained_words"]), arrays["pretrained"], streams.get("pretrained"))
+            pretrained = PretrainedTable(list(meta["pretrained_words"]), arrays["pretrained"])
         except DataError:  # the streamed rows' own check
             raise
         except ValueError as exc:
@@ -746,7 +699,7 @@ def _checkpoint_from(
 
     if model is None:
         model = DefinitionModel.from_params(mode, vocab.pad_id, {name: arrays[f"param/{name}"] for name in shapes})
-        if "param/emb" in streams:
+        if isinstance(model.embeddings.matrix, FileMatrix):
             model.embeddings.fingerprints = np.concatenate(fingerprints)
     merges = None
     if meta["merges"] is not None:

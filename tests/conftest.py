@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from revdict.embeddings import PretrainedTable
+from revdict.embeddings import FileMatrix, PretrainedTable
 
 LETTERS = np.array(list("abcdefghij"))
 # A rescored cosine may differ from the float64 GEMV's in the last bits: scores must agree
@@ -40,6 +40,21 @@ def write_checkpoint_file(path, header, arrays):
     """Write ``header`` and the ``arrays`` bytes, in name order, as a checkpoint file."""
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     Path(path).write_bytes(framed_header(blob) + b"".join(arrays[name] for name in sorted(arrays)))
+
+
+def refuse_whole_reads(monkeypatch):
+    """Make numpy's whole read of a loaded array (``np.asarray`` of a ``FileMatrix``) fail, so a test shows that no
+    path takes it: the rows of such an array are read only by position (``FileMatrix.read``) or block (``blocks``)."""
+
+    def read_whole(self, dtype=None, copy=None):
+        raise AssertionError(f"{self.filename}: array {self.name!r} read whole")
+
+    monkeypatch.setattr(FileMatrix, "__array__", read_whole)
+
+
+def nbytes(array):
+    """The bytes of float64 ``array``, in memory or still in its file (a ``FileMatrix`` has no ``nbytes``)."""
+    return 8 * math.prod(array.shape)
 
 
 def tied_arrays(seed: int, base_rows: int = 40, copies: int = 24, dim: int = 5) -> tuple[list[str], np.ndarray]:

@@ -13,11 +13,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import PREFIX_SIZE, read_checkpoint_file, write_checkpoint_file
+from conftest import PREFIX_SIZE, read_checkpoint_file, refuse_whole_reads, write_checkpoint_file
 
 from revdict.cli import _gloss_frequencies, run
 from revdict.corpus import load_definitions
-from revdict.embeddings import rank_by_cosine
+from revdict.embeddings import LearnedTable, PretrainedTable, rank_by_cosine
 from revdict.tokenizer import (
     MergeTable,
     build_word_vocab,
@@ -29,6 +29,8 @@ from revdict import trainer
 from revdict.trainer import META_KEYS, load_checkpoint, save_checkpoint
 
 SUMMARY = re.compile(r"^median_rank=\S+ acc@10=\S+ acc@100=\S+ rank_variance=\S+$")
+
+NO_CRC = "has no CRC-32 as an unsigned 32-bit integer in the header"
 
 HEADS = ["cat", "dog", "bee", "ox", "mouse", "horse", "liner"]
 IN_LENGTH_ORDER = sorted(HEADS, key=len)  # the order a checkpoint stores them in
@@ -107,6 +109,17 @@ def array_start(path, name):
 def array_entry(name, **entry):
     """A ``rewrite_checkpoint`` meta edit of the header's ``arrays`` that replaces array ``name``'s entry."""
     return {"arrays": lambda layout: {**layout, name: entry}}
+
+
+def crc_entry(name, value):
+    """A ``rewrite_checkpoint`` meta edit that sets array ``name``'s header CRC-32 to ``value(crc32)``; None drops it."""
+
+    def edit(layout):
+        entry = dict(layout[name])
+        crc = entry.pop("crc32")
+        return {**layout, name: entry if value is None else {**entry, "crc32": value(crc)}}
+
+    return {"arrays": edit}
 
 
 def first_entry(value):
@@ -661,6 +674,12 @@ class TestTrainEvalQuery:
             (dict(meta={"epoch": 2.5}), "checkpoint epoch 2.5 is not a nonnegative integer"),
             (dict(meta={"epoch": True}), "checkpoint epoch True is not a nonnegative integer"),
             (dict(meta={"dev_median_rank": float("nan")}), "checkpoint dev_median_rank nan is not a finite number"),
+            # a save writes each CRC-32 as a JSON integer; a float equal to it, a bool or none is refused
+            (dict(meta=crc_entry("pretrained", float)), f"array 'pretrained' {NO_CRC}"),
+            (dict(meta=crc_entry("param/proj.b", float)), f"array 'param/proj.b' {NO_CRC}"),
+            (dict(meta=crc_entry("param/emb", lambda crc: True)), f"array 'param/emb' {NO_CRC}"),
+            (dict(meta=crc_entry("param/fwd.b", None)), f"array 'param/fwd.b' {NO_CRC}"),
+            (dict(meta=crc_entry("param/fwd.u", lambda crc: crc + 2**32)), f"array 'param/fwd.u' {NO_CRC}"),
         ],
         ids=[
             "version", "no-version", "meta-key", "param-array", "no-pretrained", "emb-shape", "mode", "pad-id", "gate-shape",
@@ -669,7 +688,7 @@ class TestTrainEvalQuery:
             "entry-negative-dimension", "entry-missing-dimension", "extra-array", "meta-unknown-key",
             "merge-single", "merge-integers", "merge-string", "vocab-integer", "vocab-string", "word-integer",
             "config-bool", "config-list", "bpe-without-merges", "epoch-infinity", "epoch-fraction", "epoch-bool",
-            "dev-median-nan",
+            "dev-median-nan", "crc-float-table", "crc-float-small-array", "crc-bool", "crc-missing", "crc-too-large",
         ],
     )
     def test_malformed_checkpoint_is_a_data_error(self, workspace, trained, capsys, monkeypatch, edit, message):
@@ -983,6 +1002,39 @@ def test_damaged_checkpoints_are_named_errors(workspace, capsys, monkeypatch, mo
             assert run(argv + ["--checkpoint", str(broken)]) == 2, (case, argv[0])
             out, err = capsys.readouterr()
             assert out == "" and err.startswith(f"data error: {broken}: ") and err.count("\n") == 1, (case, err)
+
+
+def in_memory(ckpt):
+    """``ckpt`` with the two arrays its load left in the file read into memory."""
+    ckpt.pretrained = PretrainedTable(ckpt.pretrained.words, np.asarray(ckpt.pretrained.matrix))
+    ckpt.model.embeddings = LearnedTable(np.asarray(ckpt.model.embeddings.matrix), ckpt.model.embeddings.pad_id)
+    return ckpt
+
+
+def test_query_and_eval_never_read_a_loaded_array_whole(workspace, capsys, monkeypatch):
+    # a loaded table and gloss embedding are read by position only (FileMatrix.read), and give
+    # what the same arrays in memory give, on a BPE bidirectional checkpoint
+    merges = workspace / "merges.txt"
+    assert run(["learn-bpe", "--input", str(workspace / "defs.tsv"), "--merges", "20", "--output", str(merges)]) == 0
+    config = write_config(workspace, encoder_mode="bidirectional", segmentation="bpe", merges=merges, epochs=1)
+    trained, ranks = workspace / "model.ckpt", workspace / "ranks.tsv"
+    assert run(["train", "--config", str(config), "--output", str(trained)]) == 0
+
+    def outputs():
+        capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO("small feline\nlarge animal --length 5\nship\n"))
+        assert run(["query", "--checkpoint", str(trained)]) == 0
+        answers = capsys.readouterr()
+        argv = ["eval", "--checkpoint", str(trained), "--test", str(workspace / "cw.csv"), "--mode", "crossword"]
+        assert run(argv + ["--output", str(ranks)]) == 0
+        return answers, capsys.readouterr(), ranks.read_bytes()
+
+    with monkeypatch.context() as memory:
+        memory.setattr("revdict.cli.load_checkpoint", lambda path: in_memory(load_checkpoint(path)))
+        expected = outputs()
+    refuse_whole_reads(monkeypatch)
+    assert outputs() == expected
+    assert expected[0].out.count("\n\n") == 3 and SUMMARY.match(expected[1].out.strip())
 
 
 def test_module_entry_point_help():

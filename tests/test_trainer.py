@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import framed_header, read_checkpoint_file, write_checkpoint_file
+from conftest import framed_header, nbytes, read_checkpoint_file, refuse_whole_reads, write_checkpoint_file
 
 from revdict import embeddings, objective, trainer
 from revdict.corpus import DefinitionPair, EncodedPair, bucket_and_batch
@@ -25,7 +25,7 @@ from revdict.encoder import DefinitionModel, EncoderMode
 from revdict.embeddings import FileMatrix, PretrainedTable, cosine_to_all, rank_by_cosine, row_fingerprints
 from revdict.errors import ConfigError, DataError, NonFiniteLossError
 from revdict.evaluator import evaluate, median_rank, rank_of_correct
-from revdict.objective import LossKind, RowGradient, backward
+from revdict.objective import LossKind, RowGradient, backward, finite_diff_check
 from revdict.tokenizer import MergeTable, WordVocab, build_word_vocab, learn_bpe
 from revdict.trainer import (
     BETA1,
@@ -579,17 +579,13 @@ class TestTrainLoop:
             train(cfg, pairs, pairs[:4], table, vocab)
 
     def test_training_on_a_loaded_table_reads_it_only_by_position(self, tmp_path, monkeypatch):
-        # targets and negatives are read by position (PretrainedTable.gather), never through the
-        # mapping, and training on the loaded table writes the bytes the in-memory table gives
+        # targets and negatives are read by position (PretrainedTable.gather), never as a whole
+        # copy of the table, and training on the loaded table writes the bytes the in-memory table gives
         pairs, table, vocab, cfg = toy_world(loss_kind="rank")
         ckpt, _ = train(cfg, pairs, pairs[:4], table, vocab)
         save_checkpoint(tmp_path / "memory.ckpt", ckpt)
         loaded = load_checkpoint(tmp_path / "memory.ckpt").pretrained
-
-        def through_the_mapping(self, index):
-            raise AssertionError(f"read rows {index!r} through the mapping")
-
-        monkeypatch.setattr(FileMatrix, "__getitem__", through_the_mapping)
+        refuse_whole_reads(monkeypatch)
         again, _ = train(cfg, pairs, pairs[:4], loaded, vocab)
         save_checkpoint(tmp_path / "loaded.ckpt", again)
         assert (tmp_path / "loaded.ckpt").read_bytes() == (tmp_path / "memory.ckpt").read_bytes()
@@ -721,6 +717,18 @@ class TestCheckpointIO:
         assert loaded.epoch == ckpt.epoch
         assert loaded.dev_median_rank == ckpt.dev_median_rank
 
+    def test_gradient_check_of_a_loaded_model_equals_the_in_memory_one(self, tmp_path):
+        # finite_diff_check reads a loaded model's file-backed embedding once, as a checked copy
+        ckpt, pairs = self.make_checkpoint()
+        save_checkpoint(tmp_path / "model.ckpt", ckpt)
+        loaded = load_checkpoint(tmp_path / "model.ckpt").model
+        encoded = encode_pairs(pairs, ckpt.vocab, ckpt.pretrained)
+        batch = bucket_and_batch(encoded, pad_id=ckpt.vocab.pad_id, bucket_size=8, minibatch=4, shuffle_seed=1)[0]
+        args = (batch.token_ids, batch.lengths, ckpt.pretrained.matrix[batch.head_ids], LossKind.COSINE)
+        expected = finite_diff_check(ckpt.model, *args)
+        assert 0.0 < expected < 1e-4
+        assert finite_diff_check(loaded, *args) == expected
+
     def test_round_trip_keeps_merges(self, tmp_path):
         ckpt, _ = self.make_checkpoint(segmentation="bpe")
         path = tmp_path / "model.ckpt"
@@ -809,7 +817,7 @@ class TestCheckpointIO:
         assert path.read_bytes() == oracle.read_bytes()
         loaded = load_checkpoint(path)
         for name, array in ckpt.model.param_dict().items():
-            assert loaded.model.param_dict()[name].tobytes() == array.tobytes()  # C order, as stored
+            assert np.asarray(loaded.model.param_dict()[name]).tobytes() == array.tobytes()  # C order, as stored
 
     def test_load_peak_memory_is_one_copy_of_the_arrays(self, tmp_path):
         ckpt = large_checkpoint(rows=16_384, dim=256)
@@ -824,7 +832,7 @@ class TestCheckpointIO:
         finally:
             tracemalloc.stop()
         arrays = [*loaded.model.param_dict().values(), loaded.pretrained.matrix]
-        assert peak <= 1.2 * sum(a.nbytes for a in arrays)
+        assert peak <= 1.2 * sum(map(nbytes, arrays))
 
     def test_load_peak_memory_stays_below_the_embedding(self, tmp_path):
         # the gloss embedding stays in the file like the table: a load streams it through
@@ -840,7 +848,7 @@ class TestCheckpointIO:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert max(a.nbytes for a in loaded.model.param_dict().values()) == emb_bytes
+        assert max(map(nbytes, loaded.model.param_dict().values())) == emb_bytes
         assert peak < emb_bytes
 
     def test_loaded_embedding_lookup_equals_the_in_memory_take(self, tmp_path):
@@ -999,7 +1007,6 @@ class TestCheckpointIO:
 
 def block_rows(monkeypatch, rows):
     """Set the rows per block of a load's streamed pass and of the in-memory table's pass."""
-    monkeypatch.setattr(trainer, "NORM_BLOCK_ROWS", rows)
     monkeypatch.setattr(embeddings, "NORM_BLOCK_ROWS", rows)
 
 
@@ -1069,7 +1076,7 @@ class TestStreamedLoad:
             got = preadv(fd, buffers, offset)
             return got - 8 if len(calls) == call + 1 else got
 
-        monkeypatch.setattr(trainer.os, "preadv", short)
+        monkeypatch.setattr(embeddings.os, "preadv", short)
         self.fails_cleanly(lambda: load_checkpoint(saved), DataError, f"{saved}: array {name!r} runs past the end of the file")
         assert len(calls) == call + 1  # nothing is read after the short read
 
@@ -1112,9 +1119,10 @@ class TestStreamedLoad:
             read.append(preadv(fd, buffers, offset))
             return read[-1]
 
-        monkeypatch.setattr(trainer.os, "preadv", counted)
+        monkeypatch.setattr(embeddings.os, "preadv", counted)
+        refuse_whole_reads(monkeypatch)
         save_checkpoint(tmp_path / "copy.ckpt", loaded)
-        assert sum(read) == loaded.pretrained.matrix.nbytes + loaded.model.embeddings.matrix.nbytes
+        assert sum(read) == nbytes(loaded.pretrained.matrix) + nbytes(loaded.model.embeddings.matrix)
         assert (tmp_path / "copy.ckpt").read_bytes() == saved.read_bytes()
 
     @pytest.mark.parametrize(
@@ -1130,7 +1138,7 @@ class TestStreamedLoad:
             got = preadv(fd, buffers, offset)
             return got - 8 if len(calls) == call + 1 else got
 
-        monkeypatch.setattr(trainer.os, "preadv", short)
+        monkeypatch.setattr(embeddings.os, "preadv", short)
         message = f"{saved}: array {name!r} runs past the end of the file"
         self.fails_cleanly(lambda: save_checkpoint(tmp_path / "copy.ckpt", loaded), DataError, message)
         assert len(calls) == call + 1 and sorted(tmp_path.iterdir()) == before
@@ -1149,6 +1157,21 @@ class TestStreamedLoad:
         message = f"{saved}: array {name!r} fails its CRC-32 check"
         self.fails_cleanly(lambda: save_checkpoint(tmp_path / "copy.ckpt", loaded), DataError, message)
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_numpy_reads_a_loaded_array_only_as_a_checked_copy(self, saved):
+        # np.asarray of a FileMatrix is a copy read by its block reader; there is no view of the file
+        matrix = load_checkpoint(saved).pretrained.matrix
+        assert not isinstance(matrix, np.ndarray)
+        copy = np.asarray(matrix)
+        assert copy.tobytes() == matrix.read(np.arange(60)).tobytes()
+        with pytest.raises(ValueError, match="can only be copied"):
+            np.asarray(matrix, copy=False)
+        with open(saved, "r+b") as handle:  # the lowest mantissa byte of row 30's first entry
+            handle.seek(matrix.offset + 30 * 5 * 8)
+            byte = handle.read(1)[0]
+            handle.seek(-1, os.SEEK_CUR)
+            handle.write(bytes([byte ^ 1]))
+        self.fails_cleanly(lambda: np.asarray(matrix), DataError, f"{saved}: array 'pretrained' fails its CRC-32 check")
 
     @pytest.mark.parametrize("fail", [2, 16], ids=["emb-first-block", "table-middle-block"])
     def test_a_failed_write_stops_the_reader(self, saved, tmp_path, monkeypatch, fail):
@@ -1177,7 +1200,7 @@ class TestStreamedLoad:
         offset += sum(len(arrays[name]) for name in sorted(arrays) if name < "pretrained")
         crc = header["arrays"]["pretrained"]["crc32"]
         with open(saved, "rb") as handle:
-            stream = trainer._stream_rows(FileMatrix(handle, offset, rows.shape, crc), "pretrained")
+            stream = FileMatrix(handle, offset, rows.shape, crc, "pretrained").blocks()
             lo = 0
             for block in stream:
                 time.sleep(0.002)
@@ -1186,10 +1209,10 @@ class TestStreamedLoad:
         assert lo == len(rows)
 
     @pytest.mark.parametrize(
-        "rows_per_block", [1, 7, trainer.NORM_BLOCK_ROWS, None], ids=["1", "7", "default", "whole"]
+        "rows_per_block", [1, 7, embeddings.NORM_BLOCK_ROWS, None], ids=["1", "7", "default", "whole"]
     )
     def test_a_loaded_table_equals_the_in_memory_build_bitwise(self, tmp_path, monkeypatch, rows_per_block):
-        ckpt = large_checkpoint(rows=2 * trainer.NORM_BLOCK_ROWS + 37, dim=30, vocab_size=300, embed_dim=20)
+        ckpt = large_checkpoint(rows=2 * embeddings.NORM_BLOCK_ROWS + 37, dim=30, vocab_size=300, embed_dim=20)
         rng = np.random.default_rng(9)  # entries over many magnitudes
         words = ckpt.pretrained.words
         matrix = ckpt.pretrained.matrix * np.exp(rng.uniform(-20, 20, (len(words), 1)))
